@@ -121,7 +121,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_suite(suite=args.suite, max_n=args.max_n, jobs=args.jobs)
+    report = run_suite(suite=args.suite, max_n=args.max_n)
     _emit(report.to_json_dict(), args.out)
     return 0 if report.passed else 1
 
@@ -186,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the claim-verification suite")
     p.add_argument("--suite", choices=available_suites(), default="all")
     p.add_argument("--max-n", type=int, default=8)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)
 

@@ -59,6 +59,11 @@ def staircase(n: int) -> Lattice:
     return Lattice(f"staircase({n})", n, RatMatrix.from_rows(g), "60-degree chain basis")
 
 
+def hybrid_max_m(n: int) -> int:
+    """Largest m accepted by hybrid(n, m): (n-2)/2 for even n, (n-1)/2 for odd n."""
+    return (n - 1) // 2
+
+
 def hybrid(n: int, m: int) -> Lattice:
     """Staircase block padded with hexagonal planes.
 
@@ -68,10 +73,10 @@ def hybrid(n: int, m: int) -> Lattice:
     """
     if n < 3:
         raise ValueError("hybrid needs rank >= 3")
-    max_m = (n - 2) // 2 if n % 2 == 0 else (n - 1) // 2
+    max_m = hybrid_max_m(n)
     if not 1 <= m <= max_m:
         raise ValueError(f"need 1 <= m <= {max_m} for n={n}, got m={m}")
-    t = (n - 1) // 2 - m
+    t = max_m - m
     d = n - 2 * t
     blocks = [staircase(d).gram] + [HEX_GRAM] * t
     return Lattice(
@@ -281,10 +286,8 @@ def weak_family_lattices(max_n: int):
         for m in range(0, n // 2 + 1):
             out.append(lnm(n, m))
         out.append(staircase(n))
-        if n >= 3:
-            max_m = (n - 2) // 2 if n % 2 == 0 else (n - 1) // 2
-            for m in range(1, max_m + 1):
-                out.append(hybrid(n, m))
+        for m in range(1, hybrid_max_m(n) + 1):
+            out.append(hybrid(n, m))
     if max_n >= 3:
         out.append(k3_prime())
     return out

@@ -16,23 +16,12 @@ from fractions import Fraction
 from .errors import FewerThanTwoPairs
 from .lattice import Lattice
 from .minvec import minimal_norm_sq, minimal_vectors
-from .ratlinalg import format_rational, rational_sqrt_exact
+from .ratlinalg import format_rational, gram_of_vectors, rational_sqrt_exact
 
 
 def _pair_cos_numerators(lat: Lattice) -> tuple[tuple[tuple[int, ...], ...], list[list[Fraction]]]:
-    mvs = minimal_vectors(lat)
-    pairs = mvs.pairs
-    n = lat.rank
-    g = lat.gram
-    gu = [
-        [sum(g[a, b] * u[a] for a in range(n)) for b in range(n)]
-        for u in pairs
-    ]
-    dots = [
-        [sum(gu[i][b] * pairs[j][b] for b in range(n)) for j in range(len(pairs))]
-        for i in range(len(pairs))
-    ]
-    return pairs, dots
+    pairs = minimal_vectors(lat).pairs
+    return pairs, gram_of_vectors(lat.gram, pairs)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import Sequence
 from .errors import DimensionGuardExceeded, NotWellRounded, SubsetGuardExceeded
 from .lattice import Lattice, lattice_from_gram
 from .minvec import is_well_rounded, minimal_vectors
-from .ratlinalg import RatMatrix, format_rational, rat_det, rat_solve
+from .ratlinalg import RatMatrix, echelon, format_rational, gram_of_vectors, rat_det
 
 PI_THIRD_COS_SQ = Fraction(1, 4)
 DEFAULT_ORDERING_DIM_GUARD = 9
@@ -33,21 +33,27 @@ DEFAULT_SUBSET_GUARD = 50_000
 def cos_sq_angle_to_span(lat: Lattice, v: int, span: Sequence[int]) -> Fraction:
     """Squared cosine of the angle between basis vector v and span{b_i : i in span}.
 
-    Solves the projection system G_SS x = G_Sv exactly; the value is
-    (G_vS . x) / g_vv.  Indices are 0-based.
+    Forward elimination of the bordered Gram [[G_SS, G_Sv], [G_vS, g_vv]]
+    over its first k = |span| columns leaves the Schur complement
+    g_vv - G_vS G_SS^{-1} G_Sv in the corner: the squared norm of the part of
+    b_v orthogonal to the span.  The value is 1 - corner / g_vv, with no
+    back-substitution.  Indices are 0-based.
     """
     idx = list(span)
     if not idx:
         raise ValueError("span must be nonempty")
     if v in idx:
         raise ValueError("vector must not lie in the span index set")
-    a = RatMatrix.from_rows([[lat.gram[i, j] for j in idx] for i in idx])
-    rhs = [lat.gram[i, v] for i in idx]
-    x = rat_solve(a, rhs)
-    if x is None:  # impossible for a valid (positive-definite) lattice
+    k = len(idx)
+    idx.append(v)
+    g = lat.gram
+    m = [[row[j] for j in idx] for row in map(g.row, idx)]
+    last = m[k]
+    # a singular G_SS loses a pivot or swaps the v row up; impossible for a
+    # valid (positive-definite) lattice
+    if len(echelon(m, k)) < k or m[k] is not last:
         raise ValueError("span Gram is singular")
-    num = sum(r * xi for r, xi in zip(rhs, x))
-    return num / lat.gram[v, v]
+    return 1 - last[k] / g[v, v]
 
 
 @dataclass(frozen=True)
@@ -259,13 +265,7 @@ def minimal_basis_subsets(lat: Lattice, subset_guard: int = DEFAULT_SUBSET_GUARD
 
 
 def _gram_of_coefficient_basis(lat: Lattice, subset) -> RatMatrix:
-    n = lat.rank
-    g = lat.gram
-    rows = []
-    for u in subset:
-        gu = [sum(g[a, b] * u[a] for a in range(n)) for b in range(n)]
-        rows.append([sum(gu[b] * w[b] for b in range(n)) for w in subset])
-    return RatMatrix.from_rows(rows)
+    return RatMatrix.from_rows(gram_of_vectors(lat.gram, subset))
 
 
 def membership_report(

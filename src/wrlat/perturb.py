@@ -15,14 +15,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import NotNearlyOrthogonal, NotPositiveDefinite, VerificationFailed
 from .invariants import mu_nu, packing_density
 from .lattice import Lattice, lattice_from_gram
 from .minvec import minimal_norm_sq
 from .ortho import is_theta_orthogonal
-from .ratlinalg import RatMatrix, format_rational
+from .ratlinalg import RatMatrix, format_rational, rational_sqrt_exact
 
 MU = "mu"
 NU = "nu"
@@ -180,10 +178,11 @@ def perturb_general(
 ) -> PerturbationOutcome:
     """Move mu (the smallest pairwise |cos|) or nu (the largest) to `target`.
 
-    Float-mode: rebuilds a floating basis by Cholesky, rotates the second
-    vector of the extreme pair inside that pair's plane to the target angle
-    (all other vectors stay fixed, so only one Gram row changes), then
-    rationalizes the changed row.  Succeeds only if the rationalized lattice
+    Rotates the second vector of the extreme pair inside that pair's plane
+    to the target angle (all other vectors stay fixed, so only one Gram row
+    changes).  The new row is exact when the rotation's scale factor is a
+    rational square root; otherwise it is computed with one float square
+    root and rationalized.  Succeeds only if the resulting lattice
     verifies: extreme value equals the target within tol, the density ratio
     law holds within tol, and the result is still nearly orthogonal.
     """
@@ -220,28 +219,27 @@ def perturb_general(
     value_before = abs(g[i, j])
     sign = -1 if g[i, j] < 0 else 1
 
-    gf = np.array([[float(g[a, b]) for b in range(n)] for a in range(n)])
-    chol = np.linalg.cholesky(gf)  # rows are basis vectors, G = C C^T
-    basis = chol  # basis[k] is b_k
-    u1 = basis[i] / np.linalg.norm(basis[i])
-    w = basis[j] - float(np.dot(basis[j], u1)) * u1
-    wn = np.linalg.norm(w)
-    if wn < 1e-12:
-        raise VerificationFailed("degenerate pair plane", {"pair": pair})
-    e2 = w / wn
-    t = float(target)
-    new_bj = sign * t * u1 + math.sqrt(max(0.0, 1.0 - t * t)) * e2
-
+    # Rotating b_j inside span{b_i, b_j} to cosine s*t with the unit b_i
+    # moves only row j: g'_jk = s t g_ik + sqrt((1-t^2)/(1-c^2)) (g_jk - c g_ik)
+    # with c = g_ij.  The rotated row is exact when the root is rational.
+    c = g[i, j]
+    root_sq = (1 - target * target) / (1 - c * c)
+    root = rational_sqrt_exact(root_sq)
+    root_float = math.sqrt(root_sq) if root is None else None
     rows = g.to_rows()
     for k in range(n):
         if k == j:
             continue
-        if k == i:
-            val = sign * target  # exact by construction
-        else:
-            val = Fraction(float(np.dot(new_bj, basis[k]))).limit_denominator(
+        along = sign * target * g[i, k]
+        across = g[j, k] - c * g[i, k]
+        if root is not None:
+            val = along + root * across
+        elif across:
+            val = Fraction(float(along) + root_float * float(across)).limit_denominator(
                 max_denominator
             )
+        else:
+            val = along
         rows[j][k] = rows[k][j] = val
     rows[j][j] = Fraction(1)
 

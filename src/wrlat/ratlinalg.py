@@ -147,6 +147,13 @@ def block_diag(*mats: RatMatrix) -> RatMatrix:
     return RatMatrix.from_rows(out)
 
 
+def gram_of_vectors(g: RatMatrix, vectors: Sequence[Sequence]) -> list[list[Fraction]]:
+    """Inner products u^T G w for every pair of coefficient vectors u, w."""
+    rows = [g.row(a) for a in range(g.rows)]
+    gu = [[sum(r[b] * x for r, x in zip(rows, u)) for b in range(g.cols)] for u in vectors]
+    return [[sum(x * y for x, y in zip(gu_i, w)) for w in vectors] for gu_i in gu]
+
+
 def rat_det(a: RatMatrix) -> Fraction:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if a.rows != a.cols:
@@ -173,26 +180,61 @@ def rat_det(a: RatMatrix) -> Fraction:
     return sign * m[n - 1][n - 1]
 
 
+def pivot(m: list[list[Fraction]], r: int, c: int, rows: Iterable[int]) -> None:
+    """Scale row r of m in place so that m[r][c] == 1, then clear column c
+    from each of `rows`.
+
+    The only elimination row update in the package.  Work is confined to the
+    columns where row r is nonzero, so nothing left of its first nonzero
+    entry is touched, and rows already zero in column c are skipped.
+    """
+    prow = m[r]
+    p = prow[c]
+    nz = [j for j in range(len(prow)) if prow[j]]
+    if p != 1:
+        for j in nz:
+            prow[j] /= p
+    for i in rows:
+        row = m[i]
+        f = row[c]
+        if f:
+            for j in nz:
+                row[j] -= f * prow[j]
+
+
+def echelon(m: list[list[Fraction]], ncols: int) -> list[int]:
+    """Forward elimination of m in place over its first ncols columns.
+
+    Returns the pivot columns: row i then has a leading 1 in column
+    pivots[i] and zeros below it; rows from len(pivots) on are zero in the
+    first ncols columns.  Row swaps move the row lists themselves.
+    """
+    nr = len(m)
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nr:
+            break
+        p = next((i for i in range(r, nr) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        pivot(m, r, c, range(r + 1, nr))
+        pivots.append(c)
+    return pivots
+
+
+def rref(m: list[list[Fraction]], ncols: int) -> list[int]:
+    """Reduced row echelon form in place: echelon, then clear above each pivot."""
+    pivots = echelon(m, ncols)
+    for i in range(len(pivots) - 1, 0, -1):
+        pivot(m, i, pivots[i], range(i))
+    return pivots
+
+
 def rat_rank(a: RatMatrix) -> int:
     """Rank over the rationals via exact Gaussian elimination."""
-    m = a.to_rows()
-    nr, nc = a.rows, a.cols
-    rank = 0
-    for col in range(nc):
-        pivot = next((r for r in range(rank, nr) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        prow = m[rank]
-        for r in range(rank + 1, nr):
-            if m[r][col] != 0:
-                f = m[r][col] / prow[col]
-                for c in range(col, nc):
-                    m[r][c] -= f * prow[c]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+    return len(echelon(a.to_rows(), a.cols))
 
 
 def rat_solve(a: RatMatrix, b: Sequence) -> list[Fraction] | None:
@@ -200,28 +242,12 @@ def rat_solve(a: RatMatrix, b: Sequence) -> list[Fraction] | None:
     if a.rows != a.cols:
         raise ValueError("rat_solve needs a square matrix")
     n = a.rows
-    bb = [Fraction(x) for x in b]
-    if len(bb) != n:
+    if len(b) != n:
         raise ValueError("right-hand side length mismatch")
-    m = a.to_rows()
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        bb[col], bb[pivot] = bb[pivot], bb[col]
-        f = m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                g = m[r][col] / f
-                for c in range(col, n):
-                    m[r][c] -= g * m[col][c]
-                bb[r] -= g * bb[col]
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        s = bb[r] - sum(m[r][c] * x[c] for c in range(r + 1, n))
-        x[r] = s / m[r][r]
-    return x
+    m = [list(a.row(i)) + [Fraction(b[i])] for i in range(n)]
+    if len(rref(m, n)) < n:
+        return None
+    return [row[n] for row in m]
 
 
 def rat_inv(a: RatMatrix) -> RatMatrix:
@@ -230,17 +256,8 @@ def rat_inv(a: RatMatrix) -> RatMatrix:
         raise ValueError("inverse needs a square matrix")
     n = a.rows
     m = [list(a.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        m[col], m[pivot] = m[pivot], m[col]
-        f = m[col][col]
-        m[col] = [x / f for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                g = m[r][col]
-                m[r] = [x - g * y for x, y in zip(m[r], m[col])]
+    if len(rref(m, n)) < n:
+        raise ValueError("singular matrix")
     return RatMatrix.from_rows([row[n:] for row in m])
 
 
@@ -253,24 +270,8 @@ def solve_affine(a_rows: Sequence[Sequence], b: Sequence):
     nr = len(a_rows)
     nc = len(a_rows[0]) if nr else 0
     m = [[Fraction(e) for e in row] + [Fraction(b[i])] for i, row in enumerate(a_rows)]
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(nc):
-        pivot = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        f = m[r][c]
-        m[r] = [x / f for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c] != 0:
-                g = m[i][c]
-                m[i] = [x - g * y for x, y in zip(m[i], m[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == nr:
-            break
-    if any(m[i][nc] != 0 for i in range(r, nr)):
+    piv_cols = rref(m, nc)
+    if any(m[i][nc] != 0 for i in range(len(piv_cols), nr)):
         return None
     particular = [Fraction(0)] * nc
     for i, c in enumerate(piv_cols):

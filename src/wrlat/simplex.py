@@ -10,19 +10,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .ratlinalg import pivot
+
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
 
 
 def _pivot(tab: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    f = tab[row][col]
-    tab[row] = [x / f for x in tab[row]]
-    piv = tab[row]
-    for i in range(len(tab)):
-        if i != row and tab[i][col] != 0:
-            g = tab[i][col]
-            tab[i] = [a - g * b for a, b in zip(tab[i], piv)]
+    pivot(tab, row, col, (i for i in range(len(tab)) if i != row))
     basis[row] = col
 
 

@@ -8,7 +8,6 @@ on its own.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,6 +17,7 @@ from .constructions import (
     coxeter_barnes,
     hexagonal,
     hybrid,
+    hybrid_max_m,
     integer_lattice,
     k3_prime,
     lnm,
@@ -26,6 +26,7 @@ from .constructions import (
     strict_family_lattices,
     weak_family_lattices,
 )
+from .errors import NotPositiveDefinite
 from .eutaxy import EutaxyClass, eutaxy_classify, is_perfect
 from .invariants import cn_test, cn_value, coherence, packing_density
 from .lattice import Lattice, lattice_from_gram
@@ -99,8 +100,7 @@ def _check_staircase_counts(max_n: int) -> str:
 def _check_hybrid_counts(max_n: int) -> str:
     cases = 0
     for n in range(3, max_n + 1):
-        max_m = (n - 2) // 2 if n % 2 == 0 else (n - 1) // 2
-        for m in range(1, max_m + 1):
+        for m in range(1, hybrid_max_m(n) + 1):
             want = 3 * n + 2 * m if n % 2 == 0 else 3 * n - 1 + 2 * m
             got = minimal_vectors(hybrid(n, m)).count
             assert got == want, f"hybrid({n},{m}): {got} != {want}"
@@ -267,11 +267,9 @@ def _check_kissing_coverage(max_n: int) -> str:
     for n in range(2, min(max_n, 7) + 1):
         achieved = {minimal_vectors(lnm(n, m)).count for m in range(0, n // 2 + 1)}
         achieved.add(minimal_vectors(staircase(n)).count)
-        if n >= 3:
-            top = (n - 2) // 2 if n % 2 == 0 else (n - 1) // 2
-            achieved.update(
-                minimal_vectors(hybrid(n, m)).count for m in range(1, top + 1)
-            )
+        achieved.update(
+            minimal_vectors(hybrid(n, m)).count for m in range(1, hybrid_max_m(n) + 1)
+        )
         want = set(range(2 * n, 4 * n - 1, 2))
         assert achieved == want, f"n={n}: {sorted(achieved)} != {sorted(want)}"
     return "every even kissing number in [2n, 4n-2] is realized"
@@ -329,7 +327,7 @@ def random_subthreshold_lattice(rng: random.Random, n: int, denominator: int = 6
                 g[i][j] = g[j][i] = c
         try:
             return lattice_from_gram(f"random{n}", g)
-        except Exception:  # Gershgorin makes this unreachable for n <= 5
+        except NotPositiveDefinite:  # Gershgorin makes this unreachable for n <= 5
             continue
 
 
@@ -402,7 +400,7 @@ def available_suites() -> list[str]:
     return ["all", "constructions", "theorems", "coherence"]
 
 
-def run_suite(suite: str = "all", max_n: int = 8, jobs: int = 1) -> SuiteReport:
+def run_suite(suite: str = "all", max_n: int = 8) -> SuiteReport:
     if suite not in available_suites():
         raise ValueError(f"unknown suite {suite!r}")
     if max_n < 2:
@@ -419,10 +417,6 @@ def run_suite(suite: str = "all", max_n: int = 8, jobs: int = 1) -> SuiteReport:
         except Exception as exc:  # guard trips etc. are failures, not crashes
             return CheckResult(check_id, claim, "fail", f"{type(exc).__name__}: {exc}")
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, selected))
-    else:
-        results = [run_one(e) for e in selected]
+    results = [run_one(e) for e in selected]
     results.sort(key=lambda c: c.check_id)
     return SuiteReport(checks=tuple(results))

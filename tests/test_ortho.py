@@ -2,8 +2,11 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wrlat import (
+    RatMatrix,
     NotWellRounded,
     an_dual_frame,
     an_root,
@@ -19,6 +22,7 @@ from wrlat import (
     lnm,
     membership_report,
     minimal_basis_subsets,
+    rat_solve,
     reorder_basis,
     staircase,
 )
@@ -61,6 +65,33 @@ def test_span_rejects_bad_input():
         cos_sq_angle_to_span(staircase(3), 0, ())
     with pytest.raises(ValueError):
         cos_sq_angle_to_span(staircase(3), 1, (0, 1))
+
+
+@st.composite
+def spd_span_cases(draw):
+    """A random SPD Gram L D L^T, a vector index and a nonempty span avoiding it."""
+    n = draw(st.integers(2, 5))
+    ent = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+    pos = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
+    low = [[F(int(i == j)) if j >= i else draw(ent) for j in range(n)] for i in range(n)]
+    diag = [draw(pos) for _ in range(n)]
+    g = [[sum(low[i][k] * diag[k] * low[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+    v = draw(st.integers(0, n - 1))
+    rest = [i for i in range(n) if i != v]
+    span = draw(st.lists(st.sampled_from(rest), min_size=1, unique=True))
+    return lattice_from_gram("spd", g), v, span
+
+
+@settings(max_examples=80, deadline=None)
+@given(spd_span_cases())
+def test_cos_sq_equals_projection_solve(case):
+    lat, v, span = case
+    g = lat.gram
+    g_ss = RatMatrix.from_rows([[g[i, j] for j in span] for i in span])
+    g_sv = [g[i, v] for i in span]
+    x = rat_solve(g_ss, g_sv)
+    want = sum(a * b for a, b in zip(g_sv, x)) / g[v, v]
+    assert cos_sq_angle_to_span(lat, v, span) == want
 
 
 # --- profiles ----------------------------------------------------------------

@@ -202,3 +202,16 @@ def test_no_strict_basis_attains_mu_half_beyond_rank_2():
                 assert mu_nu(cand)[0].cos_sq < F(1, 4), (lat.name, subset)
     hex_mu, _ = mu_nu(hexagonal())
     assert hex_mu.exact_cos == HALF
+
+
+def test_general_exact_root_moves_coupled_row_exactly():
+    # c = 5/13 and t = 7/25 give the rational scale (24/25)/(12/13) = 26/25,
+    # and b_2 couples to b_0, so g'_12 = t g_02 + 26/25 (g_12 - c g_02)
+    rows = [[1, F(5, 13), F(1, 4)], [F(5, 13), 1, F(1, 5)], [F(1, 4), F(1, 5), 1]]
+    out = perturb_general(lattice_from_gram("t3", rows), "nu", F(7, 25))
+    assert out.after.gram.to_rows() == [
+        [1, F(7, 25), F(1, 4)],
+        [F(7, 25), 1, F(89, 500)],
+        [F(1, 4), F(89, 500), 1],
+    ]
+    assert out.density_ratio_sq == (1 - F(5, 13) ** 2) / (1 - F(7, 25) ** 2)

@@ -1,0 +1,93 @@
+"""Exact linear algebra checked against sympy as an independent oracle."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wrlat import RatMatrix, rat_det, rat_inv, rat_rank, rat_solve
+from wrlat.ratlinalg import solve_affine
+
+sympy = pytest.importorskip("sympy")
+
+F = Fraction
+
+# zeros are drawn often so that singular and rank-deficient matrices are common
+entries = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=5)
+)
+
+
+@st.composite
+def matrices(draw, square=False):
+    nr = draw(st.integers(1, 5))
+    nc = nr if square else draw(st.integers(1, 5))
+    return [[draw(entries) for _ in range(nc)] for _ in range(nr)]
+
+
+def to_sympy(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
+
+
+def from_sympy(x):
+    return F(int(x.p), int(x.q))
+
+
+def mat_vec(rows, x):
+    return [sum(a * b for a, b in zip(r, x)) for r in rows]
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices())
+def test_rank_matches_sympy(rows):
+    assert rat_rank(RatMatrix.from_rows(rows)) == to_sympy(rows).rank()
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(square=True))
+def test_det_matches_sympy(rows):
+    assert rat_det(RatMatrix.from_rows(rows)) == from_sympy(to_sympy(rows).det())
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(square=True))
+def test_inverse_matches_sympy(rows):
+    a = RatMatrix.from_rows(rows)
+    s = to_sympy(rows)
+    if s.det() == 0:
+        with pytest.raises(ValueError):
+            rat_inv(a)
+        return
+    want = [[from_sympy(x) for x in s.inv().row(i)] for i in range(s.rows)]
+    assert rat_inv(a).to_rows() == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(square=True), st.data())
+def test_solve_matches_sympy(rows, data):
+    b = [data.draw(entries) for _ in rows]
+    s = to_sympy(rows)
+    x = rat_solve(RatMatrix.from_rows(rows), b)
+    if s.det() == 0:
+        assert x is None
+        return
+    want = s.LUsolve(to_sympy([[v] for v in b]))
+    assert x == [from_sympy(v) for v in want]
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(), st.data())
+def test_solve_affine_matches_sympy(rows, data):
+    b = [data.draw(entries) for _ in rows]
+    nc = len(rows[0])
+    rank = to_sympy(rows).rank()
+    consistent = to_sympy([r + [v] for r, v in zip(rows, b)]).rank() == rank
+    solution = solve_affine(rows, b)
+    if not consistent:
+        assert solution is None
+        return
+    particular, null_basis = solution
+    assert mat_vec(rows, particular) == b
+    assert all(mat_vec(rows, v) == [0] * len(rows) for v in null_basis)
+    assert len(null_basis) == nc - rank
