@@ -45,9 +45,10 @@ FAMILIES = (
 
 
 def parse_cos_sq_threshold(text: str) -> Fraction:
-    if text.strip() == "pi/3":
-        return Fraction(1, 4)
-    return parse_rational(text)
+    value = Fraction(1, 4) if text.strip() == "pi/3" else parse_rational(text)
+    if not 0 <= value <= 1:
+        raise ValueError(f"--theta {text!r} is not a squared cosine in [0, 1]")
+    return value
 
 
 def _emit(obj: dict, out: str | None) -> None:

@@ -178,7 +178,7 @@ def classification_report(
     def attempt(label, fn):
         try:
             return fn()
-        except (LatticeError, ValueError) as exc:
+        except LatticeError as exc:
             warnings.append(f"{label}: {exc}")
             return None
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FewerThanTwoPairs
+from .errors import FewerThanTwoPairs, LatticeError
 from .lattice import Lattice
 from .minvec import minimal_norm_sq, minimal_vectors
 from .ratlinalg import format_rational, gram_of_vectors, rational_sqrt_exact
@@ -93,7 +93,7 @@ def mu_nu(lat: Lattice) -> tuple[BasisCos, BasisCos]:
     """
     n = lat.rank
     if n < 2:
-        raise ValueError("mu/nu need at least two basis vectors")
+        raise LatticeError("mu/nu need at least two basis vectors")
     g = lat.gram
     values = [
         g[i, j] * g[i, j] / (g[i, i] * g[j, j])

@@ -9,6 +9,7 @@ Float bases are an ingestion convenience only; see lattice_from_float_basis.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -68,10 +69,8 @@ class FloatBasis:
             raise ValueError("ragged basis columns")
         if len(self.columns) > dim:
             raise ValueError("more columns than ambient dimension")
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.columns[0])
+        if not all(math.isfinite(x) for c in self.columns for x in c):
+            raise ValueError("basis entries must be finite")
 
     @property
     def rank(self) -> int:
@@ -218,8 +217,11 @@ def lattice_from_json_dict(d: dict) -> Lattice:
     if len(gram_rows) != rank or any(len(r) != rank for r in gram_rows):
         raise ValueError("gram shape does not match rank")
     lat = lattice_from_gram(name, gram_rows, provenance=str(d.get("provenance", "")))
-    if "basis" in d and d["basis"] is not None:
-        fb = FloatBasis(tuple(tuple(float(x) for x in col) for col in d["basis"]))
+    if d.get("basis") is not None:
+        try:
+            fb = FloatBasis(tuple(tuple(float(x) for x in col) for col in d["basis"]))
+        except TypeError as exc:
+            raise ValueError(f"malformed basis: {exc}") from exc
         if fb.rank != rank:
             raise ValueError("basis column count does not match rank")
         g = fb.float_gram()

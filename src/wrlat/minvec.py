@@ -1,10 +1,13 @@
 """Exact shortest-vector machinery: minimal norm, minimal vectors, kissing number.
 
-The enumerator is a depth-first search over integer coordinates driven by an
-exact LDL factorization of the Gram matrix.  All level bounds are computed
-with integer square roots of rational radicands, so there is no floating
-point anywhere on this path and the returned sets are provably complete.
-A box-scan brute-force oracle is provided for cross-validation in tests.
+One depth-first enumeration per Gram matrix, driven by an exact LDL
+factorization, finds the minimal norm and every minimal vector together: the
+bound starts at the smallest diagonal entry, drops to each strictly shorter
+vector found, and the vectors at the current bound are kept as ties, so the
+ties left at the end are the complete minimal set.  All level bounds are
+computed with integer square roots of rational radicands, so there is no
+floating point anywhere on this path.  Results are cached on the Gram matrix
+alone.  A box-scan brute-force oracle is provided for cross-validation in tests.
 """
 
 from __future__ import annotations
@@ -64,47 +67,52 @@ def _level_range(center: Fraction, radicand: Fraction) -> tuple[int, int]:
     return lo, hi
 
 
-def _dfs(gram: RatMatrix, bound: Fraction, shrink: bool, on_vector=None):
-    """Core exact enumerator.
+@lru_cache(maxsize=4096)
+def _shortest(gram: RatMatrix, limit: int) -> tuple[Fraction, tuple[tuple[int, ...], ...], bool]:
+    """Core exact enumerator: (minimal norm, canonical minimal pairs, overflowed).
 
     Explores the half-space where the highest-index nonzero coordinate is
-    positive.  With shrink=True the bound tightens whenever a strictly
-    shorter nonzero vector is found and the final bound is returned; with
-    shrink=False every vector of squared norm exactly `bound` is reported
-    through on_vector.
+    positive.  The bound tightens whenever a strictly shorter nonzero vector
+    is found, which empties the tie list; every vector at the current bound
+    is kept, up to `limit` pairs.  `overflowed` is True when a further tie at
+    the final norm was dropped.
     """
     n = gram.rows
     fac = ldl_decompose(gram)
     low = fac.unit_lower.to_rows()
     diag = list(fac.diag)
     x = [0] * n
-    state = {"bound": bound}
+    bound = min(gram[i, i] for i in range(n))
+    ties: list[tuple[int, ...]] = []
+    overflowed = False
 
     def rec(k: int, partial: Fraction, higher_zero: bool):
+        nonlocal bound, ties, overflowed
         if k < 0:
-            q = partial
-            if shrink:
-                if 0 < q < state["bound"]:
-                    state["bound"] = q
-            elif q == bound and not higher_zero:
-                on_vector(tuple(x))
+            if higher_zero:
+                return
+            if partial < bound:
+                bound, ties, overflowed = partial, [], False
+            if len(ties) < limit:
+                ties.append(_canonical_pair(tuple(x)))
+            else:
+                overflowed = True
             return
         center = sum(low[j][k] * x[j] for j in range(k + 1, n) if x[j])
-        remaining = state["bound"] - partial
-        lo, hi = _level_range(center, remaining / diag[k])
+        lo, hi = _level_range(center, (bound - partial) / diag[k])
         if higher_zero:
             lo = max(lo, 0)
         for xk in range(lo, hi + 1):
             t = center + xk
             contrib = diag[k] * t * t
-            if partial + contrib > state["bound"]:
+            if partial + contrib > bound:
                 continue
             x[k] = xk
             rec(k - 1, partial + contrib, higher_zero and xk == 0)
         x[k] = 0
 
     rec(n - 1, Fraction(0), True)
-    return state["bound"]
+    return bound, tuple(sorted(ties)), overflowed
 
 
 def _check_dim(lat: Lattice, max_dim: int) -> None:
@@ -114,33 +122,10 @@ def _check_dim(lat: Lattice, max_dim: int) -> None:
         )
 
 
-@lru_cache(maxsize=4096)
-def _min_norm_cached(lat: Lattice) -> Fraction:
-    start = min(lat.gram[i, i] for i in range(lat.rank))
-    return _dfs(lat.gram, start, shrink=True)
-
-
 def minimal_norm_sq(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> Fraction:
     """Exact squared minimal norm, min over nonzero integer u of u^T G u."""
     _check_dim(lat, max_dim)
-    return _min_norm_cached(lat)
-
-
-@lru_cache(maxsize=1024)
-def _min_vectors_cached(lat: Lattice, pair_guard_factor: int) -> MinimalVectorSet:
-    norm = _min_norm_cached(lat)
-    limit = pair_guard_factor * lat.rank * lat.rank
-    found: list[tuple[int, ...]] = []
-
-    def collect(u: tuple[int, ...]) -> None:
-        found.append(_canonical_pair(u))
-        if len(found) > limit:
-            raise PairCountGuardExceeded(
-                f"more than {limit} minimal pairs for {lat.name!r}"
-            )
-
-    _dfs(lat.gram, norm, shrink=False, on_vector=collect)
-    return MinimalVectorSet(norm_sq=norm, pairs=tuple(sorted(found)))
+    return _shortest(lat.gram, DEFAULT_PAIR_GUARD_FACTOR * lat.rank * lat.rank)[0]
 
 
 def minimal_vectors(
@@ -151,10 +136,15 @@ def minimal_vectors(
     """Complete canonical set of minimal vectors, one per +/- pair.
 
     Completeness: every integer u with u^T G u equal to the minimal norm is
-    listed up to sign.  Guards fail loudly instead of truncating.
+    listed up to sign.  Guards fail loudly instead of truncating: more than
+    pair_guard_factor * n^2 pairs at the minimal norm raises.
     """
     _check_dim(lat, max_dim)
-    return _min_vectors_cached(lat, pair_guard_factor)
+    limit = pair_guard_factor * lat.rank * lat.rank
+    norm, pairs, overflowed = _shortest(lat.gram, limit)
+    if overflowed:
+        raise PairCountGuardExceeded(f"more than {limit} minimal pairs for {lat.name!r}")
+    return MinimalVectorSet(norm_sq=norm, pairs=pairs)
 
 
 def kissing_number(lat: Lattice) -> int:

@@ -20,6 +20,8 @@ Rational = Fraction
 
 def parse_rational(s: str) -> Fraction:
     """Parse "p/q" or "p" (optional leading '-') into an exact Fraction."""
+    if not isinstance(s, str):
+        raise ValueError(f"not a rational literal: {s!r} (write it as a string)")
     text = s.strip().replace("−", "-")
     try:
         if "/" in text:
@@ -91,13 +93,6 @@ class RatMatrix:
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
-
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
@@ -148,10 +143,17 @@ def block_diag(*mats: RatMatrix) -> RatMatrix:
 
 
 def gram_of_vectors(g: RatMatrix, vectors: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Inner products u^T G w for every pair of coefficient vectors u, w."""
+    """Inner products u^T G w for every pair of coefficient vectors u, w.
+
+    G is symmetric, so only the products with w at or after u are computed.
+    """
     rows = [g.row(a) for a in range(g.rows)]
     gu = [[sum(r[b] * x for r, x in zip(rows, u)) for b in range(g.cols)] for u in vectors]
-    return [[sum(x * y for x, y in zip(gu_i, w)) for w in vectors] for gu_i in gu]
+    out = [[None] * len(vectors) for _ in vectors]
+    for i, gu_i in enumerate(gu):
+        for j in range(i, len(vectors)):
+            out[i][j] = out[j][i] = sum(x * y for x, y in zip(gu_i, vectors[j]))
+    return out
 
 
 def rat_det(a: RatMatrix) -> Fraction:
@@ -329,14 +331,6 @@ def ldl_decompose(g: RatMatrix) -> LDLFactorization:
             s = g[i, j] - sum(low[i][k] * low[j][k] * diag[k] for k in range(j))
             low[i][j] = s / d
     return LDLFactorization(RatMatrix.from_rows(low), tuple(diag))
-
-
-def is_positive_definite(g: RatMatrix) -> bool:
-    try:
-        ldl_decompose(g)
-        return True
-    except (NotSymmetric, NotPositiveDefinite):
-        return False
 
 
 def rational_sqrt_exact(q: Fraction) -> Fraction | None:

@@ -84,6 +84,14 @@ def test_float_basis_rejects_dependent_columns():
         lattice_from_float_basis("dep", [(1.0, 0.0), (2.0, 0.0)], 10)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_float_basis_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="finite"):
+        FloatBasis(((1.0, bad), (0.0, 1.0)))
+    with pytest.raises(ValueError, match="finite"):
+        lattice_from_float_basis("bad", [(1.0, 0.0), (bad, 1.0)], 10)
+
+
 def test_direct_sum_of_lines_is_plane():
     z1 = integer_lattice(1)
     assert direct_sum(z1, z1).gram == RatMatrix.identity(2)

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wrlat import (
     DimensionGuardExceeded,
+    Lattice,
     PairCountGuardExceeded,
     an_dual_frame,
     an_root,
@@ -18,9 +21,11 @@ from wrlat import (
     minimal_norm_sq,
     minimal_vectors,
     planar_wr,
+    principal_sublattice,
     staircase,
     hybrid,
 )
+from wrlat.minvec import _canonical_pair, _shortest
 
 from conftest import quad_form
 
@@ -178,3 +183,96 @@ def test_brute_force_box_guard():
 def test_json_shape():
     d = minimal_vectors(hexagonal()).to_json_dict()
     assert d == {"norm_sq": "1", "pairs": [[0, 1], [1, -1], [1, 0]]}
+
+
+# --- one enumeration per Gram -------------------------------------------------
+
+
+def disguise(lat, moves):
+    """The lattice in the basis b_j += s b_i, one move per (i, j, s), and the
+    integer matrix U whose columns give the new basis in the old one."""
+    n = lat.rank
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, s in moves:
+        for r in range(n):
+            u[r][j] += s * u[r][i]
+    g = lat.gram
+    rows = [
+        [sum(u[a][i] * g[a, b] * u[b][j] for a in range(n) for b in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    return lattice_from_gram(f"{lat.name}~", rows), u
+
+
+@st.composite
+def disguised_family_lattices(draw):
+    lat = draw(st.sampled_from(rank_le_5_family()))
+    n = lat.rank
+    moves = []
+    if n > 1:
+        for _ in range(draw(st.integers(1, 2 * n))):
+            i, j = draw(st.permutations(range(n)))[:2]
+            moves.append((i, j, draw(st.sampled_from((1, -1)))))
+    return lat, moves
+
+
+@settings(max_examples=60, deadline=None)
+@given(disguised_family_lattices())
+def test_enumeration_is_basis_invariant(case):
+    lat, moves = case
+    disguised, u = disguise(lat, moves)
+    want = minimal_vectors(lat)
+    got = minimal_vectors(disguised)
+    assert got.norm_sq == want.norm_sq == minimal_norm_sq(disguised)
+    assert got.count == want.count
+    for w in got.pairs:
+        assert quad_form(disguised, w) == got.norm_sq
+    # the pairs map back to the undisguised ones through U
+    back = {_canonical_pair(tuple(sum(a * b for a, b in zip(r, w)) for r in u)) for w in got.pairs}
+    assert back == set(want.pairs)
+
+
+def e8_plus_z_disguised():
+    """E8 (+) Z stored with b_8 += b_0: every diagonal entry is at least 2,
+    the norm-2 shell holds the 120 root pairs of E8, and the minimum is 1."""
+    g = [[0] * 9 for _ in range(9)]
+    for i in range(8):
+        g[i][i] = 2
+    for i, j in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)]:
+        g[i][j] = g[j][i] = -1
+    g[8][8] = 1
+    return disguise(lattice_from_gram("e8+z", g), [(0, 8, 1)])[0]
+
+
+def test_pair_guard_counts_only_ties_at_the_final_norm():
+    lat = e8_plus_z_disguised()
+    assert min(lat.gram[i, i] for i in range(9)) == 2
+    # the walk meets the norm-2 shell (120 pairs, past the limit 1 * 9^2) in
+    # the b_8 = 0 half before it finds the norm-1 vector, so the overflow must
+    # be cleared when the bound drops
+    assert len(minimal_vectors(principal_sublattice(lat, range(8))).pairs) == 120
+    mvs = minimal_vectors(lat, pair_guard_factor=1)
+    assert mvs.norm_sq == 1
+    assert mvs.pairs == ((1, 0, 0, 0, 0, 0, 0, 0, -1),)
+    with pytest.raises(PairCountGuardExceeded, match="e8"):
+        minimal_vectors(lat, pair_guard_factor=0)
+
+
+def test_renamed_copy_hits_the_cache():
+    lat = staircase(4)
+    want = minimal_vectors(lat)
+    before = _shortest.cache_info()
+    got = minimal_vectors(Lattice("other", lat.rank, lat.gram))
+    after = _shortest.cache_info()
+    assert got == want
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+
+def test_norm_then_vectors_enumerate_once():
+    lat = lattice_from_gram("fresh", [[97, 13, 5], [13, 89, 7], [5, 7, 83]])
+    before = _shortest.cache_info()
+    norm = minimal_norm_sq(lat)
+    mvs = minimal_vectors(lat)
+    after = _shortest.cache_info()
+    assert norm == mvs.norm_sq == 83
+    assert after.misses - before.misses == 1

@@ -221,11 +221,64 @@ def test_cli_analyze_strict_flags_guard_trips(tmp_path, capsys):
     assert run_cli("analyze", str(f), "--max-dim", "6", "--strict") == 1
 
 
+def _hex_file(tmp_path, **changes):
+    f = tmp_path / "hex.json"
+    run_cli("construct", "hex", "--out", str(f))
+    data = json.loads(f.read_text())
+    data.update(changes)
+    f.write_text(json.dumps(data))
+    return str(f)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"gram": [[1.5, 0], [0, 1]]}, "not a rational literal: 1.5"),
+        ({"gram": [[1, "1/2"], ["1/2", 1]]}, "not a rational literal: 1"),
+        # a NaN column makes every Gram entry it touches NaN, and NaN compares
+        # within any tolerance, so only an explicit check rejects it
+        ({"basis": [["NaN", 0.5], [0, 1]]}, "finite"),
+        ({"basis": [["inf", 0], [0, 1]]}, "finite"),
+        ({"basis": [[1, None], [0, 1]]}, "malformed basis"),
+    ],
+)
+def test_cli_bad_lattice_file_exits_2(tmp_path, capsys, changes, message):
+    path = _hex_file(tmp_path, **changes)
+    assert run_cli("analyze", path) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_cli_theta_out_of_range_exits_2(tmp_path, capsys):
+    not_wr = tmp_path / "diag14.json"
+    not_wr.write_text(json.dumps({"name": "diag14", "rank": 2, "gram": [["1", "0"], ["0", "4"]]}))
+    for path in (_hex_file(tmp_path), str(not_wr)):
+        assert run_cli("analyze", path, "--theta", "2") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:")
+
+
+def test_cli_analyze_rank_1_warnings(tmp_path, capsys):
+    f = tmp_path / "z1.json"
+    run_cli("construct", "z", "--n", "1", "--out", str(f))
+    assert run_cli("analyze", str(f)) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["mu"] is None and report["nu"] is None
+    assert report["warnings"] == [
+        "coherence: 'Z^1' has fewer than two minimal pairs",
+        "avg_coherence: 'Z^1' has fewer than two minimal pairs",
+        "mu_nu: mu/nu need at least two basis vectors",
+    ]
+
+
 def test_threshold_sugar():
     assert parse_cos_sq_threshold("pi/3") == F(1, 4)
     assert parse_cos_sq_threshold("1/9") == F(1, 9)
     with pytest.raises(ValueError):
         parse_cos_sq_threshold("pi/4")
+    with pytest.raises(ValueError):
+        parse_cos_sq_threshold("-1/4")
 
 
 def test_cli_sorted_keys(tmp_path, capsys):
