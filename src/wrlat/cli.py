@@ -26,6 +26,8 @@ from .constructions import (
 from .errors import LatticeError, NotNearlyOrthogonal, VerificationFailed
 from .eutaxy import classification_report
 from .lattice import lattice_to_json_dict, load_lattice
+from .minvec import DEFAULT_MAX_DIM
+from .ortho import PI_THIRD_COS_SQ
 from .perturb import perturb_block, perturb_general
 from .ratlinalg import parse_rational
 from .verify import available_suites, run_suite
@@ -45,7 +47,7 @@ FAMILIES = (
 
 
 def parse_cos_sq_threshold(text: str) -> Fraction:
-    value = Fraction(1, 4) if text.strip() == "pi/3" else parse_rational(text)
+    value = PI_THIRD_COS_SQ if text.strip() == "pi/3" else parse_rational(text)
     if not 0 <= value <= 1:
         raise ValueError(f"--theta {text!r} is not a squared cosine in [0, 1]")
     return value
@@ -179,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--out")
     p.add_argument("--strict", action="store_true", help="exit 1 when any guard tripped")
-    p.add_argument("--max-dim", type=int, default=12)
+    p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
     p.add_argument("--theta", default="pi/3", help='cos^2 threshold as "p/q", or "pi/3"')
     p.add_argument("--no-basis-search", action="store_true")
     p.set_defaults(fn=cmd_analyze)

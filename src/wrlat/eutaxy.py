@@ -28,8 +28,8 @@ from .invariants import (
     packing_density,
 )
 from .lattice import Lattice
-from .minvec import is_well_rounded, minimal_vectors
-from .ortho import membership_report
+from .minvec import DEFAULT_MAX_DIM, is_well_rounded, minimal_vectors
+from .ortho import DEFAULT_ORDERING_DIM_GUARD, PI_THIRD_COS_SQ, membership_report
 from .ratlinalg import RatMatrix, format_rational, rat_inv, rat_rank, solve_affine
 from .simplex import OPTIMAL, simplex_max_free
 
@@ -69,38 +69,20 @@ def eutaxy_classify(lat: Lattice) -> EutaxyResult:
     pairs = minimal_vectors(lat).pairs
     ginv = rat_inv(lat.gram)
 
-    system_rows = []
-    rhs = []
-    for a in range(n):
-        for b in range(a, n):
-            system_rows.append([u[a] * u[b] for u in pairs])
-            rhs.append(ginv[a, b])
+    # one equation per entry (a, b), a <= b: the transpose of the rank-one rows
+    system_rows = list(zip(*_rank_one_rows(pairs, n)))
+    rhs = [ginv[a, b] for a in range(n) for b in range(a, n)]
     solution = solve_affine(system_rows, rhs)
     if solution is None:
         return EutaxyResult(EutaxyClass.NOT_WEAKLY_EUTACTIC, None, -1)
     particular, null_basis = solution
     dim = len(null_basis)
 
-    # direct all-equal test, independent of the LP below
-    total = [[Fraction(0)] * n for _ in range(n)]
-    for u in pairs:
-        for a in range(n):
-            for b in range(n):
-                total[a][b] += u[a] * u[b]
-    common: Fraction | None = None
-    consistent = True
-    for a in range(n):
-        for b in range(n):
-            if total[a][b] == 0:
-                if ginv[a, b] != 0:
-                    consistent = False
-            else:
-                ratio = ginv[a, b] / total[a][b]
-                if common is None:
-                    common = ratio
-                elif ratio != common:
-                    consistent = False
-    if consistent and common is not None and common > 0:
+    # direct all-equal test, independent of the LP below: c (1, ..., 1)
+    # solves the system iff rhs_i == c * (sum of row i) for every i
+    sums = [sum(row) for row in system_rows]
+    common = next((r / s for r, s in zip(rhs, sums) if s), None)
+    if common is not None and common > 0 and all(r == common * s for r, s in zip(rhs, sums)):
         return EutaxyResult(
             EutaxyClass.STRONGLY_EUTACTIC, (common,) * len(pairs), dim
         )
@@ -162,9 +144,8 @@ class ClassificationReport:
 def classification_report(
     lat: Lattice,
     search_minimal_bases: bool = True,
-    max_dim: int = 12,
-    ordering_max_dim: int = 9,
-    cos_sq_threshold: Fraction = Fraction(1, 4),
+    max_dim: int = DEFAULT_MAX_DIM,
+    cos_sq_threshold: Fraction = PI_THIRD_COS_SQ,
 ) -> ClassificationReport:
     """Bundle all invariants; individual guard trips null the field and warn."""
     warnings: list[str] = []
@@ -214,7 +195,8 @@ def classification_report(
             "membership",
             lambda: membership_report(
                 lat,
-                search_minimal_bases=search_minimal_bases and lat.rank <= ordering_max_dim,
+                search_minimal_bases=search_minimal_bases
+                and lat.rank <= DEFAULT_ORDERING_DIM_GUARD,
                 cos_sq_threshold=cos_sq_threshold,
             ),
         )

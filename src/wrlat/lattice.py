@@ -29,12 +29,24 @@ BASIS_GRAM_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class Lattice:
-    """Rank-n lattice given by a symmetric positive-definite rational Gram matrix."""
+    """Rank-n lattice given by a symmetric positive-definite rational Gram matrix.
+
+    Construction checks the shape and the symmetry; lattice_from_gram also
+    checks positive definiteness."""
 
     name: str
     rank: int
     gram: RatMatrix
     provenance: str = ""
+
+    def __post_init__(self):
+        g = self.gram
+        if g.rows != g.cols or g.rows < 1:
+            raise ValueError("Gram matrix must be square and nonempty")
+        if self.rank != g.rows:
+            raise ValueError(f"rank {self.rank} does not match the {g.rows}x{g.rows} Gram")
+        if not g.is_symmetric():
+            raise NotSymmetric(f"Gram of {self.name!r} is not symmetric")
 
     def det_gram(self) -> Fraction:
         return rat_det(self.gram)
@@ -47,12 +59,9 @@ def lattice_from_gram(name: str, gram, provenance: str = "") -> Lattice:
     """Validate a Gram matrix (symmetric, positive definite) and wrap it."""
     if not isinstance(gram, RatMatrix):
         gram = RatMatrix.from_rows(gram)
-    if gram.rows != gram.cols or gram.rows < 1:
-        raise ValueError("Gram matrix must be square and nonempty")
-    if not gram.is_symmetric():
-        raise NotSymmetric(f"Gram of {name!r} is not symmetric")
+    lat = Lattice(name=name, rank=gram.rows, gram=gram, provenance=provenance)  # shape, symmetry
     ldl_decompose(gram)  # raises NotPositiveDefinite on a bad pivot
-    return Lattice(name=name, rank=gram.rows, gram=gram, provenance=provenance)
+    return lat
 
 
 @dataclass(frozen=True)

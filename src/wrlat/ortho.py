@@ -6,6 +6,10 @@ ordering is *weakly* theta-orthogonal when every profile entry stays at or
 below cos^2(theta); the basis is *theta-orthogonal* when every ordering is.
 All comparisons happen on squared cosines, which are exact rationals.
 
+Each squared cosine is 1 - r_ww / g_ww, with r the residual Gram that Schur
+steps on the pivot kernel (`ratlinalg.pivot`) leave; the all-orderings
+verdict makes one step per subset it reaches.
+
 Verdicts are relative to the stored basis.  For the strict class the
 optional search over bases of minimal vectors is complete (a basis that is
 nearly orthogonal consists of minimal vectors), for the weak class it is a
@@ -23,37 +27,43 @@ from typing import Sequence
 from .errors import DimensionGuardExceeded, NotWellRounded, SubsetGuardExceeded
 from .lattice import Lattice, lattice_from_gram
 from .minvec import is_well_rounded, minimal_vectors
-from .ratlinalg import RatMatrix, echelon, format_rational, gram_of_vectors, rat_det
+from .ratlinalg import RatMatrix, format_rational, gram_of_vectors, pivot, rat_det
 
 PI_THIRD_COS_SQ = Fraction(1, 4)
 DEFAULT_ORDERING_DIM_GUARD = 9
 DEFAULT_SUBSET_GUARD = 50_000
 
 
+def _chain_cos_sq(g: RatMatrix, order: Sequence[int]) -> list[Fraction]:
+    """Squared cosine of each order[i], i >= 1, against span{b_j : j in order[:i]}.
+
+    Pivoting on order[i - 1] clears its column from the rows after it and
+    leaves there the residual Gram: the Gram of the parts orthogonal to the
+    span so far.  The pivots are positive because lattice_from_gram rejects
+    a Gram that is not positive definite.
+    """
+    m = g.to_rows()
+    out = []
+    for i in range(1, len(order)):
+        pivot(m, order[i - 1], order[i - 1], order[i:])
+        w = order[i]
+        out.append(1 - m[w][w] / g[w, w])
+    return out
+
+
 def cos_sq_angle_to_span(lat: Lattice, v: int, span: Sequence[int]) -> Fraction:
     """Squared cosine of the angle between basis vector v and span{b_i : i in span}.
 
-    Forward elimination of the bordered Gram [[G_SS, G_Sv], [G_vS, g_vv]]
-    over its first k = |span| columns leaves the Schur complement
-    g_vv - G_vS G_SS^{-1} G_Sv in the corner: the squared norm of the part of
-    b_v orthogonal to the span.  The value is 1 - corner / g_vv, with no
-    back-substitution.  Indices are 0-based.
+    Indices are 0-based.
     """
     idx = list(span)
     if not idx:
         raise ValueError("span must be nonempty")
     if v in idx:
         raise ValueError("vector must not lie in the span index set")
-    k = len(idx)
-    idx.append(v)
-    g = lat.gram
-    m = [[row[j] for j in idx] for row in map(g.row, idx)]
-    last = m[k]
-    # a singular G_SS loses a pivot or swaps the v row up; impossible for a
-    # valid (positive-definite) lattice
-    if len(echelon(m, k)) < k or m[k] is not last:
-        raise ValueError("span Gram is singular")
-    return 1 - last[k] / g[v, v]
+    if len(set(idx)) < len(idx) or not all(0 <= i < lat.rank for i in (*idx, v)):
+        raise ValueError(f"bad span {span!r} for vector {v} in rank {lat.rank}")
+    return _chain_cos_sq(lat.gram, idx + [v])[-1]
 
 
 @dataclass(frozen=True)
@@ -67,10 +77,7 @@ def angle_profile(lat: Lattice, ordering: Sequence[int]) -> AngleProfile:
     perm = tuple(ordering)
     if sorted(perm) != list(range(lat.rank)):
         raise ValueError(f"{ordering!r} is not a permutation of 0..{lat.rank - 1}")
-    values = tuple(
-        cos_sq_angle_to_span(lat, perm[i], perm[:i]) for i in range(1, lat.rank)
-    )
-    return AngleProfile(ordering=perm, cos_sq=values)
+    return AngleProfile(ordering=perm, cos_sq=tuple(_chain_cos_sq(lat.gram, perm)))
 
 
 def is_weakly_theta_orthogonal(
@@ -123,9 +130,12 @@ def is_theta_orthogonal(
     """Quantify over all n! orderings, with pruning.
 
     The profile entry for a vector depends only on the *set* of vectors
-    placed before it, so the search runs over subsets: a subset is reachable
-    when some ordering of it stays within the threshold, and a reachable
-    prefix whose extension violates the threshold prunes everything beyond.
+    placed before it, so the search runs over subsets, by size: a subset is
+    reachable when some ordering of it stays within the threshold, and a
+    reachable prefix whose extension violates the threshold prunes everything
+    beyond.  Each reachable mask keeps the residual Gram of the vectors
+    outside it (G itself for the empty mask); reaching mask | 1 << v is one
+    Schur step, a `pivot` on v with a positive pivot (see _chain_cos_sq).
     Verdict is deterministic; witnesses replay under angle_profile.
     """
     thr = Fraction(cos_sq_threshold)
@@ -134,39 +144,27 @@ def is_theta_orthogonal(
     n = lat.rank
     if n > max_dim:
         raise DimensionGuardExceeded(f"rank {n} exceeds the orderings guard {max_dim}")
-    if n == 1:
-        return OrthoVerdict(True, True, (0,), None)
 
-    cos_sq_memo: dict[tuple[int, int], Fraction] = {}
-
-    def cos2(mask: int, v: int) -> Fraction:
-        key = (mask, v)
-        if key not in cos_sq_memo:
-            span = [i for i in range(n) if mask >> i & 1]
-            cos_sq_memo[key] = cos_sq_angle_to_span(lat, v, span)
-        return cos_sq_memo[key]
-
+    g = lat.gram
     full = (1 << n) - 1
-    reachable = {1 << v for v in range(n)}
+    cos_sq: dict[int, dict[int, Fraction]] = {}  # reachable mask -> {outside w: cos^2}
     violations: list[tuple[int, int, int]] = []  # (popcount, mask, v)
-    by_count: dict[int, list[int]] = {1: sorted(reachable)}
-    for size in range(1, n):
-        nxt: list[int] = []
-        for mask in by_count.get(size, []):
-            for v in range(n):
-                if mask >> v & 1:
-                    continue
-                if cos2(mask, v) <= thr:
-                    m2 = mask | (1 << v)
-                    if m2 not in reachable:
-                        reachable.add(m2)
-                        nxt.append(m2)
-                else:
+    level = {0: g.to_rows()}  # reachable masks of this size -> residual Gram
+    for size in range(n):
+        nxt: dict[int, list[list[Fraction]]] = {}
+        for mask, m in level.items():
+            outside = [w for w in range(n) if not mask >> w & 1]
+            cos_sq[mask] = row = {w: 1 - m[w][w] / g[w, w] for w in outside}
+            for v in outside:
+                if row[v] > thr:
                     violations.append((size, mask, v))
-        if nxt:
-            by_count[size + 1] = sorted(nxt)
+                elif mask | 1 << v not in nxt:
+                    m2 = [r[:] for r in m]
+                    pivot(m2, v, v, [w for w in outside if w != v])
+                    nxt[mask | 1 << v] = m2
+        level = nxt
 
-    weakly = full in reachable
+    weakly = full in level
     strictly = not violations
 
     def lex_chain(target_mask: int) -> tuple[int, ...] | None:
@@ -180,7 +178,7 @@ def is_theta_orthogonal(
                 return None
             for v in range(n):
                 if target_mask >> v & 1 and not mask >> v & 1:
-                    if mask == 0 or cos2(mask, v) <= thr:
+                    if cos_sq[mask][v] <= thr:
                         chain.append(v)
                         res = go(mask | (1 << v), chain)
                         if res is not None:
@@ -205,7 +203,7 @@ def is_theta_orthogonal(
         violation = OrthoViolation(
             ordering=prefix + (v,) + tuple(rest),
             level=size,
-            cos_sq=cos2(mask, v),
+            cos_sq=cos_sq[mask][v],
         )
     return OrthoVerdict(weakly, strictly, witness, violation)
 

@@ -6,7 +6,9 @@ import pytest
 
 from wrlat import (
     FloatBasis,
+    Lattice,
     NotPositiveDefinite,
+    NotSymmetric,
     RationalizationFailed,
     RatMatrix,
     coherence,
@@ -46,6 +48,19 @@ def test_from_gram_hexagonal():
 def test_from_gram_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
         lattice_from_gram("bad", [[1, 1], [1, 1]])
+
+
+@pytest.mark.parametrize(
+    "rank, rows, error",
+    [
+        (3, [[1, 0], [0, 1]], ValueError),  # rank mismatch
+        (2, [[1, 0, 0], [0, 1, 0]], ValueError),  # not square
+        (2, [[1, F(1, 2)], [0, 1]], NotSymmetric),
+    ],
+)
+def test_lattice_checks_its_gram(rank, rows, error):
+    with pytest.raises(error):
+        Lattice("bad", rank, RatMatrix.from_rows(rows))
 
 
 def test_float_basis_hexagonal():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,13 +23,27 @@ from wrlat import (
     lnm,
     membership_report,
     minimal_basis_subsets,
+    rat_det,
     rat_solve,
     reorder_basis,
     staircase,
 )
+from wrlat import ortho
 
 F = Fraction
 QUARTER = F(1, 4)
+THRESHOLDS = (F(0), F(1, 9), QUARTER, F(1, 3), F(1, 2), F(1))
+
+
+def minor_cos_sq(lat, v, span):
+    """cos^2 = 1 - det G_{S+v} / (det G_S g_vv), from Bareiss determinants
+    rather than the pivot kernel the verdict uses."""
+    g = lat.gram
+
+    def minor(idx):
+        return rat_det(RatMatrix.from_rows([[g[i, j] for j in idx] for i in idx]))
+
+    return 1 - minor([*span, v]) / (minor(span) * g[v, v])
 
 
 def exhaustive_verdict(lat, threshold=QUARTER):
@@ -36,10 +51,7 @@ def exhaustive_verdict(lat, threshold=QUARTER):
     n = lat.rank
     weakly, strictly = False, True
     for perm in permutations(range(n)):
-        ok = all(
-            cos_sq_angle_to_span(lat, perm[i], perm[:i]) <= threshold
-            for i in range(1, n)
-        )
+        ok = all(minor_cos_sq(lat, perm[i], perm[:i]) <= threshold for i in range(1, n))
         weakly = weakly or ok
         strictly = strictly and ok
     return weakly, strictly
@@ -65,21 +77,31 @@ def test_span_rejects_bad_input():
         cos_sq_angle_to_span(staircase(3), 0, ())
     with pytest.raises(ValueError):
         cos_sq_angle_to_span(staircase(3), 1, (0, 1))
+    for v, span in ((2, (0, 0)), (0, (-1,)), (3, (0,))):
+        with pytest.raises(ValueError):
+            cos_sq_angle_to_span(staircase(3), v, span)
 
 
 @st.composite
-def spd_span_cases(draw):
-    """A random SPD Gram L D L^T, a vector index and a nonempty span avoiding it."""
+def spd_lattices(draw):
+    """A lattice of rank 2-5 with a random SPD Gram L D L^T."""
     n = draw(st.integers(2, 5))
     ent = st.fractions(min_value=-2, max_value=2, max_denominator=4)
     pos = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
     low = [[F(int(i == j)) if j >= i else draw(ent) for j in range(n)] for i in range(n)]
     diag = [draw(pos) for _ in range(n)]
     g = [[sum(low[i][k] * diag[k] * low[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
-    v = draw(st.integers(0, n - 1))
-    rest = [i for i in range(n) if i != v]
+    return lattice_from_gram("spd", g)
+
+
+@st.composite
+def spd_span_cases(draw):
+    """A random SPD lattice, a vector index and a nonempty span avoiding it."""
+    lat = draw(spd_lattices())
+    v = draw(st.integers(0, lat.rank - 1))
+    rest = [i for i in range(lat.rank) if i != v]
     span = draw(st.lists(st.sampled_from(rest), min_size=1, unique=True))
-    return lattice_from_gram("spd", g), v, span
+    return lat, v, span
 
 
 @settings(max_examples=80, deadline=None)
@@ -188,6 +210,27 @@ def test_verdict_matches_exhaustive_replay():
         verdict = is_theta_orthogonal(lat)
         weakly, strictly = exhaustive_verdict(lat)
         assert (verdict.weakly, verdict.strictly) == (weakly, strictly), lat.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(spd_lattices(), st.sampled_from(THRESHOLDS))
+def test_verdict_matches_oracle_on_random_grams(lat, thr):
+    verdict = is_theta_orthogonal(lat, thr)
+    assert (verdict.weakly, verdict.strictly) == exhaustive_verdict(lat, thr)
+    assert (verdict.witness_ordering is not None) == verdict.weakly
+    if verdict.weakly:
+        assert all(c <= thr for c in angle_profile(lat, verdict.witness_ordering).cos_sq)
+    v = verdict.violation
+    assert (v is None) == verdict.strictly
+    if v is not None:
+        assert angle_profile(lat, v.ordering).cos_sq[v.level - 1] == v.cos_sq > thr
+
+
+@pytest.mark.parametrize("lat, most", [(staircase(9), 2**9 - 1), (an_dual_frame(9), 501)])
+def test_verdict_makes_one_pivot_per_reachable_subset(lat, most):
+    with mock.patch.object(ortho, "pivot", wraps=ortho.pivot) as counted:
+        is_theta_orthogonal(lat)
+    assert counted.call_count <= most
 
 
 def test_verdict_invariant_under_reordering():
