@@ -4,10 +4,10 @@ One depth-first enumeration per Gram matrix, driven by an exact LDL
 factorization, finds the minimal norm and every minimal vector together: the
 bound starts at the smallest diagonal entry, drops to each strictly shorter
 vector found, and the vectors at the current bound are kept as ties, so the
-ties left at the end are the complete minimal set.  All level bounds are
-computed with integer square roots of rational radicands, so there is no
-floating point anywhere on this path.  Results are cached on the Gram matrix
-alone.  A box-scan brute-force oracle is provided for cross-validation in tests.
+ties left at the end are the complete minimal set.  The LDL levels are scaled
+to integers, so the walk uses no floating point and no Fraction.  Results are
+cached on the Gram matrix alone.  A box-scan brute-force oracle (an integer
+odometer) is provided for cross-validation in tests.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 from .errors import DimensionGuardExceeded, PairCountGuardExceeded
 from .lattice import Lattice
-from .ratlinalg import RatMatrix, format_rational, int_sqrt_floor, ldl_decompose, rat_rank
+from .ratlinalg import RatMatrix, format_rational, ldl_decompose, rat_rank
 
 DEFAULT_MAX_DIM = 12
 DEFAULT_PAIR_GUARD_FACTOR = 10
@@ -56,17 +55,6 @@ def _canonical_pair(u: tuple[int, ...]) -> tuple[int, ...]:
     return u
 
 
-def _level_range(center: Fraction, radicand: Fraction) -> tuple[int, int]:
-    """Integer x with (x + center)^2 <= radicand, as an inclusive interval."""
-    if radicand < 0:
-        return 1, 0
-    a, b = center.numerator, center.denominator
-    w = int_sqrt_floor(radicand * b * b)
-    lo = -((w + a) // b)
-    hi = (w - a) // b
-    return lo, hi
-
-
 @lru_cache(maxsize=4096)
 def _shortest(gram: RatMatrix, limit: int) -> tuple[Fraction, tuple[tuple[int, ...], ...], bool]:
     """Core exact enumerator: (minimal norm, canonical minimal pairs, overflowed).
@@ -75,18 +63,22 @@ def _shortest(gram: RatMatrix, limit: int) -> tuple[Fraction, tuple[tuple[int, .
     positive.  The bound tightens whenever a strictly shorter nonzero vector
     is found, which empties the tie list; every vector at the current bound
     is kept, up to `limit` pairs.  `overflowed` is True when a further tie at
-    the final norm was dropped.
+    the final norm was dropped.  Level k of G = L D L^T adds w_k (b_k x_k + a)^2
+    in units 1/S, with integers b_k L_jk, a = sum_{j>k} b_k L_jk x_j and w_k.
     """
     n = gram.rows
     fac = ldl_decompose(gram)
-    low = fac.unit_lower.to_rows()
-    diag = list(fac.diag)
+    low, diag = fac.unit_lower, fac.diag
+    b = [math.lcm(*(low[j, k].denominator for j in range(k + 1, n))) for k in range(n)]
+    scale = math.lcm(*(d.denominator * bk * bk for d, bk in zip(diag, b)))  # S q(u) is integral
+    w = [int(d * scale / (bk * bk)) for d, bk in zip(diag, b)]
+    terms = [[(j, int(low[j, k] * b[k])) for j in range(k + 1, n) if low[j, k]] for k in range(n)]
     x = [0] * n
-    bound = min(gram[i, i] for i in range(n))
+    bound = int(min(gram[i, i] for i in range(n)) * scale)
     ties: list[tuple[int, ...]] = []
     overflowed = False
 
-    def rec(k: int, partial: Fraction, higher_zero: bool):
+    def rec(k: int, partial: int, higher_zero: bool):
         nonlocal bound, ties, overflowed
         if k < 0:
             if higher_zero:
@@ -98,21 +90,22 @@ def _shortest(gram: RatMatrix, limit: int) -> tuple[Fraction, tuple[tuple[int, .
             else:
                 overflowed = True
             return
-        center = sum(low[j][k] * x[j] for j in range(k + 1, n) if x[j])
-        lo, hi = _level_range(center, (bound - partial) / diag[k])
-        if higher_zero:
-            lo = max(lo, 0)
-        for xk in range(lo, hi + 1):
-            t = center + xk
-            contrib = diag[k] * t * t
+        # partial <= bound on entry: the caller checked it after its last drop
+        wk, bk = w[k], b[k]
+        a = sum(c * x[j] for j, c in terms[k])
+        s = math.isqrt((bound - partial) // wk)
+        lo = 0 if higher_zero else -((s + a) // bk)
+        for xk in range(lo, (s - a) // bk + 1):
+            t = bk * xk + a
+            contrib = wk * t * t
             if partial + contrib > bound:
                 continue
             x[k] = xk
             rec(k - 1, partial + contrib, higher_zero and xk == 0)
         x[k] = 0
 
-    rec(n - 1, Fraction(0), True)
-    return bound, tuple(sorted(ties)), overflowed
+    rec(n - 1, 0, True)
+    return Fraction(bound, scale), tuple(sorted(ties)), overflowed
 
 
 def _check_dim(lat: Lattice, max_dim: int) -> None:
@@ -163,31 +156,35 @@ def is_well_rounded(lat: Lattice) -> bool:
 def brute_force_min_vectors(lat: Lattice, box: int) -> MinimalVectorSet:
     """Exhaustive scan of the coefficient box [-box, box]^n.
 
-    Test oracle for the enumerator; exact (runs on an integer-scaled copy of
-    the Gram matrix) but exponential, hence the point-count guard.
+    Test oracle for the enumerator, independent of the LDL: an odometer over an
+    integer-scaled Gram updates Gu and q = u^T G u per step and stops at the
+    zero vector, halfway, as q(-u) = q(u).  Exact but exponential: a guard.
     """
     n = lat.rank
     if box < 1:
         raise ValueError("box must be >= 1")
-    if box**n > BRUTE_FORCE_POINT_GUARD:
-        raise DimensionGuardExceeded(f"box {box}^{n} exceeds the brute-force guard")
+    points = (2 * box + 1) ** n
+    if points > BRUTE_FORCE_POINT_GUARD:
+        raise DimensionGuardExceeded(f"box {box} at rank {n} scans {points} points > {BRUTE_FORCE_POINT_GUARD}")
     scale = math.lcm(*[e.denominator for e in lat.gram.entries])
     gi = [[int(lat.gram[i, j] * scale) for j in range(n)] for i in range(n)]
-    best: int | None = None
+    u = [-box] * n
+    gu = [-box * sum(row) for row in gi]
+    q = -box * sum(gu)
+    best = q
     vecs: list[tuple[int, ...]] = []
-    for u in product(range(-box, box + 1), repeat=n):
-        q = 0
-        for i in range(n):
-            ui = u[i]
-            if ui:
-                row = gi[i]
-                q += ui * sum(row[j] * u[j] for j in range(n))
-        if q == 0:
-            continue
-        if best is None or q < best:
-            best, vecs = q, [u]
+    for _ in range((points - 1) // 2):
+        if q < best:
+            best, vecs = q, [tuple(u)]
         elif q == best:
-            vecs.append(u)
-    assert best is not None
+            vecs.append(tuple(u))
+        i, d = n, -1
+        while d < 0:  # wrap each trailing coordinate at box, then step one up
+            i -= 1
+            d = -2 * box if u[i] == box else 1
+            col = gi[i]
+            q += d * (2 * gu[i] + d * col[i])
+            gu = [y + d * c for y, c in zip(gu, col)]
+            u[i] += d
     pairs = sorted({_canonical_pair(u) for u in vecs})
     return MinimalVectorSet(norm_sq=Fraction(best, scale), pairs=tuple(pairs))

@@ -157,15 +157,14 @@ def gram_of_vectors(g: RatMatrix, vectors: Sequence[Sequence]) -> list[list[Frac
 
 
 def rat_det(a: RatMatrix) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant: integer Bareiss elimination of D A (every // is exact), over D^n."""
     if a.rows != a.cols:
         raise ValueError("determinant needs a square matrix")
     n = a.rows
-    if n == 0:
-        return Fraction(1)
-    m = a.to_rows()
+    scale = math.lcm(*(e.denominator for e in a.entries))
+    m = [[int(e * scale) for e in a.row(i)] for i in range(n)]
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
@@ -175,11 +174,9 @@ def rat_det(a: RatMatrix) -> Fraction:
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                # Bareiss update: every division here is exact.
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
+                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return Fraction(sign * m[n - 1][n - 1], scale**n) if n else Fraction(1)
 
 
 def pivot(m: list[list[Fraction]], r: int, c: int, rows: Iterable[int]) -> None:
@@ -314,22 +311,28 @@ class LDLFactorization:
 def ldl_decompose(g: RatMatrix) -> LDLFactorization:
     """Exact LDL^T factorization of a symmetric positive-definite matrix.
 
-    Raises NotSymmetric / NotPositiveDefinite (the latter as soon as a pivot
-    fails to be positive).
+    Integer Bareiss elimination of M = s G: pivot k is the leading minor P_{k+1}
+    of M, D_k = P_{k+1} / (s P_k), L_ik = M_ik / P_{k+1} (M_ik is final at step k).
+    Raises NotSymmetric / NotPositiveDefinite (at the first pivot <= 0).
     """
     if not g.is_symmetric():
         raise NotSymmetric("matrix is not symmetric")
     n = g.rows
-    low = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    scale = math.lcm(*(e.denominator for e in g.entries))
+    m = [[int(g[i, j] * scale) for j in range(i + 1)] for i in range(n)]
     diag: list[Fraction] = []
-    for j in range(n):
-        d = g[j, j] - sum(low[j][k] * low[j][k] * diag[k] for k in range(j))
-        if d <= 0:
-            raise NotPositiveDefinite(f"pivot {j} is {d}")
-        diag.append(d)
-        for i in range(j + 1, n):
-            s = g[i, j] - sum(low[i][k] * low[j][k] * diag[k] for k in range(j))
-            low[i][j] = s / d
+    prev = 1
+    for k in range(n):
+        p = m[k][k]
+        if p <= 0:
+            raise NotPositiveDefinite(f"pivot {k} is {Fraction(p, prev * scale)}")
+        diag.append(Fraction(p, prev * scale))
+        for i in range(k + 1, n):
+            for j in range(k + 1, i + 1):
+                # Bareiss update: every division here is exact.
+                m[i][j] = (p * m[i][j] - m[i][k] * m[j][k]) // prev
+        prev = p
+    low = [[Fraction(m[i][j], m[j][j]) if j < i else int(i == j) for j in range(n)] for i in range(n)]
     return LDLFactorization(RatMatrix.from_rows(low), tuple(diag))
 
 

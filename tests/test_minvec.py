@@ -1,13 +1,17 @@
+import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wrlat import (
     DimensionGuardExceeded,
     Lattice,
+    MinimalVectorSet,
     PairCountGuardExceeded,
+    RatMatrix,
     an_dual_frame,
     an_root,
     brute_force_min_vectors,
@@ -22,6 +26,7 @@ from wrlat import (
     minimal_vectors,
     planar_wr,
     principal_sublattice,
+    rat_inv,
     staircase,
     hybrid,
 )
@@ -180,6 +185,12 @@ def test_brute_force_box_guard():
         brute_force_min_vectors(integer_lattice(12), box=10**3)
 
 
+def test_brute_force_guard_counts_every_point():
+    # 4^9 is under the guard, but the box [-4, 4]^9 holds 9^9 points
+    with pytest.raises(DimensionGuardExceeded, match="387420489 points"):
+        brute_force_min_vectors(integer_lattice(9), box=4)
+
+
 def test_json_shape():
     d = minimal_vectors(hexagonal()).to_json_dict()
     assert d == {"norm_sq": "1", "pairs": [[0, 1], [1, -1], [1, 0]]}
@@ -276,3 +287,59 @@ def test_norm_then_vectors_enumerate_once():
     after = _shortest.cache_info()
     assert norm == mvs.norm_sq == 83
     assert after.misses - before.misses == 1
+
+
+# --- integer arithmetic: rational Grams, the odometer -------------------------
+
+
+def fractions_over(lo, hi):
+    """p/q with lo <= p <= hi and 2 <= q <= 5."""
+    return st.builds(F, st.integers(lo, hi), st.integers(2, 5))
+
+
+@st.composite
+def rational_lattices(draw, ranks):
+    """A lattice with Gram L D L^T, L and D drawn with denominators 2-5, so
+    that the enumerator's level scales b_k and form scale S are not 1."""
+    n = draw(ranks)
+    low = [[F(int(i == j)) if j >= i else draw(fractions_over(-4, 4)) for j in range(n)] for i in range(n)]
+    diag = [draw(fractions_over(1, 12)) for _ in range(n)]
+    g = [[sum(low[i][k] * diag[k] * low[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+    return lattice_from_gram("rational", g)
+
+
+def certified_box(lat):
+    """A box holding every minimal vector: q(u) <= m, the smallest diagonal
+    entry, gives u_i^2 <= m (G^-1)_ii."""
+    n = lat.rank
+    inv = rat_inv(lat.gram)
+    m = min(lat.gram[i, i] for i in range(n))
+    return max(math.isqrt(math.floor(m * inv[i, i])) for i in range(n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_lattices(st.integers(2, 4)))
+def test_enumerator_matches_certified_oracle_on_rational_grams(lat):
+    box = certified_box(lat)
+    # far below the oracle's own guard, so that each example stays fast
+    assume((2 * box + 1) ** lat.rank <= 20_000)
+    assert minimal_vectors(lat) == brute_force_min_vectors(lat, box)
+
+
+def product_scan(lat, box):
+    """The plain box scan: every nonzero point, with q = u^T G u in full."""
+    best, pairs = None, set()
+    for u in product(range(-box, box + 1), repeat=lat.rank):
+        if any(u):
+            q = quad_form(lat, u)
+            if best is None or q < best:
+                best, pairs = q, set()
+            if q == best:
+                pairs.add(_canonical_pair(u))
+    return MinimalVectorSet(norm_sq=best, pairs=tuple(sorted(pairs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_lattices(st.integers(1, 3)), st.integers(1, 3))
+def test_odometer_matches_product_scan(lat, box):
+    assert brute_force_min_vectors(lat, box) == product_scan(lat, box)

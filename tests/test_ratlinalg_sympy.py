@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wrlat import RatMatrix, rat_det, rat_inv, rat_rank, rat_solve
+from wrlat import NotPositiveDefinite, RatMatrix, ldl_decompose, rat_det, rat_inv, rat_rank, rat_solve
 from wrlat.ratlinalg import solve_affine
 
 sympy = pytest.importorskip("sympy")
@@ -91,3 +91,24 @@ def test_solve_affine_matches_sympy(rows, data):
     assert mat_vec(rows, particular) == b
     assert all(mat_vec(rows, v) == [0] * len(rows) for v in null_basis)
     assert len(null_basis) == nc - rank
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(square=True), st.sampled_from([F(0), F(1, 2), F(-1, 3)]))
+def test_ldl_matches_sympy(rows, shift):
+    # B^T B + shift I: positive definite, singular or indefinite
+    n = len(rows)
+    g = [
+        [sum(r[i] * r[j] for r in rows) + (shift if i == j else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    s = to_sympy(g)
+    if not s.is_positive_definite:
+        with pytest.raises(NotPositiveDefinite):
+            ldl_decompose(RatMatrix.from_rows(g))
+        return
+    fac = ldl_decompose(RatMatrix.from_rows(g))
+    low, diag = s.LDLdecomposition()
+    assert fac.unit_lower.to_rows() == [[from_sympy(x) for x in low.row(i)] for i in range(n)]
+    assert list(fac.diag) == [from_sympy(diag[i, i]) for i in range(n)]
+    assert fac.reconstruct() == RatMatrix.from_rows(g)
