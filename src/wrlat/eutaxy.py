@@ -30,7 +30,7 @@ from .invariants import (
 from .lattice import Lattice
 from .minvec import DEFAULT_MAX_DIM, is_well_rounded, minimal_vectors
 from .ortho import DEFAULT_ORDERING_DIM_GUARD, PI_THIRD_COS_SQ, membership_report
-from .ratlinalg import RatMatrix, format_rational, rat_inv, rat_rank, solve_affine
+from .ratlinalg import format_rational, int_rank, rat_inv, solve_affine
 from .simplex import OPTIMAL, simplex_max_free
 
 
@@ -61,12 +61,12 @@ def _rank_one_rows(pairs, n):
     return [[u[a] * u[b] for a in range(n) for b in range(a, n)] for u in pairs]
 
 
-def eutaxy_classify(lat: Lattice) -> EutaxyResult:
+def eutaxy_classify(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> EutaxyResult:
     """Classify eutaxy of a well-rounded lattice, with exact certificates."""
-    if not is_well_rounded(lat):
+    if not is_well_rounded(lat, max_dim):
         raise NotWellRounded(f"{lat.name!r} is not well-rounded")
     n = lat.rank
-    pairs = minimal_vectors(lat).pairs
+    pairs = minimal_vectors(lat, max_dim).pairs
     ginv = rat_inv(lat.gram)
 
     # one equation per entry (a, b), a <= b: the transpose of the rank-one rows
@@ -115,16 +115,16 @@ def eutaxy_classify(lat: Lattice) -> EutaxyResult:
     return EutaxyResult(EutaxyClass.WEAKLY_EUTACTIC, tuple(particular), dim)
 
 
-def is_perfect(lat: Lattice) -> bool:
+def is_perfect(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> bool:
     """True iff the rank-one forms of the minimal vectors span Sym_n."""
-    if not is_well_rounded(lat):
+    if not is_well_rounded(lat, max_dim):
         raise NotWellRounded(f"{lat.name!r} is not well-rounded")
     n = lat.rank
-    pairs = minimal_vectors(lat).pairs
+    pairs = minimal_vectors(lat, max_dim).pairs
     target = n * (n + 1) // 2
     if len(pairs) < target:
         return False
-    return rat_rank(RatMatrix.from_rows(_rank_one_rows(pairs, n))) == target
+    return int_rank(_rank_one_rows(pairs, n)) == target
 
 
 @dataclass(frozen=True)
@@ -171,19 +171,19 @@ def classification_report(
     else:
         fields.update({"norm_sq": None, "kissing_number": None, "minimal_pairs": None})
 
-    wr = attempt("well_rounded", lambda: is_well_rounded(lat)) if mvs is not None else None
+    wr = attempt("well_rounded", lambda: is_well_rounded(lat, max_dim)) if mvs is not None else None
     fields["well_rounded"] = wr
 
-    coh = attempt("coherence", lambda: coherence(lat)) if mvs is not None else None
+    coh = attempt("coherence", lambda: coherence(lat, max_dim)) if mvs is not None else None
     fields["coherence"] = format_rational(coh.value) if coh is not None else None
-    avg = attempt("avg_coherence", lambda: average_coherence(lat)) if mvs is not None else None
+    avg = attempt("avg_coherence", lambda: average_coherence(lat, max_dim)) if mvs is not None else None
     fields["avg_coherence"] = format_rational(avg) if avg is not None else None
 
     mn = attempt("mu_nu", lambda: mu_nu(lat))
     fields["mu"] = str(mn[0]) if mn is not None else None
     fields["nu"] = str(mn[1]) if mn is not None else None
 
-    dens = attempt("packing_density", lambda: packing_density(lat)) if mvs is not None else None
+    dens = attempt("packing_density", lambda: packing_density(lat, max_dim)) if mvs is not None else None
     if dens is not None:
         fields.update(dens.to_json_dict())
     else:
@@ -198,6 +198,7 @@ def classification_report(
                 search_minimal_bases=search_minimal_bases
                 and lat.rank <= DEFAULT_ORDERING_DIM_GUARD,
                 cos_sq_threshold=cos_sq_threshold,
+                max_dim=max_dim,
             ),
         )
     if member is not None:
@@ -212,7 +213,7 @@ def classification_report(
         if wr is False:
             warnings.append("membership: lattice is not well-rounded")
 
-    eut = attempt("eutaxy", lambda: eutaxy_classify(lat)) if wr else None
+    eut = attempt("eutaxy", lambda: eutaxy_classify(lat, max_dim)) if wr else None
     if eut is not None:
         fields["eutaxy_class"] = eut.klass.value
         fields["eutaxy_coefficients"] = (
@@ -226,7 +227,7 @@ def classification_report(
             {"eutaxy_class": None, "eutaxy_coefficients": None, "eutaxy_solution_dim": None}
         )
 
-    perf = attempt("perfect", lambda: is_perfect(lat)) if wr else None
+    perf = attempt("perfect", lambda: is_perfect(lat, max_dim)) if wr else None
     fields["perfect"] = perf
 
     return ClassificationReport(lattice=lat, fields=fields, warnings=tuple(warnings))

@@ -2,7 +2,10 @@
 coherence threshold under which a unit basis is forced nearly orthogonal.
 
 Minimal vectors share the same norm, so every pairwise |cos| on the minimal
-set is an exact rational |u^T G w| / minnorm^2.  Packing density is kept in
+set is an exact rational |u^T G w| / minnorm^2.  Both coherences read one
+integer pass over the products u_i^T (s G) u_j, i <= j, with s the lcm of
+G's denominators; the pass is cached per Gram and keeps only its maximum,
+the pair attaining it and the worst row sum.  Packing density is kept in
 two forms: an exact rational delta^2 / omega_n^2 for comparisons, and a
 float for display (omega_n, the unit-ball volume, is irrational).
 """
@@ -12,16 +15,44 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import FewerThanTwoPairs, LatticeError
 from .lattice import Lattice
-from .minvec import minimal_norm_sq, minimal_vectors
-from .ratlinalg import format_rational, gram_of_vectors, rational_sqrt_exact
+from .minvec import DEFAULT_MAX_DIM, minimal_norm_sq, minimal_vectors
+from .ratlinalg import RatMatrix, format_rational, integer_scaled, rational_sqrt_exact
 
 
-def _pair_cos_numerators(lat: Lattice) -> tuple[tuple[tuple[int, ...], ...], list[list[Fraction]]]:
-    pairs = minimal_vectors(lat).pairs
-    return pairs, gram_of_vectors(lat.gram, pairs)
+@lru_cache(maxsize=4096)
+def _pair_pass(gram: RatMatrix, pairs: tuple[tuple[int, ...], ...]) -> tuple[int, int, int, int, int]:
+    """(norm, top, i, j, worst) over the integer products d_ij = u_i^T (s G) u_j.
+
+    norm is d_ii (the same for every minimal pair), top = |d_ij| is the
+    largest off the diagonal with (i, j) its lexicographically first pair,
+    and worst the largest row sum of |d_ij| over j != i.
+    """
+    _, a = integer_scaled(gram)
+    gu = [[sum(x * y for x, y in zip(row, u)) for row in a] for u in pairs]
+    k = len(pairs)
+    rows = [0] * k
+    top, arg = -1, (0, 1)
+    for i in range(k):
+        gu_i = gu[i]
+        for j in range(i + 1, k):
+            d = abs(sum(x * y for x, y in zip(gu_i, pairs[j])))
+            rows[i] += d
+            rows[j] += d
+            if d > top:
+                top, arg = d, (i, j)
+    norm = sum(x * y for x, y in zip(gu[0], pairs[0]))
+    return norm, top, *arg, max(rows)
+
+
+def _pairs_of_two_or_more(lat: Lattice, max_dim: int) -> tuple[tuple[int, ...], ...]:
+    pairs = minimal_vectors(lat, max_dim).pairs
+    if len(pairs) < 2:
+        raise FewerThanTwoPairs(f"{lat.name!r} has fewer than two minimal pairs")
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -30,37 +61,22 @@ class CoherenceValue:
     attaining_pair: tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def coherence(lat: Lattice) -> CoherenceValue:
+def coherence(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> CoherenceValue:
     """Largest |cos| over distinct non-opposite pairs of minimal vectors.
 
     Always lands in [0, 1/2].  Reports the lexicographically smallest
     attaining pair for determinism.
     """
-    pairs, dots = _pair_cos_numerators(lat)
-    if len(pairs) < 2:
-        raise FewerThanTwoPairs(f"{lat.name!r} has fewer than two minimal pairs")
-    norm = minimal_norm_sq(lat)
-    best = Fraction(-1)
-    arg = None
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            c = abs(dots[i][j]) / norm
-            if c > best:
-                best, arg = c, (pairs[i], pairs[j])
-    return CoherenceValue(value=best, attaining_pair=arg)
+    pairs = _pairs_of_two_or_more(lat, max_dim)
+    norm, top, i, j, _ = _pair_pass(lat.gram, pairs)
+    return CoherenceValue(value=Fraction(top, norm), attaining_pair=(pairs[i], pairs[j]))
 
 
-def average_coherence(lat: Lattice) -> Fraction:
+def average_coherence(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> Fraction:
     """Worst row-average of |cos| over one representative per minimal pair."""
-    pairs, dots = _pair_cos_numerators(lat)
-    k = len(pairs)
-    if k < 2:
-        raise FewerThanTwoPairs(f"{lat.name!r} has fewer than two minimal pairs")
-    norm = minimal_norm_sq(lat)
-    worst = max(
-        sum(abs(dots[i][j]) for j in range(k) if j != i) / norm for i in range(k)
-    )
-    return worst / (k - 1)
+    pairs = _pairs_of_two_or_more(lat, max_dim)
+    norm, *_, worst = _pair_pass(lat.gram, pairs)
+    return Fraction(worst, norm * (len(pairs) - 1))
 
 
 @dataclass(frozen=True)
@@ -126,14 +142,14 @@ class DensityValue:
         }
 
 
-def packing_density(lat: Lattice) -> DensityValue:
+def packing_density(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> DensityValue:
     """Sphere-packing density: exact squared part and a floating value.
 
     delta = omega_n * minnorm^n / (2^n * sqrt(det G)), so
     delta^2 / omega_n^2 = minnorm_sq^n / (4^n det G) stays rational.
     """
     n = lat.rank
-    m = minimal_norm_sq(lat)
+    m = minimal_norm_sq(lat, max_dim)
     exact = m**n / (Fraction(4) ** n * lat.det_gram())
     return DensityValue(
         delta_float=unit_ball_volume(n) * math.sqrt(float(exact)),

@@ -6,8 +6,12 @@ bound starts at the smallest diagonal entry, drops to each strictly shorter
 vector found, and the vectors at the current bound are kept as ties, so the
 ties left at the end are the complete minimal set.  The LDL levels are scaled
 to integers, so the walk uses no floating point and no Fraction.  Results are
-cached on the Gram matrix alone.  A box-scan brute-force oracle (an integer
-odometer) is provided for cross-validation in tests.
+cached on the Gram matrix alone.  Well-roundedness is the integer rank of the
+pair matrix (`int_rank`, which stops at n independent pairs), cached on the
+pairs.  Every helper that needs the minimal vectors, here and in
+invariants, ortho and eutaxy, takes the rank guard `max_dim` and passes it
+on, so one setting holds for a whole report.  A box-scan brute-force oracle
+(an integer odometer) is provided for cross-validation in tests.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from functools import lru_cache
 
 from .errors import DimensionGuardExceeded, PairCountGuardExceeded
 from .lattice import Lattice
-from .ratlinalg import RatMatrix, format_rational, ldl_decompose, rat_rank
+from .ratlinalg import RatMatrix, format_rational, int_rank, integer_scaled, ldl_decompose
 
 DEFAULT_MAX_DIM = 12
 DEFAULT_PAIR_GUARD_FACTOR = 10
@@ -144,13 +148,14 @@ def kissing_number(lat: Lattice) -> int:
     return minimal_vectors(lat).count
 
 
-def is_well_rounded(lat: Lattice) -> bool:
+@lru_cache(maxsize=4096)
+def _spans(pairs: tuple[tuple[int, ...], ...], n: int) -> bool:
+    return len(pairs) >= n and int_rank(pairs) == n
+
+
+def is_well_rounded(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> bool:
     """True iff the minimal vectors span: rank of their coefficient matrix is n."""
-    mvs = minimal_vectors(lat)
-    if len(mvs.pairs) < lat.rank:
-        return False
-    mat = RatMatrix.from_rows([list(u) for u in mvs.pairs])
-    return rat_rank(mat) == lat.rank
+    return _spans(minimal_vectors(lat, max_dim).pairs, lat.rank)
 
 
 def brute_force_min_vectors(lat: Lattice, box: int) -> MinimalVectorSet:
@@ -166,8 +171,7 @@ def brute_force_min_vectors(lat: Lattice, box: int) -> MinimalVectorSet:
     points = (2 * box + 1) ** n
     if points > BRUTE_FORCE_POINT_GUARD:
         raise DimensionGuardExceeded(f"box {box} at rank {n} scans {points} points > {BRUTE_FORCE_POINT_GUARD}")
-    scale = math.lcm(*[e.denominator for e in lat.gram.entries])
-    gi = [[int(lat.gram[i, j] * scale) for j in range(n)] for i in range(n)]
+    scale, gi = integer_scaled(lat.gram)
     u = [-box] * n
     gu = [-box * sum(row) for row in gi]
     q = -box * sum(gu)

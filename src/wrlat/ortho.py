@@ -6,9 +6,12 @@ ordering is *weakly* theta-orthogonal when every profile entry stays at or
 below cos^2(theta); the basis is *theta-orthogonal* when every ordering is.
 All comparisons happen on squared cosines, which are exact rationals.
 
-Each squared cosine is 1 - r_ww / g_ww, with r the residual Gram that Schur
-steps on the pivot kernel (`ratlinalg.pivot`) leave; the all-orderings
-verdict makes one step per subset it reaches.
+Each squared cosine is 1 - M_S[w][w] / (d_S a_ww) on the integer Gram
+A = s G: d_S = det A_SS and M_S[w][w] = det A_{S+w,S+w}, both kept by
+fraction-free Schur steps (`ratlinalg.sylvester_step`).  The all-orderings
+verdict makes one step per subset it reaches and compares cross-multiplied
+integers with the threshold p/q; a Fraction is built only for a reported
+violation.
 
 Verdicts are relative to the stored basis.  For the strict class the
 optional search over bases of minimal vectors is complete (a basis that is
@@ -26,8 +29,8 @@ from typing import Sequence
 
 from .errors import DimensionGuardExceeded, NotWellRounded, SubsetGuardExceeded
 from .lattice import Lattice, lattice_from_gram
-from .minvec import is_well_rounded, minimal_vectors
-from .ratlinalg import RatMatrix, format_rational, gram_of_vectors, pivot, rat_det
+from .minvec import DEFAULT_MAX_DIM, is_well_rounded, minimal_vectors
+from .ratlinalg import RatMatrix, format_rational, gram_of_vectors, integer_scaled, rat_det, sylvester_step
 
 PI_THIRD_COS_SQ = Fraction(1, 4)
 DEFAULT_ORDERING_DIM_GUARD = 9
@@ -37,17 +40,18 @@ DEFAULT_SUBSET_GUARD = 50_000
 def _chain_cos_sq(g: RatMatrix, order: Sequence[int]) -> list[Fraction]:
     """Squared cosine of each order[i], i >= 1, against span{b_j : j in order[:i]}.
 
-    Pivoting on order[i - 1] clears its column from the rows after it and
-    leaves there the residual Gram: the Gram of the parts orthogonal to the
-    span so far.  The pivots are positive because lattice_from_gram rejects
-    a Gram that is not positive definite.
+    A Schur step on order[i - 1] leaves the residual of the vectors after it
+    in the order, with d the leading minor det A_SS of S = order[:i].  The
+    minors are positive because lattice_from_gram rejects a Gram that is not
+    positive definite.
     """
-    m = g.to_rows()
+    _, a = integer_scaled(g)
+    m = [[a[i][j] for j in order] for i in order]
+    d = 1
     out = []
-    for i in range(1, len(order)):
-        pivot(m, order[i - 1], order[i - 1], order[i:])
-        w = order[i]
-        out.append(1 - m[w][w] / g[w, w])
+    for w in order[1:]:
+        d, m = sylvester_step(m, d, 0)
+        out.append(1 - Fraction(m[0][0], d * a[w][w]))
     return out
 
 
@@ -133,9 +137,10 @@ def is_theta_orthogonal(
     placed before it, so the search runs over subsets, by size: a subset is
     reachable when some ordering of it stays within the threshold, and a
     reachable prefix whose extension violates the threshold prunes everything
-    beyond.  Each reachable mask keeps the residual Gram of the vectors
-    outside it (G itself for the empty mask); reaching mask | 1 << v is one
-    Schur step, a `pivot` on v with a positive pivot (see _chain_cos_sq).
+    beyond.  Each reachable mask S keeps d_S and the integer residual M_S of
+    the vectors outside it (A = s G itself for the empty mask); reaching
+    S + v is one `sylvester_step`.  With the threshold p/q,
+    cos^2 <= p/q iff (q - p) d_S a_ww <= q M_S[w][w], as d_S a_ww > 0.
     Verdict is deterministic; witnesses replay under angle_profile.
     """
     thr = Fraction(cos_sq_threshold)
@@ -145,23 +150,25 @@ def is_theta_orthogonal(
     if n > max_dim:
         raise DimensionGuardExceeded(f"rank {n} exceeds the orderings guard {max_dim}")
 
-    g = lat.gram
+    _, a = integer_scaled(lat.gram)
+    p, q = thr.numerator, thr.denominator
     full = (1 << n) - 1
-    cos_sq: dict[int, dict[int, Fraction]] = {}  # reachable mask -> {outside w: cos^2}
-    violations: list[tuple[int, int, int]] = []  # (popcount, mask, v)
-    level = {0: g.to_rows()}  # reachable masks of this size -> residual Gram
+    within: dict[int, int] = {}  # reachable mask -> bits of the outside w with cos^2 <= thr
+    violations: list[tuple[int, int, int, int, int]] = []  # (popcount, mask, v, d_S, M_S[v][v])
+    level = {0: (1, a)}  # reachable masks of this size -> (d_S, M_S)
     for size in range(n):
-        nxt: dict[int, list[list[Fraction]]] = {}
-        for mask, m in level.items():
+        nxt: dict[int, tuple[int, list[list[int]]]] = {}
+        for mask, (d, m) in level.items():
+            bits = 0
             outside = [w for w in range(n) if not mask >> w & 1]
-            cos_sq[mask] = row = {w: 1 - m[w][w] / g[w, w] for w in outside}
-            for v in outside:
-                if row[v] > thr:
-                    violations.append((size, mask, v))
-                elif mask | 1 << v not in nxt:
-                    m2 = [r[:] for r in m]
-                    pivot(m2, v, v, [w for w in outside if w != v])
-                    nxt[mask | 1 << v] = m2
+            for pos, v in enumerate(outside):
+                if (q - p) * d * a[v][v] > q * m[pos][pos]:
+                    violations.append((size, mask, v, d, m[pos][pos]))
+                    continue
+                bits |= 1 << v
+                if mask | 1 << v not in nxt:
+                    nxt[mask | 1 << v] = sylvester_step(m, d, pos)
+            within[mask] = bits
         level = nxt
 
     weakly = full in level
@@ -178,7 +185,7 @@ def is_theta_orthogonal(
                 return None
             for v in range(n):
                 if target_mask >> v & 1 and not mask >> v & 1:
-                    if cos_sq[mask][v] <= thr:
+                    if within[mask] >> v & 1:
                         chain.append(v)
                         res = go(mask | (1 << v), chain)
                         if res is not None:
@@ -193,17 +200,16 @@ def is_theta_orthogonal(
 
     violation = None
     if violations:
-        violations.sort(
-            key=lambda t: (t[0], tuple(i for i in range(n) if t[1] >> i & 1), t[2])
+        size, mask, v, d, resid = min(
+            violations, key=lambda t: (t[0], tuple(i for i in range(n) if t[1] >> i & 1), t[2])
         )
-        size, mask, v = violations[0]
         prefix = lex_chain(mask)
         assert prefix is not None  # the mask was reachable
         rest = sorted(i for i in range(n) if i != v and not mask >> i & 1)
         violation = OrthoViolation(
             ordering=prefix + (v,) + tuple(rest),
             level=size,
-            cos_sq=cos_sq[mask][v],
+            cos_sq=1 - Fraction(resid, d * a[v][v]),
         )
     return OrthoVerdict(weakly, strictly, witness, violation)
 
@@ -271,13 +277,14 @@ def membership_report(
     search_minimal_bases: bool = False,
     cos_sq_threshold: Fraction = PI_THIRD_COS_SQ,
     subset_guard: int = DEFAULT_SUBSET_GUARD,
+    max_dim: int = DEFAULT_MAX_DIM,
 ) -> MembershipReport:
     from .invariants import coherence  # deferred: invariants does not import this module
 
-    if not is_well_rounded(lat):
+    if not is_well_rounded(lat, max_dim):
         raise NotWellRounded(f"{lat.name!r} is not well-rounded")
     n = lat.rank
-    mvs = minimal_vectors(lat)
+    mvs = minimal_vectors(lat, max_dim)
     kiss = mvs.count
     stored = is_theta_orthogonal(lat, cos_sq_threshold)
     reasons: list[str] = []
@@ -296,7 +303,7 @@ def membership_report(
         reasons.append(f"kissing number {kiss} exceeds 3n = {3 * n}")
     # coherence below 1/2 with more than 2n minimal vectors excludes the
     # whole weak class; a weakly certified basis would force coherence 1/2
-    if in_weak is None and kiss > 2 * n and coherence(lat).value < Fraction(1, 2):
+    if in_weak is None and kiss > 2 * n and coherence(lat, max_dim).value < Fraction(1, 2):
         in_weak, in_strict = False, False
         reasons.append(
             f"coherence below 1/2 with kissing number {kiss} > 2n rules the class out"

@@ -4,7 +4,9 @@ Every quantity in this package that can be rational is kept rational: the
 scalar type is ``fractions.Fraction`` (aliased ``Rational``), matrices are
 dense row-major tuples of Fractions, and all eliminations are exact.
 Matrices are small (desk-scale ranks, at most ~12), so dense algorithms are
-the right tool.
+the right tool.  Determinants, LDL, rank and Schur steps run fraction-free on
+the integer matrix s A, with s the lcm of A's denominators; only the
+solvers (`rref`) eliminate in Fractions.
 """
 
 from __future__ import annotations
@@ -142,17 +144,24 @@ def block_diag(*mats: RatMatrix) -> RatMatrix:
     return RatMatrix.from_rows(out)
 
 
-def gram_of_vectors(g: RatMatrix, vectors: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Inner products u^T G w for every pair of coefficient vectors u, w.
+def integer_scaled(a: RatMatrix) -> tuple[int, list[list[int]]]:
+    """(s, s A) as integer rows, with s the lcm of the denominators of A."""
+    scale = math.lcm(*(e.denominator for e in a.entries))
+    return scale, [[e.numerator * (scale // e.denominator) for e in a.row(i)] for i in range(a.rows)]
 
-    G is symmetric, so only the products with w at or after u are computed.
+
+def gram_of_vectors(g: RatMatrix, vectors: Sequence[Sequence[int]]) -> list[list[Fraction]]:
+    """Inner products u^T G w for every pair of integer coefficient vectors u, w.
+
+    The products are taken in integers on s G and divided by s once.  G is
+    symmetric, so only the products with w at or after u are computed.
     """
-    rows = [g.row(a) for a in range(g.rows)]
-    gu = [[sum(r[b] * x for r, x in zip(rows, u)) for b in range(g.cols)] for u in vectors]
+    scale, a = integer_scaled(g)
+    gu = [[sum(x * y for x, y in zip(row, u)) for row in a] for u in vectors]
     out = [[None] * len(vectors) for _ in vectors]
     for i, gu_i in enumerate(gu):
         for j in range(i, len(vectors)):
-            out[i][j] = out[j][i] = sum(x * y for x, y in zip(gu_i, vectors[j]))
+            out[i][j] = out[j][i] = Fraction(sum(x * y for x, y in zip(gu_i, vectors[j])), scale)
     return out
 
 
@@ -161,8 +170,7 @@ def rat_det(a: RatMatrix) -> Fraction:
     if a.rows != a.cols:
         raise ValueError("determinant needs a square matrix")
     n = a.rows
-    scale = math.lcm(*(e.denominator for e in a.entries))
-    m = [[int(e * scale) for e in a.row(i)] for i in range(n)]
+    scale, m = integer_scaled(a)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -183,9 +191,10 @@ def pivot(m: list[list[Fraction]], r: int, c: int, rows: Iterable[int]) -> None:
     """Scale row r of m in place so that m[r][c] == 1, then clear column c
     from each of `rows`.
 
-    The only elimination row update in the package.  Work is confined to the
-    columns where row r is nonzero, so nothing left of its first nonzero
-    entry is touched, and rows already zero in column c are skipped.
+    The row update of the Fraction eliminations (`rref`, the simplex).  Work
+    is confined to the columns where row r is nonzero, so nothing left of its
+    first nonzero entry is touched, and rows already zero in column c are
+    skipped.
     """
     prow = m[r]
     p = prow[c]
@@ -201,12 +210,12 @@ def pivot(m: list[list[Fraction]], r: int, c: int, rows: Iterable[int]) -> None:
                 row[j] -= f * prow[j]
 
 
-def echelon(m: list[list[Fraction]], ncols: int) -> list[int]:
-    """Forward elimination of m in place over its first ncols columns.
+def rref(m: list[list[Fraction]], ncols: int) -> list[int]:
+    """Reduced row echelon form of m in place over its first ncols columns.
 
     Returns the pivot columns: row i then has a leading 1 in column
-    pivots[i] and zeros below it; rows from len(pivots) on are zero in the
-    first ncols columns.  Row swaps move the row lists themselves.
+    pivots[i] and zeros above and below it; rows from len(pivots) on are zero
+    in the first ncols columns.  Row swaps move the row lists themselves.
     """
     nr = len(m)
     pivots: list[int] = []
@@ -220,20 +229,63 @@ def echelon(m: list[list[Fraction]], ncols: int) -> list[int]:
         m[r], m[p] = m[p], m[r]
         pivot(m, r, c, range(r + 1, nr))
         pivots.append(c)
-    return pivots
-
-
-def rref(m: list[list[Fraction]], ncols: int) -> list[int]:
-    """Reduced row echelon form in place: echelon, then clear above each pivot."""
-    pivots = echelon(m, ncols)
     for i in range(len(pivots) - 1, 0, -1):
         pivot(m, i, pivots[i], range(i))
     return pivots
 
 
+def int_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix by fraction-free elimination, one row at a time.
+
+    Each row is reduced against the echelon rows kept so far, r <- p r - r_c b
+    for the pivot p = b_c of each kept row b, which zeroes r at every kept
+    pivot column; a nonzero remainder is independent of them and is kept,
+    divided by the gcd of its entries.  Stops once the rank reaches the column
+    count, so the rows after the first full-rank prefix are never read.
+    """
+    kept: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    ncols = len(rows[0]) if rows else 0
+    for row in rows:
+        r = list(row)
+        for c, b in kept:
+            f = r[c]
+            if f:
+                p = b[c]
+                r = [p * x - f * y for x, y in zip(r, b)]
+        c = next((j for j, x in enumerate(r) if x), None)
+        if c is None:
+            continue
+        g = math.gcd(*r)
+        kept.append((c, [x // g for x in r]))
+        if len(kept) == ncols:
+            break
+    return len(kept)
+
+
 def rat_rank(a: RatMatrix) -> int:
-    """Rank over the rationals via exact Gaussian elimination."""
-    return len(echelon(a.to_rows(), a.cols))
+    """Rank over the rationals: `int_rank` of the integer matrix s A."""
+    return int_rank(integer_scaled(a)[1])
+
+
+def sylvester_step(m: list[list[int]], d: int, p: int) -> tuple[int, list[list[int]]]:
+    """One fraction-free Schur step on pivot p (Sylvester's identity, as in Bareiss).
+
+    For an integer symmetric A and an index set S, let m be the residual
+    m[i][j] = det A_{S+i,S+j} over the indices outside S, and d = det A_SS
+    (1 for S empty, where m is A itself).  Returns (d', m') for S + p: d' is
+    m[p][p], and m' drops row and column p, with
+    m'[i][j] = (m[p][p] m[i][j] - m[i][p] m[p][j]) // d, an exact division.
+    """
+    top = m[p]
+    piv = top[p]
+    out = []
+    for i, row in enumerate(m):
+        if i != p:
+            f = row[p]
+            new = [(piv * x - f * y) // d for x, y in zip(row, top)]
+            del new[p]
+            out.append(new)
+    return piv, out
 
 
 def rat_solve(a: RatMatrix, b: Sequence) -> list[Fraction] | None:
@@ -318,8 +370,7 @@ def ldl_decompose(g: RatMatrix) -> LDLFactorization:
     if not g.is_symmetric():
         raise NotSymmetric("matrix is not symmetric")
     n = g.rows
-    scale = math.lcm(*(e.denominator for e in g.entries))
-    m = [[int(g[i, j] * scale) for j in range(i + 1)] for i in range(n)]
+    scale, m = integer_scaled(g)
     diag: list[Fraction] = []
     prev = 1
     for k in range(n):

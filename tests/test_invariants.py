@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wrlat import (
     FewerThanTwoPairs,
@@ -102,6 +104,48 @@ def test_average_coherence_two_hex_blocks():
 def test_average_at_most_worst_case():
     for lat in (hexagonal(), staircase(4), k3_prime(), lnm(5, 2)):
         assert average_coherence(lat) <= coherence(lat).value
+
+
+@st.composite
+def multi_pair_lattices(draw):
+    """c G with G unit-diagonal and every off-diagonal row sum of |g_ij| at
+    most 1/2, so each e_i is minimal (n >= 2 pairs), and c and the g_ij
+    rationals with denominators 2-5."""
+    n = draw(st.integers(2, 5))
+    c = F(draw(st.integers(1, 7)), draw(st.integers(2, 5)))
+    g = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            room = HALF - max(sum(abs(x) for x in g[i]) - 1, sum(abs(x) for x in g[j]) - 1)
+            x = F(draw(st.integers(-2, 2)), draw(st.integers(2, 5)))
+            g[i][j] = g[j][i] = max(-room, min(room, x))
+    return lattice_from_gram("multi", [[c * x for x in row] for row in g])
+
+
+def fraction_coherences(lat):
+    """Coherence (value and pair) and average coherence from Fraction dot
+    products u^T G w over the minimal pairs."""
+    pairs = minimal_vectors(lat).pairs
+    n, g = lat.rank, lat.gram
+
+    def dot(u, w):
+        return sum(u[a] * g[a, b] * w[b] for a in range(n) for b in range(n))
+
+    cos = [[abs(dot(u, w)) / dot(u, u) for w in pairs] for u in pairs]
+    k = len(pairs)
+    best = max(cos[i][j] for i in range(k) for j in range(i + 1, k))
+    i, j = next((i, j) for i in range(k) for j in range(i + 1, k) if cos[i][j] == best)
+    avg = max(sum(row) - row[i] for i, row in enumerate(cos)) / (k - 1)
+    return best, (pairs[i], pairs[j]), avg
+
+
+@settings(max_examples=60, deadline=None)
+@given(multi_pair_lattices())
+def test_coherences_match_fraction_reference(lat):
+    best, pair, avg = fraction_coherences(lat)
+    got = coherence(lat)
+    assert (got.value, got.attaining_pair) == (best, pair)
+    assert average_coherence(lat) == avg
 
 
 # --- mu / nu -------------------------------------------------------------------

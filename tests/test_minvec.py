@@ -14,16 +14,21 @@ from wrlat import (
     RatMatrix,
     an_dual_frame,
     an_root,
+    average_coherence,
     brute_force_min_vectors,
+    coherence,
     direct_sum,
+    eutaxy_classify,
     hexagonal,
     integer_lattice,
+    is_perfect,
     is_well_rounded,
     k3_prime,
     lattice_from_gram,
     lnm,
     minimal_norm_sq,
     minimal_vectors,
+    packing_density,
     planar_wr,
     principal_sublattice,
     rat_inv,
@@ -241,6 +246,21 @@ def test_enumeration_is_basis_invariant(case):
     # the pairs map back to the undisguised ones through U
     back = {_canonical_pair(tuple(sum(a * b for a, b in zip(r, w)) for r in u)) for w in got.pairs}
     assert back == set(want.pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(disguised_family_lattices())
+def test_pair_layer_is_basis_invariant(case):
+    lat, moves = case
+    disguised, _ = disguise(lat, moves)
+    assert is_well_rounded(disguised) == is_well_rounded(lat)
+    assert packing_density(disguised) == packing_density(lat)
+    if len(minimal_vectors(lat).pairs) >= 2:
+        assert coherence(disguised).value == coherence(lat).value
+        assert average_coherence(disguised) == average_coherence(lat)
+    if is_well_rounded(lat):
+        assert eutaxy_classify(disguised).klass == eutaxy_classify(lat).klass
+        assert is_perfect(disguised) == is_perfect(lat)
 
 
 def e8_plus_z_disguised():

@@ -36,8 +36,8 @@ THRESHOLDS = (F(0), F(1, 9), QUARTER, F(1, 3), F(1, 2), F(1))
 
 
 def minor_cos_sq(lat, v, span):
-    """cos^2 = 1 - det G_{S+v} / (det G_S g_vv), from Bareiss determinants
-    rather than the pivot kernel the verdict uses."""
+    """cos^2 = 1 - det G_{S+v} / (det G_S g_vv), from `rat_det` determinants
+    rather than the Schur steps the verdict and angle_profile use."""
     g = lat.gram
 
     def minor(idx):
@@ -219,16 +219,20 @@ def test_verdict_matches_oracle_on_random_grams(lat, thr):
     assert (verdict.weakly, verdict.strictly) == exhaustive_verdict(lat, thr)
     assert (verdict.witness_ordering is not None) == verdict.weakly
     if verdict.weakly:
-        assert all(c <= thr for c in angle_profile(lat, verdict.witness_ordering).cos_sq)
+        w = verdict.witness_ordering
+        assert all(c <= thr for c in angle_profile(lat, w).cos_sq)
+        assert all(minor_cos_sq(lat, w[i], w[:i]) <= thr for i in range(1, lat.rank))
     v = verdict.violation
     assert (v is None) == verdict.strictly
     if v is not None:
         assert angle_profile(lat, v.ordering).cos_sq[v.level - 1] == v.cos_sq > thr
+        prefix, vec = v.ordering[: v.level], v.ordering[v.level]
+        assert minor_cos_sq(lat, vec, prefix) == v.cos_sq
 
 
 @pytest.mark.parametrize("lat, most", [(staircase(9), 2**9 - 1), (an_dual_frame(9), 501)])
 def test_verdict_makes_one_pivot_per_reachable_subset(lat, most):
-    with mock.patch.object(ortho, "pivot", wraps=ortho.pivot) as counted:
+    with mock.patch.object(ortho, "sylvester_step", wraps=ortho.sylvester_step) as counted:
         is_theta_orthogonal(lat)
     assert counted.call_count <= most
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wrlat import NotPositiveDefinite, RatMatrix, ldl_decompose, rat_det, rat_inv, rat_rank, rat_solve
-from wrlat.ratlinalg import solve_affine
+from wrlat.ratlinalg import int_rank, solve_affine
 
 sympy = pytest.importorskip("sympy")
 
@@ -42,6 +42,26 @@ def mat_vec(rows, x):
 @given(matrices())
 def test_rank_matches_sympy(rows):
     assert rat_rank(RatMatrix.from_rows(rows)) == to_sympy(rows).rank()
+
+
+@st.composite
+def integer_matrices(draw):
+    """Either B C with B k x r, C r x n and k >= n (tall, rank at most r,
+    often below n), or a plain integer matrix of any shape."""
+    small = st.integers(-3, 3)
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        r, k = draw(st.integers(0, n)), draw(st.integers(n, 3 * n))
+        b = [[draw(small) for _ in range(r)] for _ in range(k)]
+        c = [[draw(small) for _ in range(n)] for _ in range(r)]
+        return [[sum(b[i][t] * c[t][j] for t in range(r)) for j in range(n)] for i in range(k)]
+    return [[draw(small) for _ in range(n)] for _ in range(draw(st.integers(1, 8)))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(integer_matrices())
+def test_int_rank_matches_sympy(rows):
+    assert int_rank(rows) == to_sympy(rows).rank()
 
 
 @settings(max_examples=80, deadline=None)

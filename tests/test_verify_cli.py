@@ -272,6 +272,22 @@ def test_cli_analyze_rank_1_warnings(tmp_path, capsys):
     ]
 
 
+def test_cli_analyze_honours_max_dim_above_default(tmp_path, capsys):
+    f = tmp_path / "st14.json"
+    run_cli("construct", "staircase", "--n", "14", "--out", str(f))
+    assert run_cli("analyze", str(f), "--max-dim", "14") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["warnings"] == ["membership: rank 14 exceeds the orderings guard 9"]
+    assert report["kissing_number"] == 54
+    assert report["well_rounded"] is True
+    assert report["coherence"] == "1/2"
+    assert report["avg_coherence"] is not None
+    norm, det = F(report["norm_sq"]), F(report["det_gram"])
+    assert F(report["delta_sq_exact"]) == norm**14 / (4**14 * det)
+    assert report["eutaxy_class"] is not None
+    assert report["perfect"] is False  # 27 pairs cannot span the 105 rank-one forms
+
+
 def test_threshold_sugar():
     assert parse_cos_sq_threshold("pi/3") == F(1, 4)
     assert parse_cos_sq_threshold("1/9") == F(1, 9)
