@@ -104,7 +104,6 @@ from .ratlinalg import (
     rat_det,
     rat_inv,
     rat_rank,
-    rat_solve,
 )
 from .verify import CheckResult, SuiteReport, run_suite
 

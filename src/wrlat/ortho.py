@@ -8,7 +8,7 @@ All comparisons happen on squared cosines, which are exact rationals.
 
 Each squared cosine is 1 - M_S[w][w] / (d_S a_ww) on the integer Gram
 A = s G: d_S = det A_SS and M_S[w][w] = det A_{S+w,S+w}, both kept by
-fraction-free Schur steps (`ratlinalg.sylvester_step`).  The all-orderings
+fraction-free Schur steps (`ratlinalg.schur_step`).  The all-orderings
 verdict makes one step per subset it reaches and compares cross-multiplied
 integers with the threshold p/q; a Fraction is built only for a reported
 violation.
@@ -30,7 +30,7 @@ from typing import Sequence
 from .errors import DimensionGuardExceeded, NotWellRounded, SubsetGuardExceeded
 from .lattice import Lattice, lattice_from_gram
 from .minvec import DEFAULT_MAX_DIM, is_well_rounded, minimal_vectors
-from .ratlinalg import RatMatrix, format_rational, gram_of_vectors, integer_scaled, rat_det, sylvester_step
+from .ratlinalg import RatMatrix, format_rational, gram_of_vectors, integer_scaled, rat_det, schur_step
 
 PI_THIRD_COS_SQ = Fraction(1, 4)
 DEFAULT_ORDERING_DIM_GUARD = 9
@@ -48,11 +48,11 @@ def _chain_cos_sq(g: RatMatrix, order: Sequence[int]) -> list[Fraction]:
     _, a = integer_scaled(g)
     m = [[a[i][j] for j in order] for i in order]
     d = 1
-    out = []
+    minors = []
     for w in order[1:]:
-        d, m = sylvester_step(m, d, 0)
-        out.append(1 - Fraction(m[0][0], d * a[w][w]))
-    return out
+        d, m = m[0][0], schur_step(m, d, 0, 0)
+        minors.append((m[0][0], d * a[w][w]))
+    return [1 - Fraction(num, den) for num, den in minors]
 
 
 def cos_sq_angle_to_span(lat: Lattice, v: int, span: Sequence[int]) -> Fraction:
@@ -139,7 +139,7 @@ def is_theta_orthogonal(
     reachable prefix whose extension violates the threshold prunes everything
     beyond.  Each reachable mask S keeps d_S and the integer residual M_S of
     the vectors outside it (A = s G itself for the empty mask); reaching
-    S + v is one `sylvester_step`.  With the threshold p/q,
+    S + v is one `schur_step`.  With the threshold p/q,
     cos^2 <= p/q iff (q - p) d_S a_ww <= q M_S[w][w], as d_S a_ww > 0.
     Verdict is deterministic; witnesses replay under angle_profile.
     """
@@ -167,7 +167,7 @@ def is_theta_orthogonal(
                     continue
                 bits |= 1 << v
                 if mask | 1 << v not in nxt:
-                    nxt[mask | 1 << v] = sylvester_step(m, d, pos)
+                    nxt[mask | 1 << v] = m[pos][pos], schur_step(m, d, pos, pos)
             within[mask] = bits
         level = nxt
 

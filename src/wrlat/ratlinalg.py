@@ -4,9 +4,12 @@ Every quantity in this package that can be rational is kept rational: the
 scalar type is ``fractions.Fraction`` (aliased ``Rational``), matrices are
 dense row-major tuples of Fractions, and all eliminations are exact.
 Matrices are small (desk-scale ranks, at most ~12), so dense algorithms are
-the right tool.  Determinants, LDL, rank and Schur steps run fraction-free on
-the integer matrix s A, with s the lcm of A's denominators; only the
-solvers (`rref`) eliminate in Fractions.
+the right tool.  Every elimination runs fraction-free on the integer matrix
+s A, with s the lcm of A's denominators, and every row update is one
+`sylvester_step`: forward (`schur_step`) in `rat_det`, `ldl_decompose` and
+the verdicts of `ortho`, Gauss-Jordan in `solve_affine`, `rat_inv` and the
+simplex tableau.  Only `int_rank` keeps its own row-by-row reduction, which
+stops early.  Fractions are built from the integers once an elimination ends.
 """
 
 from __future__ import annotations
@@ -52,9 +55,12 @@ def int_sqrt_floor(q: Fraction | int) -> int:
 
 
 class RatMatrix:
-    """Immutable dense matrix of Fractions, stored row-major."""
+    """Immutable dense matrix of Fractions, stored row-major.
 
-    __slots__ = ("rows", "cols", "entries")
+    The hash is computed on first use and kept, since Grams key caches.
+    """
+
+    __slots__ = ("rows", "cols", "entries", "_hash")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         ent = tuple(Fraction(e) for e in entries)
@@ -63,6 +69,7 @@ class RatMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", ent)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
@@ -79,10 +86,6 @@ class RatMatrix:
     def identity(cls, n: int) -> "RatMatrix":
         return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols, [Fraction(0)] * (rows * cols))
-
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -94,16 +97,6 @@ class RatMatrix:
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.entries[k * other.cols + j] for k in range(self.cols)))
-        return RatMatrix(self.rows, other.cols, out)
 
     def scaled(self, factor) -> "RatMatrix":
         f = Fraction(factor)
@@ -123,7 +116,9 @@ class RatMatrix:
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.rows, self.cols, self.entries)))
+        return self._hash
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
@@ -165,73 +160,82 @@ def gram_of_vectors(g: RatMatrix, vectors: Sequence[Sequence[int]]) -> list[list
     return out
 
 
-def rat_det(a: RatMatrix) -> Fraction:
-    """Exact determinant: integer Bareiss elimination of D A (every // is exact), over D^n."""
-    if a.rows != a.cols:
-        raise ValueError("determinant needs a square matrix")
-    n = a.rows
-    scale, m = integer_scaled(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1], scale**n) if n else Fraction(1)
+def sylvester_step(m: list[list[int]], d: int, r: int, c: int) -> list[list[int]]:
+    """One fraction-free elimination step on the pivot p = m[r][c] (Sylvester's
+    identity, as in Bareiss, Math. Comp. 22, 1968): the only row update here.
 
-
-def pivot(m: list[list[Fraction]], r: int, c: int, rows: Iterable[int]) -> None:
-    """Scale row r of m in place so that m[r][c] == 1, then clear column c
-    from each of `rows`.
-
-    The row update of the Fraction eliminations (`rref`, the simplex).  Work
-    is confined to the columns where row r is nonzero, so nothing left of its
-    first nonzero entry is touched, and rows already zero in column c are
-    skipped.
+    Returns new rows: row r as it is, and every other row i as
+    (p m[i] - m[i][c] m[r]) // d, which is zero in column c.  When d is the
+    pivot of the step before (1 for the first), every entry is a minor of the
+    first matrix and every division is exact.  m itself is left unchanged.
     """
-    prow = m[r]
-    p = prow[c]
-    nz = [j for j in range(len(prow)) if prow[j]]
-    if p != 1:
-        for j in nz:
-            prow[j] /= p
-    for i in rows:
-        row = m[i]
+    top = m[r]
+    p = top[c]
+    out = []
+    for i, row in enumerate(m):
         f = row[c]
-        if f:
-            for j in nz:
-                row[j] -= f * prow[j]
+        if i == r:
+            out.append(top)
+        elif f:
+            out.append([(p * x - f * y) // d for x, y in zip(row, top)])
+        else:
+            out.append([p * x // d for x in row])
+    return out
 
 
-def rref(m: list[list[Fraction]], ncols: int) -> list[int]:
-    """Reduced row echelon form of m in place over its first ncols columns.
+def schur_step(m: list[list[int]], d: int, r: int, c: int) -> list[list[int]]:
+    """A forward step: the rows of `sylvester_step` other than r, without column c.
 
-    Returns the pivot columns: row i then has a leading 1 in column
-    pivots[i] and zeros above and below it; rows from len(pivots) on are zero
-    in the first ncols columns.  Row swaps move the row lists themselves.
+    For a symmetric integer A and an index set S, with d = det A_SS (1 for S
+    empty) and m[i][j] = det A_{S+i,S+j} over the indices outside S, the step
+    on (p, p) gives the same for S + p.
     """
-    nr = len(m)
+    out = sylvester_step(m, d, r, c)
+    del out[r]
+    for row in out:
+        del row[c]
+    return out
+
+
+def _gauss_jordan(m: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows over their first ncols columns.
+
+    Returns (rows, pivot columns, d): row i holds d in column pivots[i] and
+    zeros above and below it, so the reduced row echelon form is rows / d;
+    rows from len(pivots) on are zero in the first ncols columns.
+    """
     pivots: list[int] = []
+    d = 1
     for c in range(ncols):
         r = len(pivots)
-        if r == nr:
-            break
-        p = next((i for i in range(r, nr) if m[i][c]), None)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
         if p is None:
             continue
         m[r], m[p] = m[p], m[r]
-        pivot(m, r, c, range(r + 1, nr))
+        m = sylvester_step(m, d, r, c)
+        d = m[r][c]
         pivots.append(c)
-    for i in range(len(pivots) - 1, 0, -1):
-        pivot(m, i, pivots[i], range(i))
-    return pivots
+    return m, pivots, d
+
+
+def rat_det(a: RatMatrix) -> Fraction:
+    """Exact determinant: forward fraction-free elimination of s A, over s^n.
+
+    Taking the pivot from row r of the residual moves that row to the top, r
+    adjacent swaps; the last pivot is then det s A up to that sign.
+    """
+    if a.rows != a.cols:
+        raise ValueError("determinant needs a square matrix")
+    scale, m = integer_scaled(a)
+    sign = d = 1
+    while m:
+        r = next((i for i, row in enumerate(m) if row[0]), None)
+        if r is None:
+            return Fraction(0)
+        if r % 2:
+            sign = -sign
+        d, m = m[r][0], schur_step(m, d, r, 0)
+    return Fraction(sign * d, scale**a.rows)
 
 
 def int_rank(rows: Sequence[Sequence[int]]) -> int:
@@ -267,49 +271,17 @@ def rat_rank(a: RatMatrix) -> int:
     return int_rank(integer_scaled(a)[1])
 
 
-def sylvester_step(m: list[list[int]], d: int, p: int) -> tuple[int, list[list[int]]]:
-    """One fraction-free Schur step on pivot p (Sylvester's identity, as in Bareiss).
-
-    For an integer symmetric A and an index set S, let m be the residual
-    m[i][j] = det A_{S+i,S+j} over the indices outside S, and d = det A_SS
-    (1 for S empty, where m is A itself).  Returns (d', m') for S + p: d' is
-    m[p][p], and m' drops row and column p, with
-    m'[i][j] = (m[p][p] m[i][j] - m[i][p] m[p][j]) // d, an exact division.
-    """
-    top = m[p]
-    piv = top[p]
-    out = []
-    for i, row in enumerate(m):
-        if i != p:
-            f = row[p]
-            new = [(piv * x - f * y) // d for x, y in zip(row, top)]
-            del new[p]
-            out.append(new)
-    return piv, out
-
-
-def rat_solve(a: RatMatrix, b: Sequence) -> list[Fraction] | None:
-    """Solve A x = b exactly for nonsingular square A; None when A is singular."""
-    if a.rows != a.cols:
-        raise ValueError("rat_solve needs a square matrix")
-    n = a.rows
-    if len(b) != n:
-        raise ValueError("right-hand side length mismatch")
-    m = [list(a.row(i)) + [Fraction(b[i])] for i in range(n)]
-    if len(rref(m, n)) < n:
-        return None
-    return [row[n] for row in m]
-
-
 def rat_inv(a: RatMatrix) -> RatMatrix:
-    """Exact inverse of a nonsingular square matrix."""
+    """Exact inverse of a nonsingular square matrix: Gauss-Jordan on [s A | s I]."""
     if a.rows != a.cols:
         raise ValueError("inverse needs a square matrix")
     n = a.rows
-    m = [list(a.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    if len(rref(m, n)) < n:
+    scale, m = integer_scaled(a)
+    m = [row + [scale * (i == j) for j in range(n)] for i, row in enumerate(m)]
+    m, pivots, d = _gauss_jordan(m, n)
+    if len(pivots) < n:
         raise ValueError("singular matrix")
-    return RatMatrix.from_rows([row[n:] for row in m])
+    return RatMatrix(n, n, [Fraction(x, d) for row in m for x in row[n:]])
 
 
 def solve_affine(a_rows: Sequence[Sequence], b: Sequence):
@@ -320,21 +292,19 @@ def solve_affine(a_rows: Sequence[Sequence], b: Sequence):
     """
     nr = len(a_rows)
     nc = len(a_rows[0]) if nr else 0
-    m = [[Fraction(e) for e in row] + [Fraction(b[i])] for i, row in enumerate(a_rows)]
-    piv_cols = rref(m, nc)
-    if any(m[i][nc] != 0 for i in range(len(piv_cols), nr)):
+    if len(b) != nr:
+        raise ValueError("right-hand side length mismatch")
+    _, m = integer_scaled(RatMatrix.from_rows([[*row, b[i]] for i, row in enumerate(a_rows)]))
+    m, piv_cols, d = _gauss_jordan(m, nc)
+    if any(m[i][nc] for i in range(len(piv_cols), nr)):
         return None
-    particular = [Fraction(0)] * nc
-    for i, c in enumerate(piv_cols):
-        particular[c] = m[i][nc]
-    free_cols = [c for c in range(nc) if c not in piv_cols]
-    null_basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * nc
-        v[fc] = Fraction(1)
-        for i, c in enumerate(piv_cols):
-            v[c] = -m[i][fc]
-        null_basis.append(v)
+    row_of = {c: i for i, c in enumerate(piv_cols)}
+    particular = [Fraction(m[row_of[c]][nc], d) if c in row_of else Fraction(0) for c in range(nc)]
+    null_basis = [
+        [Fraction(-m[row_of[c]][fc], d) if c in row_of else Fraction(int(c == fc)) for c in range(nc)]
+        for fc in range(nc)
+        if fc not in row_of
+    ]
     return particular, null_basis
 
 
@@ -363,27 +333,26 @@ class LDLFactorization:
 def ldl_decompose(g: RatMatrix) -> LDLFactorization:
     """Exact LDL^T factorization of a symmetric positive-definite matrix.
 
-    Integer Bareiss elimination of M = s G: pivot k is the leading minor P_{k+1}
-    of M, D_k = P_{k+1} / (s P_k), L_ik = M_ik / P_{k+1} (M_ik is final at step k).
+    Forward fraction-free elimination of M = s G: pivot k is the leading minor
+    P_{k+1} of M, D_k = P_{k+1} / (s P_k), and L_ik = M_ik / P_{k+1} with M_ik
+    read from the residual's first column before step k.
     Raises NotSymmetric / NotPositiveDefinite (at the first pivot <= 0).
     """
     if not g.is_symmetric():
         raise NotSymmetric("matrix is not symmetric")
     n = g.rows
     scale, m = integer_scaled(g)
-    diag: list[Fraction] = []
-    prev = 1
+    pivots = [1]
+    cols: list[list[int]] = []
     for k in range(n):
-        p = m[k][k]
+        p = m[0][0]
         if p <= 0:
-            raise NotPositiveDefinite(f"pivot {k} is {Fraction(p, prev * scale)}")
-        diag.append(Fraction(p, prev * scale))
-        for i in range(k + 1, n):
-            for j in range(k + 1, i + 1):
-                # Bareiss update: every division here is exact.
-                m[i][j] = (p * m[i][j] - m[i][k] * m[j][k]) // prev
-        prev = p
-    low = [[Fraction(m[i][j], m[j][j]) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+            raise NotPositiveDefinite(f"pivot {k} is {Fraction(p, pivots[-1] * scale)}")
+        cols.append([row[0] for row in m])
+        m = schur_step(m, pivots[-1], 0, 0)
+        pivots.append(p)
+    diag = [Fraction(p, prev * scale) for prev, p in zip(pivots, pivots[1:])]
+    low = [[Fraction(cols[j][i - j], pivots[j + 1]) if j < i else int(i == j) for j in range(n)] for i in range(n)]
     return LDLFactorization(RatMatrix.from_rows(low), tuple(diag))
 
 

@@ -1,53 +1,63 @@
 """Small exact linear-programming solver over the rationals.
 
 Two-phase dense simplex with Bland's rule (no cycling), used to decide
-strict positivity of eutaxy coefficient solution sets.  Problem sizes here
-are tiny, so the tableau recomputes reduced costs per iteration for clarity.
+strict positivity of eutaxy coefficient solution sets.  The tableau is
+integer (Edmonds' integer-preserving pivoting): the LP is scaled to integers
+by one positive factor, the tableau holds d times the rational one, with d
+the last pivot, and every pivot is one `ratlinalg.sylvester_step`.  The
+reduced costs, times d, are one more tableau row, set once per phase and
+updated by the same step.  Ratios are compared by cross-multiplying.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
-from .ratlinalg import pivot
+from .ratlinalg import sylvester_step
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
 
 
-def _pivot(tab: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    pivot(tab, row, col, (i for i in range(len(tab)) if i != row))
+def _pivot(tab: list[list[int]], d: int, basis: list[int], row: int, col: int):
+    """Pivot on tab[row][col]; returns (tab, d) with d > 0, negating every row after a negative pivot."""
+    tab = sylvester_step(tab, d, row, col)
     basis[row] = col
+    d = tab[row][col]
+    if d < 0:
+        tab, d = [[-x for x in r] for r in tab], -d
+    return tab, d
 
 
-def _optimize(tab, basis, cost, allowed) -> str:
-    m = len(tab)
+def _optimize(tab: list[list[int]], d: int, basis: list[int], cost: list[int], allowed):
+    """Bland's rule from the basis, with the reduced costs d (cost - c_B B^-1 [A | b])
+    kept as one more row; returns (status, the constraint rows, d)."""
+    z = [d * c for c in cost] + [0]
+    for i, b in enumerate(basis):
+        if cost[b]:
+            z = [x - cost[b] * y for x, y in zip(z, tab[i])]
+    tab = tab + [z]
+    m = len(basis)
     while True:
-        cb = [cost[b] for b in basis]
-        entering = None
-        for j in allowed:
-            reduced = cost[j] - sum(cb[i] * tab[i][j] for i in range(m))
-            if reduced > 0:  # Bland: first improving index
-                entering = j
-                break
+        entering = next((j for j in allowed if tab[m][j] > 0), None)  # Bland: first improving index
         if entering is None:
-            return OPTIMAL
+            return OPTIMAL, tab[:m], d
         leaving = None
-        best = None
         for i in range(m):
-            if tab[i][entering] > 0:
-                ratio = tab[i][-1] / tab[i][entering]
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leaving])
-                ):
-                    best, leaving = ratio, i
+            a = tab[i][entering]
+            if a > 0:
+                if leaving is None:
+                    leaving = i
+                    continue
+                lhs, rhs = tab[i][-1] * tab[leaving][entering], tab[leaving][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                    leaving = i
         if leaving is None:
-            return UNBOUNDED
-        _pivot(tab, basis, leaving, entering)
+            return UNBOUNDED, tab[:m], d
+        tab, d = _pivot(tab, d, basis, leaving, entering)
 
 
 def simplex_max(c: Sequence, a_rows: Sequence[Sequence], b: Sequence):
@@ -59,64 +69,46 @@ def simplex_max(c: Sequence, a_rows: Sequence[Sequence], b: Sequence):
     m = len(a_rows)
     n = len(c)
     cvec = [Fraction(x) for x in c]
-    rows = [[Fraction(e) for e in row] for row in a_rows]
-    rhs = [Fraction(x) for x in b]
-    neg = [i for i in range(m) if rhs[i] < 0]
-    for i in neg:
-        rows[i] = [-e for e in rows[i]]
-        rhs[i] = -rhs[i]
-    n_art = len(neg)
-    width = n + m + n_art + 1
-    tab: list[list[Fraction]] = []
-    basis: list[int] = []
-    art_cols = {}
-    next_art = n + m
-    for i in range(m):
-        row = [Fraction(0)] * width
-        row[:n] = rows[i]
+    rows = [[Fraction(e) for e in row] + [Fraction(b[i])] for i, row in enumerate(a_rows)]
+    # one positive factor for the whole LP: scaling rows apart would reweight
+    # the phase-1 artificials and lead Bland's rule to another vertex
+    scale = math.lcm(*(x.denominator for x in cvec), *(e.denominator for row in rows for e in row))
+    neg = [i for i in range(m) if rows[i][-1] < 0]
+    width = n + m + len(neg) + 1
+    basis = [n + m + neg.index(i) if i in neg else n + i for i in range(m)]
+    tab = []
+    for i, row in enumerate(rows):
+        sign = -1 if i in neg else 1
+        t = [int(sign * scale * e) for e in row[:n]] + [0] * (width - n)
+        t[-1] = int(sign * scale * row[-1])
         # slack keeps its original +1 sign; negated rows carry -1 and need an artificial
-        row[n + i] = Fraction(-1) if i in neg else Fraction(1)
-        if i in neg:
-            row[next_art] = Fraction(1)
-            art_cols[i] = next_art
-            basis.append(next_art)
-            next_art += 1
-        else:
-            basis.append(n + i)
-        row[-1] = rhs[i]
-        tab.append(row)
+        t[n + i] = sign
+        t[basis[i]] = 1
+        tab.append(t)
+    d = 1
 
-    if n_art:
-        cost1 = [Fraction(0)] * width
-        for col in art_cols.values():
-            cost1[col] = Fraction(-1)
-        status = _optimize(tab, basis, cost1, range(width - 1))
+    if neg:
+        cost1 = [0] * (n + m) + [-1] * len(neg)
+        status, tab, d = _optimize(tab, d, basis, cost1, range(width - 1))
         assert status == OPTIMAL  # phase-1 objective is bounded above by 0
-        value1 = sum(cost1[basis[i]] * tab[i][-1] for i in range(m))
-        if value1 != 0:
+        if any(tab[i][-1] for i in range(m) if basis[i] >= n + m):
             return INFEASIBLE, None, None
         # drive leftover artificials out of the basis
-        art_set = set(art_cols.values())
         for i in range(m):
-            if basis[i] in art_set:
-                col = next(
-                    (j for j in range(n + m) if tab[i][j] != 0),
-                    None,
-                )
+            if basis[i] >= n + m:
+                col = next((j for j in range(n + m) if tab[i][j] != 0), None)
                 if col is not None:
-                    _pivot(tab, basis, i, col)
+                    tab, d = _pivot(tab, d, basis, i, col)
         # rows still basic in an artificial are identically zero; harmless
 
-    cost2 = [Fraction(0)] * width
-    cost2[:n] = cvec
-    allowed = [j for j in range(n + m)]
-    status = _optimize(tab, basis, cost2, allowed)
+    cost2 = [int(scale * x) for x in cvec] + [0] * (width - 1 - n)
+    status, tab, d = _optimize(tab, d, basis, cost2, range(n + m))
     if status != OPTIMAL:
         return status, None, None
     x = [Fraction(0)] * n
     for i, bcol in enumerate(basis):
         if bcol < n:
-            x[bcol] = tab[i][-1]
+            x[bcol] = Fraction(tab[i][-1], d)
     value = sum(cvec[j] * x[j] for j in range(n))
     return OPTIMAL, value, x
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from wrlat import hexagonal, integer_lattice, k3_prime, lnm, staircase
+from wrlat import hexagonal, integer_lattice, k3_prime, lattice_from_gram, lnm, staircase
 
 F = Fraction
 
@@ -52,3 +52,19 @@ def cofactor_det2(m):
 def quad_form(lat, u):
     n = lat.rank
     return sum(lat.gram[i, j] * u[i] * u[j] for i in range(n) for j in range(n))
+
+
+def disguise(lat, moves):
+    """The lattice in the basis b_j += s b_i, one move per (i, j, s), and the
+    integer matrix U whose columns give the new basis in the old one."""
+    n = lat.rank
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, s in moves:
+        for r in range(n):
+            u[r][j] += s * u[r][i]
+    g = lat.gram
+    rows = [
+        [sum(u[a][i] * g[a, b] * u[b][j] for a in range(n) for b in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    return lattice_from_gram(f"{lat.name}~", rows), u

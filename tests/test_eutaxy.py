@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wrlat import (
     EutaxyClass,
@@ -19,24 +22,58 @@ from wrlat import (
     lattice_from_gram,
     lnm,
     minimal_vectors,
-    rat_inv,
+    scale_gram,
     staircase,
 )
+from wrlat.constructions import weak_family_lattices
 from wrlat.simplex import OPTIMAL, UNBOUNDED, INFEASIBLE, simplex_max, simplex_max_free
+
+from conftest import disguise
 
 F = Fraction
 
 
 def replay_identity(lat, coefficients):
-    """Check sum_i c_i u_i u_i^T = G^{-1} entry-exactly."""
+    """Check (sum_i c_i u_i u_i^T) G = I entry-exactly, by multiplication alone."""
     n = lat.rank
     pairs = minimal_vectors(lat).pairs
     assert len(coefficients) == len(pairs)
-    ginv = rat_inv(lat.gram)
+    s = [[sum(c * u[a] * u[b] for c, u in zip(coefficients, pairs)) for b in range(n)] for a in range(n)]
     for a in range(n):
         for b in range(n):
-            s = sum(c * u[a] * u[b] for c, u in zip(coefficients, pairs))
-            assert s == ginv[a, b], (a, b)
+            assert sum(s[a][k] * lat.gram[k, b] for k in range(n)) == (a == b), (a, b)
+
+
+def root_plus_hexagonal(name, n, edges):
+    """The root lattice with the given Dynkin diagram (its Cartan matrix as
+    Gram) plus 2 A2, the hexagonal plane at the same minimal norm 2."""
+    gram = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for a, b in edges:
+        gram[a][b] = gram[b][a] = -1
+    return direct_sum(lattice_from_gram(name, gram), scale_gram(hexagonal(), 2))
+
+
+# every family lattice of rank <= 7 (K3' among them), and two root lattices
+# whose eutaxy needs the LP: solution spaces of dimension 15 and 35
+CERTIFIED = weak_family_lattices(7) + [
+    root_plus_hexagonal("E6", 6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)]),
+    root_plus_hexagonal("E7", 7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)]),
+]
+
+
+@pytest.mark.parametrize("lat", CERTIFIED, ids=lambda lat: lat.name)
+def test_eutaxy_certificate_replays_in_stored_and_disguised_bases(lat):
+    rng = random.Random(lat.name)
+    n = lat.rank
+    klass = eutaxy_classify(lat).klass
+    for moves in ([], [(*rng.sample(range(n), 2), rng.choice((1, -1))) for _ in range(n)]):
+        case = disguise(lat, moves)[0] if moves else lat
+        res = eutaxy_classify(case)
+        assert res.klass is klass
+        if res.coefficients is not None:
+            replay_identity(case, res.coefficients)
+        if klass in (EutaxyClass.EUTACTIC, EutaxyClass.STRONGLY_EUTACTIC):
+            assert all(c > 0 for c in res.coefficients)
 
 
 # --- classification ---------------------------------------------------------
@@ -252,3 +289,103 @@ def test_simplex_degenerate_no_cycling():
         [1, 1], [[1, 0], [0, 1], [1, 1], [1, 1]], [1, 1, 1, 1]
     )
     assert status == OPTIMAL and value == 1
+
+
+PINNED_LPS = {
+    # scaling each row to integers by its own lcm reweights the phase-1
+    # artificials, and Bland's rule then ends at (11/4, -15/2) instead
+    "one-common-scale": (
+        [1, F(1, 2)],
+        [[F(-3, 4), F(3, 4)], [1, F(1, 2)], [F(-1, 2), 0], [2, F(1, 3)], [F(-1, 2), F(-1, 4)], [F(1, 2), 1], [F(-1, 2), F(1, 3)]],
+        [-4, -1, 2, 3, F(5, 3), 2, 1],
+        (OPTIMAL, -1, [F(10, 9), F(-38, 9)]),
+    ),
+    # driving the artificial out takes a negative pivot; without negating the
+    # tableau after it, the LP reads as unbounded
+    "negative-cleanup-pivot": ([0, F(1, 2)], [[0, -3], [0, 1]], [-3, 1], (OPTIMAL, F(1, 2), [0, 1])),
+    # phase 1 ends with an artificial basic at zero; left in the basis, it can
+    # grow in phase 2, which drops its row, and the LP reads as unbounded
+    "artificial-at-zero": ([2, 0], [[-1, 0], [2, F(1, 2)], [0, F(-3, 2)]], [F(3, 2), -2, -3], (OPTIMAL, -3, [F(-3, 2), 2])),
+    # tied ratios: Bland's rule leaves on the smaller basic index
+    "ratio-tie": (
+        [3, 0],
+        [[1, F(1, 2)], [0, -2], [3, 0], [F(-1, 2), F(-3, 2)], [1, F(1, 2)]],
+        [0, 1, -3, -1, 0],
+        (OPTIMAL, -3, [-1, 1]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_LPS)
+def test_simplex_pinned_vertices(name):
+    c, a, b, want = PINNED_LPS[name]
+    assert simplex_max_free(c, a, b) == want
+
+
+@st.composite
+def small_lps(draw):
+    """max c.x s.t. A x <= b, with x >= 0 or free; negative b_i (phase 1) and
+    zeros are common, and degenerate cases repeat a row or zero its bound."""
+    ent = st.one_of(st.just(F(0)), st.fractions(min_value=-4, max_value=4, max_denominator=4))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    c = [draw(ent) for _ in range(n)]
+    a = [[draw(ent) for _ in range(n)] for _ in range(m)]
+    b = [draw(ent) for _ in range(m)]
+    if draw(st.booleans()):
+        a.append(list(a[0]))
+        b.append(b[0])
+    if draw(st.booleans()):
+        b[draw(st.integers(0, m - 1))] = F(0)
+    return c, a, b, draw(st.booleans())
+
+
+def sympy_feasible_point(g, h):
+    """A point z >= 0 with G z <= h, or None, from sympy's linprog.
+
+    sympy's phase 1 can stop on an infeasible basis and report a point that
+    breaks the constraints (x0, x1 <= 0 with x0 + x1 >= 1 gives (0, 1)), so it
+    only gets an LP whose origin is feasible: each row with h_i < 0 gains
+    v_i >= 0 with G_i z + v_i <= 0 and v_i <= -h_i, and G z <= h holds for
+    some z iff the largest sum of the v_i is the sum of the -h_i.
+    """
+    from sympy import Matrix
+    from sympy.solvers.simplex import linprog
+
+    neg = [i for i, x in enumerate(h) if x < 0]
+    width = len(g[0])
+    rows = [list(r) + [int(i == j) for j in neg] for i, r in enumerate(g)]
+    rows += [[0] * width + [int(i == j) for j in neg] for i in neg]
+    rhs = [max(x, 0) for x in h] + [-h[i] for i in neg]
+    best, point = linprog(Matrix([0] * width + [-1] * len(neg)), Matrix(rows), Matrix(rhs))
+    if -F(str(best)) != sum(-h[i] for i in neg):
+        return None
+    return [F(str(v)) for v in point[:width]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_lps())
+def test_simplex_matches_sympy_linprog(case):
+    """Status and optimum against sympy: the LP is infeasible when A x <= b,
+    x >= 0 has no point, unbounded when it has one but the dual A^T y >= c,
+    y >= 0 has none, and otherwise its optimum is c.x at any point of both
+    with c.x >= b.y (weak duality makes that an equality)."""
+    pytest.importorskip("sympy")
+    c, a, b, free = case
+    status, value, x = (simplex_max_free if free else simplex_max)(c, a, b)
+    # the oracle gets a free x as x+ - x-, both parts nonnegative
+    oc, oa = (c + [-e for e in c], [r + [-e for e in r] for r in a]) if free else (c, a)
+    if sympy_feasible_point(oa, b) is None:
+        assert status == INFEASIBLE
+        return
+    n, m = len(oc), len(oa)
+    both = [r + [0] * m for r in oa]
+    both += [[0] * n + [-oa[i][j] for i in range(m)] for j in range(n)]
+    both.append([-e for e in oc] + list(b))
+    point = sympy_feasible_point(both, list(b) + [-e for e in oc] + [0])
+    if point is None:
+        assert status == UNBOUNDED
+        return
+    assert status == OPTIMAL and value == sum(ci * xi for ci, xi in zip(oc, point))
+    assert sum(ci * xi for ci, xi in zip(c, x)) == value
+    assert all(sum(e * xi for e, xi in zip(r, x)) <= bi for r, bi in zip(a, b))
+    assert free or all(xi >= 0 for xi in x)

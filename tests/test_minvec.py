@@ -37,7 +37,7 @@ from wrlat import (
 )
 from wrlat.minvec import _canonical_pair, _shortest
 
-from conftest import quad_form
+from conftest import disguise, quad_form
 
 F = Fraction
 
@@ -204,22 +204,6 @@ def test_json_shape():
 # --- one enumeration per Gram -------------------------------------------------
 
 
-def disguise(lat, moves):
-    """The lattice in the basis b_j += s b_i, one move per (i, j, s), and the
-    integer matrix U whose columns give the new basis in the old one."""
-    n = lat.rank
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    for i, j, s in moves:
-        for r in range(n):
-            u[r][j] += s * u[r][i]
-    g = lat.gram
-    rows = [
-        [sum(u[a][i] * g[a, b] * u[b][j] for a in range(n) for b in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    return lattice_from_gram(f"{lat.name}~", rows), u
-
-
 @st.composite
 def disguised_family_lattices(draw):
     lat = draw(st.sampled_from(rank_le_5_family()))
@@ -253,6 +237,7 @@ def test_enumeration_is_basis_invariant(case):
 def test_pair_layer_is_basis_invariant(case):
     lat, moves = case
     disguised, _ = disguise(lat, moves)
+    assert disguised.det_gram() == lat.det_gram()
     assert is_well_rounded(disguised) == is_well_rounded(lat)
     assert packing_density(disguised) == packing_density(lat)
     if len(minimal_vectors(lat).pairs) >= 2:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from unittest import mock
 
@@ -23,27 +24,41 @@ from wrlat import (
     lnm,
     membership_report,
     minimal_basis_subsets,
-    rat_det,
-    rat_solve,
     reorder_basis,
     staircase,
 )
 from wrlat import ortho
+
+sympy = pytest.importorskip("sympy")
 
 F = Fraction
 QUARTER = F(1, 4)
 THRESHOLDS = (F(0), F(1, 9), QUARTER, F(1, 3), F(1, 2), F(1))
 
 
+def to_sympy(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
+
+
+def from_sympy(x):
+    return F(int(x.p), int(x.q))
+
+
 def minor_cos_sq(lat, v, span):
-    """cos^2 = 1 - det G_{S+v} / (det G_S g_vv), from `rat_det` determinants
-    rather than the Schur steps the verdict and angle_profile use."""
+    """cos^2 = 1 - det G_{S+v} / (det G_S g_vv), with sympy's determinants
+    rather than the fraction-free steps of the package."""
     g = lat.gram
 
     def minor(idx):
-        return rat_det(RatMatrix.from_rows([[g[i, j] for j in idx] for i in idx]))
+        return _sympy_minor(g, tuple(sorted(idx)))
 
     return 1 - minor([*span, v]) / (minor(span) * g[v, v])
+
+
+@lru_cache(maxsize=None)
+def _sympy_minor(g, idx):
+    """det G_SS for the sorted index tuple S (a principal minor does not depend on the order)."""
+    return from_sympy(to_sympy([[g[i, j] for j in idx] for i in idx]).det()) if idx else F(1)
 
 
 def exhaustive_verdict(lat, threshold=QUARTER):
@@ -111,7 +126,7 @@ def test_cos_sq_equals_projection_solve(case):
     g = lat.gram
     g_ss = RatMatrix.from_rows([[g[i, j] for j in span] for i in span])
     g_sv = [g[i, v] for i in span]
-    x = rat_solve(g_ss, g_sv)
+    x = [from_sympy(e) for e in to_sympy(g_ss.to_rows()).LUsolve(to_sympy([[e] for e in g_sv]))]
     want = sum(a * b for a, b in zip(g_sv, x)) / g[v, v]
     assert cos_sq_angle_to_span(lat, v, span) == want
 
@@ -232,7 +247,7 @@ def test_verdict_matches_oracle_on_random_grams(lat, thr):
 
 @pytest.mark.parametrize("lat, most", [(staircase(9), 2**9 - 1), (an_dual_frame(9), 501)])
 def test_verdict_makes_one_pivot_per_reachable_subset(lat, most):
-    with mock.patch.object(ortho, "sylvester_step", wraps=ortho.sylvester_step) as counted:
+    with mock.patch.object(ortho, "schur_step", wraps=ortho.schur_step) as counted:
         is_theta_orthogonal(lat)
     assert counted.call_count <= most
 
