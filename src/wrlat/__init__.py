@@ -72,7 +72,6 @@ from .minvec import (
     MinimalVectorSet,
     brute_force_min_vectors,
     is_well_rounded,
-    kissing_number,
     minimal_norm_sq,
     minimal_vectors,
 )
@@ -94,16 +93,13 @@ from .perturb import (
     perturb_general,
 )
 from .ratlinalg import (
-    LDLFactorization,
     Rational,
     RatMatrix,
     format_rational,
     int_sqrt_floor,
-    ldl_decompose,
     parse_rational,
     rat_det,
     rat_inv,
-    rat_rank,
 )
 from .verify import CheckResult, SuiteReport, run_suite
 

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NotSymmetric, RationalizationFailed
+from .errors import NotPositiveDefinite, NotSymmetric, RationalizationFailed
 from .ratlinalg import (
     RatMatrix,
     block_diag,
+    diagonal_pivots,
     format_rational,
-    ldl_decompose,
+    integer_scaled,
     parse_rational,
     rat_det,
 )
@@ -55,12 +56,23 @@ class Lattice:
         return f"Lattice({self.name!r}, rank={self.rank})"
 
 
+def gram_pivots(gram: RatMatrix) -> tuple[int, list[int], list[list[int]]]:
+    """(s, P, columns) of `diagonal_pivots` on s G; raises NotPositiveDefinite
+    at the first P_{k+1} <= 0, reporting D_k = P_{k+1} / (s P_k)."""
+    scale, m = integer_scaled(gram)
+    pivots, cols = diagonal_pivots(m)
+    if pivots[-1] <= 0:
+        k = len(pivots) - 2
+        raise NotPositiveDefinite(f"pivot {k} is {Fraction(pivots[-1], scale * pivots[-2])}")
+    return scale, pivots, cols
+
+
 def lattice_from_gram(name: str, gram, provenance: str = "") -> Lattice:
     """Validate a Gram matrix (symmetric, positive definite) and wrap it."""
     if not isinstance(gram, RatMatrix):
         gram = RatMatrix.from_rows(gram)
     lat = Lattice(name=name, rank=gram.rows, gram=gram, provenance=provenance)  # shape, symmetry
-    ldl_decompose(gram)  # raises NotPositiveDefinite on a bad pivot
+    gram_pivots(gram)
     return lat
 
 
@@ -92,25 +104,6 @@ class FloatBasis:
         ]
 
 
-def _float_det(m: list[list[float]]) -> float:
-    a = [row[:] for row in m]
-    n = len(a)
-    det = 1.0
-    for c in range(n):
-        p = max(range(c, n), key=lambda r: abs(a[r][c]))
-        if abs(a[p][c]) < 1e-300:
-            return 0.0
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            det = -det
-        det *= a[c][c]
-        for r in range(c + 1, n):
-            f = a[r][c] / a[c][c]
-            for k in range(c, n):
-                a[r][k] -= f * a[c][k]
-    return det
-
-
 def lattice_from_float_basis(
     name: str, basis: FloatBasis | Sequence[Sequence[float]], max_denominator: int = 10**6,
     provenance: str = "",
@@ -120,13 +113,12 @@ def lattice_from_float_basis(
     Each Gram entry is replaced by its best rational approximation with
     denominator at most max_denominator.  If that approximation is farther
     than 1e-9 from the floating value, the input is rejected rather than
-    silently rounded.
+    silently rounded.  The columns count as independent iff the rationalized
+    Gram is positive definite.
     """
     if not isinstance(basis, FloatBasis):
         basis = FloatBasis(tuple(tuple(float(x) for x in col) for col in basis))
     g = basis.float_gram()
-    if abs(_float_det(g)) <= 1e-12:
-        raise ValueError("basis columns are not numerically independent")
     n = basis.rank
     out = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
@@ -138,7 +130,10 @@ def lattice_from_float_basis(
                     "approximation within 1e-9"
                 )
             out[i][j] = out[j][i] = approx
-    return lattice_from_gram(name, out, provenance=provenance or "rationalized float basis")
+    try:
+        return lattice_from_gram(name, out, provenance=provenance or "rationalized float basis")
+    except NotPositiveDefinite as exc:
+        raise ValueError("basis columns are not numerically independent") from exc
 
 
 def direct_sum(l1: Lattice, l2: Lattice) -> Lattice:

@@ -1,16 +1,16 @@
-"""Exact shortest-vector machinery: minimal norm, minimal vectors, kissing number.
+"""Exact shortest-vector machinery: minimal norm, minimal vectors, well-roundedness.
 
-One depth-first enumeration per Gram matrix, driven by an exact LDL
-factorization, finds the minimal norm and every minimal vector together: the
-bound starts at the smallest diagonal entry, drops to each strictly shorter
-vector found, and the vectors at the current bound are kept as ties, so the
-ties left at the end are the complete minimal set.  The LDL levels are scaled
-to integers, so the walk uses no floating point and no Fraction.  Results are
-cached on the Gram matrix alone.  Well-roundedness is the integer rank of the
-pair matrix (`int_rank`, which stops at n independent pairs), cached on the
-pairs.  Every helper that needs the minimal vectors, here and in
-invariants, ortho and eutaxy, takes the rank guard `max_dim` and passes it
-on, so one setting holds for a whole report.  A box-scan brute-force oracle
+One depth-first enumeration per Gram matrix finds the minimal norm and every
+minimal vector together: the bound starts at the smallest diagonal entry,
+drops to each strictly shorter vector found, and the vectors at the current
+bound are kept as ties, so the ties left at the end are the complete minimal
+set.  Its levels are read from one diagonal elimination of s G
+(`ratlinalg.diagonal_pivots`) and scaled to integers, so the walk uses no
+floating point and no Fraction.  Results are cached on the Gram matrix alone.
+Well-roundedness is the integer rank of the pair matrix (`int_rank`, which
+stops at n independent pairs), cached on the pairs.  Every helper that needs
+the minimal vectors, here and in invariants, ortho and eutaxy, takes the rank
+guard `max_dim` and passes it on, so one setting holds for a whole report.  A box-scan brute-force oracle
 (an integer odometer) is provided for cross-validation in tests.
 """
 
@@ -22,8 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DimensionGuardExceeded, PairCountGuardExceeded
-from .lattice import Lattice
-from .ratlinalg import RatMatrix, format_rational, int_rank, integer_scaled, ldl_decompose
+from .lattice import Lattice, gram_pivots
+from .ratlinalg import RatMatrix, format_rational, int_rank, integer_scaled
 
 DEFAULT_MAX_DIM = 12
 DEFAULT_PAIR_GUARD_FACTOR = 10
@@ -67,16 +67,20 @@ def _shortest(gram: RatMatrix, limit: int) -> tuple[Fraction, tuple[tuple[int, .
     positive.  The bound tightens whenever a strictly shorter nonzero vector
     is found, which empties the tie list; every vector at the current bound
     is kept, up to `limit` pairs.  `overflowed` is True when a further tie at
-    the final norm was dropped.  Level k of G = L D L^T adds w_k (b_k x_k + a)^2
-    in units 1/S, with integers b_k L_jk, a = sum_{j>k} b_k L_jk x_j and w_k.
+    the final norm was dropped.  With the leading minors P and the column
+    minors M_jk of s G (`diagonal_pivots`), level k adds
+    (P_{k+1} x_k + sum_{j>k} M_jk x_j)^2 / (s P_k P_{k+1}).  With g_k the gcd
+    of P_{k+1} and the M_jk, that is w_k (b_k x_k + a)^2 in units 1/S, with
+    integers w_k, b_k = P_{k+1} / g_k and a = sum_{j>k} (M_jk / g_k) x_j.
     """
     n = gram.rows
-    fac = ldl_decompose(gram)
-    low, diag = fac.unit_lower, fac.diag
-    b = [math.lcm(*(low[j, k].denominator for j in range(k + 1, n))) for k in range(n)]
+    s, pivots, cols = gram_pivots(gram)
+    g = [math.gcd(*col) for col in cols]
+    b = [col[0] // gk for col, gk in zip(cols, g)]
+    diag = [Fraction(p, s * prev) for prev, p in zip(pivots, pivots[1:])]
     scale = math.lcm(*(d.denominator * bk * bk for d, bk in zip(diag, b)))  # S q(u) is integral
     w = [int(d * scale / (bk * bk)) for d, bk in zip(diag, b)]
-    terms = [[(j, int(low[j, k] * b[k])) for j in range(k + 1, n) if low[j, k]] for k in range(n)]
+    terms = [[(k + i, c // g[k]) for i, c in enumerate(col) if i and c] for k, col in enumerate(cols)]
     x = [0] * n
     bound = int(min(gram[i, i] for i in range(n)) * scale)
     ties: list[tuple[int, ...]] = []
@@ -144,10 +148,6 @@ def minimal_vectors(
     return MinimalVectorSet(norm_sq=norm, pairs=pairs)
 
 
-def kissing_number(lat: Lattice) -> int:
-    return minimal_vectors(lat).count
-
-
 @lru_cache(maxsize=4096)
 def _spans(pairs: tuple[tuple[int, ...], ...], n: int) -> bool:
     return len(pairs) >= n and int_rank(pairs) == n
@@ -161,9 +161,9 @@ def is_well_rounded(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> bool:
 def brute_force_min_vectors(lat: Lattice, box: int) -> MinimalVectorSet:
     """Exhaustive scan of the coefficient box [-box, box]^n.
 
-    Test oracle for the enumerator, independent of the LDL: an odometer over an
-    integer-scaled Gram updates Gu and q = u^T G u per step and stops at the
-    zero vector, halfway, as q(-u) = q(u).  Exact but exponential: a guard.
+    Test oracle for the enumerator, independent of its elimination: an
+    odometer over an integer-scaled Gram updates Gu and q = u^T G u per step
+    and stops at the zero vector, halfway, as q(-u) = q(u).  Exact but exponential: a guard.
     """
     n = lat.rank
     if box < 1:

@@ -8,7 +8,9 @@ All comparisons happen on squared cosines, which are exact rationals.
 
 Each squared cosine is 1 - M_S[w][w] / (d_S a_ww) on the integer Gram
 A = s G: d_S = det A_SS and M_S[w][w] = det A_{S+w,S+w}, both kept by
-fraction-free Schur steps (`ratlinalg.schur_step`).  The all-orderings
+fraction-free Schur steps (`ratlinalg.schur_step`).  Along one ordering these
+are consecutive leading minors of the reordered A, so an angle profile is one
+diagonal elimination (`ratlinalg.diagonal_pivots`).  The all-orderings
 verdict makes one step per subset it reaches and compares cross-multiplied
 integers with the threshold p/q; a Fraction is built only for a reported
 violation.
@@ -30,7 +32,9 @@ from typing import Sequence
 from .errors import DimensionGuardExceeded, NotWellRounded, SubsetGuardExceeded
 from .lattice import Lattice, lattice_from_gram
 from .minvec import DEFAULT_MAX_DIM, is_well_rounded, minimal_vectors
-from .ratlinalg import RatMatrix, format_rational, gram_of_vectors, integer_scaled, rat_det, schur_step
+from .ratlinalg import (
+    RatMatrix, diagonal_pivots, format_rational, gram_of_vectors, integer_scaled, rat_det, schur_step,
+)
 
 PI_THIRD_COS_SQ = Fraction(1, 4)
 DEFAULT_ORDERING_DIM_GUARD = 9
@@ -40,19 +44,14 @@ DEFAULT_SUBSET_GUARD = 50_000
 def _chain_cos_sq(g: RatMatrix, order: Sequence[int]) -> list[Fraction]:
     """Squared cosine of each order[i], i >= 1, against span{b_j : j in order[:i]}.
 
-    A Schur step on order[i - 1] leaves the residual of the vectors after it
-    in the order, with d the leading minor det A_SS of S = order[:i].  The
-    minors are positive because lattice_from_gram rejects a Gram that is not
-    positive definite.
+    On the integer Gram A = s G reordered by `order`, with leading minors
+    P (`diagonal_pivots`), entry i is 1 - P_{i+1} / (P_i a_ww) for w = order[i].
+    The minors are positive because lattice_from_gram rejects a Gram that is
+    not positive definite.
     """
     _, a = integer_scaled(g)
-    m = [[a[i][j] for j in order] for i in order]
-    d = 1
-    minors = []
-    for w in order[1:]:
-        d, m = m[0][0], schur_step(m, d, 0, 0)
-        minors.append((m[0][0], d * a[w][w]))
-    return [1 - Fraction(num, den) for num, den in minors]
+    pivots, _ = diagonal_pivots([[a[i][j] for j in order] for i in order])
+    return [1 - Fraction(pivots[i + 1], pivots[i] * a[w][w]) for i, w in enumerate(order) if i]
 
 
 def cos_sq_angle_to_span(lat: Lattice, v: int, span: Sequence[int]) -> Fraction:
@@ -129,7 +128,6 @@ class OrthoVerdict:
 def is_theta_orthogonal(
     lat: Lattice,
     cos_sq_threshold: Fraction = PI_THIRD_COS_SQ,
-    max_dim: int = DEFAULT_ORDERING_DIM_GUARD,
 ) -> OrthoVerdict:
     """Quantify over all n! orderings, with pruning.
 
@@ -147,8 +145,8 @@ def is_theta_orthogonal(
     if not 0 <= thr <= 1:
         raise ValueError("threshold must be a squared cosine in [0, 1]")
     n = lat.rank
-    if n > max_dim:
-        raise DimensionGuardExceeded(f"rank {n} exceeds the orderings guard {max_dim}")
+    if n > DEFAULT_ORDERING_DIM_GUARD:
+        raise DimensionGuardExceeded(f"rank {n} exceeds the orderings guard {DEFAULT_ORDERING_DIM_GUARD}")
 
     _, a = integer_scaled(lat.gram)
     p, q = thr.numerator, thr.denominator
@@ -250,7 +248,7 @@ class MembershipReport:
         }
 
 
-def minimal_basis_subsets(lat: Lattice, subset_guard: int = DEFAULT_SUBSET_GUARD):
+def minimal_basis_subsets(lat: Lattice):
     """Yield (subset, det) for every n-subset of minimal pairs with nonzero
     coefficient determinant.  Determinant +-1 means the subset is a basis of
     the lattice; callers assert the unimodularity property on the rest."""
@@ -260,8 +258,8 @@ def minimal_basis_subsets(lat: Lattice, subset_guard: int = DEFAULT_SUBSET_GUARD
     k = len(mvs.pairs)
     for i in range(n):
         total = total * (k - i) // (i + 1)
-    if total > subset_guard:
-        raise SubsetGuardExceeded(f"{total} candidate subsets exceed guard {subset_guard}")
+    if total > DEFAULT_SUBSET_GUARD:
+        raise SubsetGuardExceeded(f"{total} candidate subsets exceed guard {DEFAULT_SUBSET_GUARD}")
     for subset in combinations(mvs.pairs, n):
         d = rat_det(RatMatrix.from_rows([list(u) for u in subset]))
         if d != 0:
@@ -276,7 +274,6 @@ def membership_report(
     lat: Lattice,
     search_minimal_bases: bool = False,
     cos_sq_threshold: Fraction = PI_THIRD_COS_SQ,
-    subset_guard: int = DEFAULT_SUBSET_GUARD,
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> MembershipReport:
     from .invariants import coherence  # deferred: invariants does not import this module
@@ -314,7 +311,7 @@ def membership_report(
     if search_minimal_bases and (in_strict is None or in_weak is None):
         searched = True
         found_weak = found_strict = False
-        for subset, d in minimal_basis_subsets(lat, subset_guard):
+        for subset, d in minimal_basis_subsets(lat):
             if abs(d) != 1:
                 continue
             candidate = lattice_from_gram(f"{lat.name}~basis", _gram_of_coefficient_basis(lat, subset))

@@ -6,10 +6,13 @@ dense row-major tuples of Fractions, and all eliminations are exact.
 Matrices are small (desk-scale ranks, at most ~12), so dense algorithms are
 the right tool.  Every elimination runs fraction-free on the integer matrix
 s A, with s the lcm of A's denominators, and every row update is one
-`sylvester_step`: forward (`schur_step`) in `rat_det`, `ldl_decompose` and
-the verdicts of `ortho`, Gauss-Jordan in `solve_affine`, `rat_inv` and the
-simplex tableau.  Only `int_rank` keeps its own row-by-row reduction, which
-stops early.  Fractions are built from the integers once an elimination ends.
+`sylvester_step`: forward (`schur_step`) in `rat_det`, in the verdicts of
+`ortho` and in `diagonal_pivots`, the one elimination of a Gram (its leading
+minors decide positive definiteness and give the levels of the
+shortest-vector enumerator and the angle profiles); Gauss-Jordan in
+`solve_affine`, `rat_inv` and the simplex tableau.  Only `int_rank` keeps its
+own row-by-row reduction, which stops early.  Fractions are built from the
+integers once an elimination ends.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-from .errors import NotPositiveDefinite, NotSymmetric
 
 Rational = Fraction
 
@@ -197,6 +198,26 @@ def schur_step(m: list[list[int]], d: int, r: int, c: int) -> list[list[int]]:
     return out
 
 
+def diagonal_pivots(m: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Forward Schur steps down the diagonal of a symmetric integer matrix A, in order.
+
+    Returns the leading principal minors P_0 = 1, P_1, ... of A and, for each
+    step k, the first column of the residual before it: entry j - k is the
+    minor M_jk = det A_{[0, k) + j, [0, k]}, and entry 0 is P_{k+1}.  Stops
+    after the first pivot <= 0, so A is positive definite iff the last
+    pivot returned is > 0 (Sylvester's criterion).
+    """
+    pivots, cols = [1], []
+    while m:
+        p = m[0][0]
+        pivots.append(p)
+        cols.append([row[0] for row in m])
+        if p <= 0:
+            break
+        m = schur_step(m, pivots[-2], 0, 0)
+    return pivots, cols
+
+
 def _gauss_jordan(m: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination of integer rows over their first ncols columns.
 
@@ -266,11 +287,6 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(kept)
 
 
-def rat_rank(a: RatMatrix) -> int:
-    """Rank over the rationals: `int_rank` of the integer matrix s A."""
-    return int_rank(integer_scaled(a)[1])
-
-
 def rat_inv(a: RatMatrix) -> RatMatrix:
     """Exact inverse of a nonsingular square matrix: Gauss-Jordan on [s A | s I]."""
     if a.rows != a.cols:
@@ -306,54 +322,6 @@ def solve_affine(a_rows: Sequence[Sequence], b: Sequence):
         if fc not in row_of
     ]
     return particular, null_basis
-
-
-class LDLFactorization:
-    """Exact G = L D L^T with L unit lower triangular and rational pivots D."""
-
-    __slots__ = ("unit_lower", "diag")
-
-    def __init__(self, unit_lower: RatMatrix, diag: tuple[Fraction, ...]):
-        object.__setattr__(self, "unit_lower", unit_lower)
-        object.__setattr__(self, "diag", tuple(Fraction(d) for d in diag))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LDLFactorization is immutable")
-
-    def reconstruct(self) -> RatMatrix:
-        n = len(self.diag)
-        low = self.unit_lower
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                out[i][j] = sum(low[i, k] * self.diag[k] * low[j, k] for k in range(n))
-        return RatMatrix.from_rows(out)
-
-
-def ldl_decompose(g: RatMatrix) -> LDLFactorization:
-    """Exact LDL^T factorization of a symmetric positive-definite matrix.
-
-    Forward fraction-free elimination of M = s G: pivot k is the leading minor
-    P_{k+1} of M, D_k = P_{k+1} / (s P_k), and L_ik = M_ik / P_{k+1} with M_ik
-    read from the residual's first column before step k.
-    Raises NotSymmetric / NotPositiveDefinite (at the first pivot <= 0).
-    """
-    if not g.is_symmetric():
-        raise NotSymmetric("matrix is not symmetric")
-    n = g.rows
-    scale, m = integer_scaled(g)
-    pivots = [1]
-    cols: list[list[int]] = []
-    for k in range(n):
-        p = m[0][0]
-        if p <= 0:
-            raise NotPositiveDefinite(f"pivot {k} is {Fraction(p, pivots[-1] * scale)}")
-        cols.append([row[0] for row in m])
-        m = schur_step(m, pivots[-1], 0, 0)
-        pivots.append(p)
-    diag = [Fraction(p, prev * scale) for prev, p in zip(pivots, pivots[1:])]
-    low = [[Fraction(cols[j][i - j], pivots[j + 1]) if j < i else int(i == j) for j in range(n)] for i in range(n)]
-    return LDLFactorization(RatMatrix.from_rows(low), tuple(diag))
 
 
 def rational_sqrt_exact(q: Fraction) -> Fraction | None:

@@ -25,6 +25,7 @@ from wrlat import (
     scale_gram,
     staircase,
 )
+import wrlat.eutaxy
 from wrlat.constructions import weak_family_lattices
 from wrlat.simplex import OPTIMAL, UNBOUNDED, INFEASIBLE, simplex_max, simplex_max_free
 
@@ -120,6 +121,29 @@ def test_planar_17_not_weakly_eutactic():
     res = eutaxy_classify(lat)
     assert res.klass is EutaxyClass.NOT_WEAKLY_EUTACTIC
     assert res.solution_space_dim == -1 and res.coefficients is None
+
+
+def test_weakly_eutactic_sum_where_the_lp_optimum_is_zero(monkeypatch):
+    # w is weakly eutactic with a zero coefficient and no freedom; D4 is
+    # strongly eutactic.  In the sum the solution space has dimension 2, and
+    # the LP shows that no solution is strictly positive: its optimum is 0.
+    w = [[1, F(1, 4), F(-1, 2), F(-1, 4)], [F(1, 4), 1, F(-1, 2), F(-1, 4)],
+         [F(-1, 2), F(-1, 2), 1, F(1, 2)], [F(-1, 4), F(-1, 4), F(1, 2), 1]]
+    d4 = [[1, F(-1, 2), 0, 0], [F(-1, 2), 1, F(1, 2), F(-1, 2)], [0, F(1, 2), 1, 0], [0, F(-1, 2), 0, 1]]
+    lat = direct_sum(lattice_from_gram("w", w), lattice_from_gram("D4", d4))
+    optima = []
+
+    def recorded(*args):
+        result = simplex_max_free(*args)
+        optima.append(result[:2])
+        return result
+
+    monkeypatch.setattr(wrlat.eutaxy, "simplex_max_free", recorded)
+    res = eutaxy_classify(lat)
+    assert lat.rank == 8 and len(minimal_vectors(lat).pairs) == 19
+    assert res.klass is EutaxyClass.WEAKLY_EUTACTIC and res.solution_space_dim == 2
+    assert optima == [(OPTIMAL, 0)]
+    replay_identity(lat, res.coefficients)
 
 
 def test_eutaxy_requires_well_rounded():

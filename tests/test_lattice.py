@@ -95,8 +95,19 @@ def test_float_basis_rejects_unrationalizable():
 
 
 def test_float_basis_rejects_dependent_columns():
-    with pytest.raises(ValueError):
-        lattice_from_float_basis("dep", [(1.0, 0.0), (2.0, 0.0)], 10)
+    # the second basis has the float Gram [[1, 1], [1, 1 + 1e-14]], which
+    # rationalizes to the singular [[1, 1], [1, 1]]
+    for cols in ([(1.0, 0.0), (2.0, 0.0)], [(1.0, 0.0), (1.0, 1e-7)]):
+        with pytest.raises(ValueError, match=r"^basis columns are not numerically independent$"):
+            lattice_from_float_basis("dep", cols, 10)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_float_basis_accepts_short_independent_columns(n):
+    # independence is decided on the rationalized Gram, at any scale
+    cols = [tuple(1e-3 * (i == j) for j in range(n)) for i in range(n)]
+    lat = lattice_from_float_basis("short", cols)
+    assert lat.gram == RatMatrix.identity(n).scaled(F(1, 10**6))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

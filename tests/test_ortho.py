@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from wrlat import (
     RatMatrix,
     NotWellRounded,
+    SubsetGuardExceeded,
     an_dual_frame,
     an_root,
     angle_profile,
@@ -340,6 +341,12 @@ def test_minimal_basis_subsets_spanning_dets():
             assert abs(det) == 1
             seen += 1
         assert seen > 0
+
+
+def test_minimal_basis_subsets_guard_fails_loudly():
+    # A8 has 36 minimal pairs, so C(36, 8) subsets
+    with pytest.raises(SubsetGuardExceeded, match=r"^30260340 candidate subsets exceed guard 50000$"):
+        next(minimal_basis_subsets(an_root(8)))
 
 
 def test_frame3_exclusion_confirmed_by_exhaustive_search():

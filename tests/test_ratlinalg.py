@@ -11,13 +11,12 @@ from wrlat import (
     RatMatrix,
     format_rational,
     int_sqrt_floor,
-    ldl_decompose,
+    lattice_from_gram,
     parse_rational,
     rat_det,
     rat_inv,
-    rat_rank,
 )
-from wrlat.ratlinalg import solve_affine
+from wrlat.ratlinalg import diagonal_pivots, int_rank, integer_scaled, solve_affine
 
 from conftest import cofactor_det3
 
@@ -126,12 +125,12 @@ def test_solve_solution_satisfies_system(n, data):
 
 
 def test_rank_zero_matrix():
-    assert rat_rank(RatMatrix(3, 3, [0] * 9)) == 0
+    assert int_rank(integer_scaled(RatMatrix(3, 3, [0] * 9))[1]) == 0
 
 
 def test_rank_identity():
     for n in (1, 2, 5):
-        assert rat_rank(RatMatrix.identity(n)) == n
+        assert int_rank(integer_scaled(RatMatrix.identity(n))[1]) == n
 
 
 def test_rank_of_rank_one_forms():
@@ -141,52 +140,66 @@ def test_rank_of_rank_one_forms():
         [0, 0, 1],
         [1, -1, 1],
     ]
-    assert rat_rank(RatMatrix.from_rows(rows)) == 3
+    assert int_rank(rows) == 3
 
 
-# --- LDL ----------------------------------------------------------------
+# --- diagonal pivots ---------------------------------------------------
+
+
+def ldl_factors(g):
+    """L and D of G = L D L^T, read from the pivots and columns of s G:
+    D_k = P_{k+1} / (s P_k) and L_jk = M_jk / P_{k+1}."""
+    scale, m = integer_scaled(g)
+    pivots, cols = diagonal_pivots(m)
+    n = g.rows
+    diag = tuple(F(p, scale * prev) for prev, p in zip(pivots, pivots[1:]))
+    low = [[F(cols[j][i - j], pivots[j + 1]) if j < i else F(int(i == j)) for j in range(n)] for i in range(n)]
+    return RatMatrix.from_rows(low), diag
 
 
 def test_ldl_identity():
-    fac = ldl_decompose(RatMatrix.identity(4))
-    assert fac.unit_lower == RatMatrix.identity(4)
-    assert fac.diag == (F(1),) * 4
+    assert diagonal_pivots(integer_scaled(RatMatrix.identity(3))[1]) == ([1] * 4, [[1, 0, 0], [1, 0], [1]])
+    assert ldl_factors(RatMatrix.identity(4)) == (RatMatrix.identity(4), (F(1),) * 4)
 
 
 def test_ldl_hexagonal():
+    # s = 2 and s G = [[2, 1], [1, 2]], with leading minors 1, 2, 3
+    assert diagonal_pivots([[2, 1], [1, 2]]) == ([1, 2, 3], [[2, 1], [3]])
     g = RatMatrix.from_rows([[1, F(1, 2)], [F(1, 2), 1]])
-    fac = ldl_decompose(g)
-    assert fac.unit_lower == RatMatrix.from_rows([[1, 0], [F(1, 2), 1]])
-    assert fac.diag == (F(1), F(3, 4))
+    assert ldl_factors(g) == (RatMatrix.from_rows([[1, 0], [F(1, 2), 1]]), (F(1), F(3, 4)))
 
 
 def test_ldl_rejects_singular():
-    with pytest.raises(NotPositiveDefinite):
-        ldl_decompose(RatMatrix.from_rows([[1, 1], [1, 1]]))
+    # the pivots stop after the first one <= 0; the message gives D_k = P_{k+1} / (s P_k)
+    assert diagonal_pivots([[1, 2, 0], [2, 1, 0], [0, 0, 1]]) == ([1, 1, -3], [[1, 2, 0], [-3, 0]])
+    with pytest.raises(NotPositiveDefinite, match=r"^pivot 1 is 0$"):
+        lattice_from_gram("singular", [[1, 1], [1, 1]])
+    with pytest.raises(NotPositiveDefinite, match=r"^pivot 1 is -3$"):
+        lattice_from_gram("indefinite", [[1, 2], [2, 1]])
+    with pytest.raises(NotPositiveDefinite, match=r"^pivot 0 is -1/2$"):
+        lattice_from_gram("negative", [[F(-1, 2), 0], [0, 1]])
 
 
 def test_ldl_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
-        ldl_decompose(RatMatrix.from_rows([[1, 0], [1, 1]]))
+        lattice_from_gram("asymmetric", [[1, 0], [1, 1]])
 
 
 @settings(max_examples=40)
 @given(st.integers(1, 4), st.data())
 def test_ldl_reconstructs_exactly(n, data):
+    # G = L D L^T from drawn factors: the pivots and columns of s G give them back
     ent = st.fractions(min_value=-2, max_value=2, max_denominator=4)
     pos = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
     low = [[F(1) if i == j else (data.draw(ent) if j < i else F(0)) for j in range(n)] for i in range(n)]
     diag = [data.draw(pos) for _ in range(n)]
-    lmat = RatMatrix.from_rows(low)
     g = RatMatrix.from_rows(
         [
             [sum(low[i][k] * diag[k] * low[j][k] for k in range(n)) for j in range(n)]
             for i in range(n)
         ]
     )
-    fac = ldl_decompose(g)
-    assert fac.reconstruct() == g
-    assert fac.unit_lower == lmat and fac.diag == tuple(diag)
+    assert ldl_factors(g) == (RatMatrix.from_rows(low), tuple(diag))
 
 
 # --- integer square root of rationals ------------------------------------

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wrlat import NotPositiveDefinite, RatMatrix, ldl_decompose, rat_det, rat_inv, rat_rank
-from wrlat.ratlinalg import int_rank, solve_affine
+from wrlat import NotPositiveDefinite, RatMatrix, lattice_from_gram, rat_det, rat_inv
+from wrlat.ratlinalg import diagonal_pivots, int_rank, integer_scaled, solve_affine
 
 sympy = pytest.importorskip("sympy")
 
@@ -41,7 +41,7 @@ def mat_vec(rows, x):
 @settings(max_examples=80, deadline=None)
 @given(matrices())
 def test_rank_matches_sympy(rows):
-    assert rat_rank(RatMatrix.from_rows(rows)) == to_sympy(rows).rank()
+    assert int_rank(integer_scaled(RatMatrix.from_rows(rows))[1]) == to_sympy(rows).rank()
 
 
 @st.composite
@@ -121,12 +121,16 @@ def test_ldl_matches_sympy(rows, shift):
         for i in range(n)
     ]
     s = to_sympy(g)
+    scale, m = integer_scaled(RatMatrix.from_rows(g))
+    pivots, cols = diagonal_pivots(m)
+    # the leading principal minors of s G, up to and with the first one <= 0
+    minors = [1] + [int(s[:k, :k].det() * scale**k) for k in range(1, n + 1)]
+    last = next((k for k, p in enumerate(minors) if p <= 0), n)
+    assert pivots == minors[: last + 1]
     if not s.is_positive_definite:
         with pytest.raises(NotPositiveDefinite):
-            ldl_decompose(RatMatrix.from_rows(g))
+            lattice_from_gram("g", g)
         return
-    fac = ldl_decompose(RatMatrix.from_rows(g))
-    low, diag = s.LDLdecomposition()
-    assert fac.unit_lower.to_rows() == [[from_sympy(x) for x in low.row(i)] for i in range(n)]
-    assert list(fac.diag) == [from_sympy(diag[i, i]) for i in range(n)]
-    assert fac.reconstruct() == RatMatrix.from_rows(g)
+    lattice_from_gram("g", g)
+    low, _ = s.LDLdecomposition()
+    assert all(F(cols[k][j - k], pivots[k + 1]) == from_sympy(low[j, k]) for k in range(n) for j in range(k, n))
