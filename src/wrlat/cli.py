@@ -154,12 +154,6 @@ def cmd_perturb(args) -> int:
     return 0
 
 
-def cmd_planar(args) -> int:
-    result = planar_wr(parse_rational(args.epsilon), args.d)
-    _emit(result.to_json_dict(), args.out)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wrlat",
@@ -206,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_planar)
+    p.set_defaults(fn=cmd_construct, family="planar")
 
     return parser
 
@@ -216,10 +210,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LatticeError as exc:
+    except (ValueError, OSError, LatticeError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

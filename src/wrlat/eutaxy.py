@@ -29,7 +29,7 @@ from .invariants import (
 )
 from .lattice import Lattice
 from .minvec import DEFAULT_MAX_DIM, is_well_rounded, minimal_vectors
-from .ortho import DEFAULT_ORDERING_DIM_GUARD, PI_THIRD_COS_SQ, membership_report
+from .ortho import PI_THIRD_COS_SQ, membership_report
 from .ratlinalg import format_rational, int_rank, rat_inv, solve_affine
 from .simplex import OPTIMAL, simplex_max_free
 
@@ -195,8 +195,7 @@ def classification_report(
             "membership",
             lambda: membership_report(
                 lat,
-                search_minimal_bases=search_minimal_bases
-                and lat.rank <= DEFAULT_ORDERING_DIM_GUARD,
+                search_minimal_bases=search_minimal_bases,
                 cos_sq_threshold=cos_sq_threshold,
                 max_dim=max_dim,
             ),

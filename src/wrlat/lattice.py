@@ -32,8 +32,8 @@ BASIS_GRAM_TOLERANCE = 1e-9
 class Lattice:
     """Rank-n lattice given by a symmetric positive-definite rational Gram matrix.
 
-    Construction checks the shape and the symmetry; lattice_from_gram also
-    checks positive definiteness."""
+    Construction checks the shape, the symmetry and then positive
+    definiteness (`gram_pivots`), so every Lattice has a positive-definite Gram."""
 
     name: str
     rank: int
@@ -48,6 +48,7 @@ class Lattice:
             raise ValueError(f"rank {self.rank} does not match the {g.rows}x{g.rows} Gram")
         if not g.is_symmetric():
             raise NotSymmetric(f"Gram of {self.name!r} is not symmetric")
+        gram_pivots(g)
 
     def det_gram(self) -> Fraction:
         return rat_det(self.gram)
@@ -68,12 +69,10 @@ def gram_pivots(gram: RatMatrix) -> tuple[int, list[int], list[list[int]]]:
 
 
 def lattice_from_gram(name: str, gram, provenance: str = "") -> Lattice:
-    """Validate a Gram matrix (symmetric, positive definite) and wrap it."""
+    """Wrap a Gram matrix, given as a RatMatrix or as rows; Lattice validates it."""
     if not isinstance(gram, RatMatrix):
         gram = RatMatrix.from_rows(gram)
-    lat = Lattice(name=name, rank=gram.rows, gram=gram, provenance=provenance)  # shape, symmetry
-    gram_pivots(gram)
-    return lat
+    return Lattice(name=name, rank=gram.rows, gram=gram, provenance=provenance)
 
 
 @dataclass(frozen=True)

@@ -129,19 +129,15 @@ def minimal_norm_sq(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> Fraction:
     return _shortest(lat.gram, DEFAULT_PAIR_GUARD_FACTOR * lat.rank * lat.rank)[0]
 
 
-def minimal_vectors(
-    lat: Lattice,
-    max_dim: int = DEFAULT_MAX_DIM,
-    pair_guard_factor: int = DEFAULT_PAIR_GUARD_FACTOR,
-) -> MinimalVectorSet:
+def minimal_vectors(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> MinimalVectorSet:
     """Complete canonical set of minimal vectors, one per +/- pair.
 
     Completeness: every integer u with u^T G u equal to the minimal norm is
     listed up to sign.  Guards fail loudly instead of truncating: more than
-    pair_guard_factor * n^2 pairs at the minimal norm raises.
+    DEFAULT_PAIR_GUARD_FACTOR * n^2 pairs at the minimal norm raises.
     """
     _check_dim(lat, max_dim)
-    limit = pair_guard_factor * lat.rank * lat.rank
+    limit = DEFAULT_PAIR_GUARD_FACTOR * lat.rank * lat.rank
     norm, pairs, overflowed = _shortest(lat.gram, limit)
     if overflowed:
         raise PairCountGuardExceeded(f"more than {limit} minimal pairs for {lat.name!r}")

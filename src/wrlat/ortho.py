@@ -11,8 +11,10 @@ A = s G: d_S = det A_SS and M_S[w][w] = det A_{S+w,S+w}, both kept by
 fraction-free Schur steps (`ratlinalg.schur_step`).  Along one ordering these
 are consecutive leading minors of the reordered A, so an angle profile is one
 diagonal elimination (`ratlinalg.diagonal_pivots`).  The all-orderings
-verdict makes one step per subset it reaches and compares cross-multiplied
-integers with the threshold p/q; a Fraction is built only for a reported
+verdict is one pass over subsets by size: it makes one step per subset it
+reaches, carries that subset's first in-threshold ordering along (the
+witness and the violation are read from these), and compares cross-multiplied
+integers with the threshold p/q; a Fraction is built only for the reported
 violation.
 
 Verdicts are relative to the stored basis.  For the strict class the
@@ -46,8 +48,8 @@ def _chain_cos_sq(g: RatMatrix, order: Sequence[int]) -> list[Fraction]:
 
     On the integer Gram A = s G reordered by `order`, with leading minors
     P (`diagonal_pivots`), entry i is 1 - P_{i+1} / (P_i a_ww) for w = order[i].
-    The minors are positive because lattice_from_gram rejects a Gram that is
-    not positive definite.
+    The minors are positive because a Lattice rejects a Gram that is not
+    positive definite.
     """
     _, a = integer_scaled(g)
     pivots, _ = diagonal_pivots([[a[i][j] for j in order] for i in order])
@@ -139,7 +141,11 @@ def is_theta_orthogonal(
     the vectors outside it (A = s G itself for the empty mask); reaching
     S + v is one `schur_step`.  With the threshold p/q,
     cos^2 <= p/q iff (q - p) d_S a_ww <= q M_S[w][w], as d_S a_ww > 0.
-    Verdict is deterministic; witnesses replay under angle_profile.
+    Each reachable mask also keeps its lexicographically first in-threshold
+    ordering: the witness is the one of the full mask.  The violation is the
+    least by (size, sorted prefix set, vector): the prefix set in ascending
+    order, then the vector, then the rest ascending.  Both replay under
+    angle_profile.
     """
     thr = Fraction(cos_sq_threshold)
     if not 0 <= thr <= 1:
@@ -151,65 +157,30 @@ def is_theta_orthogonal(
     _, a = integer_scaled(lat.gram)
     p, q = thr.numerator, thr.denominator
     full = (1 << n) - 1
-    within: dict[int, int] = {}  # reachable mask -> bits of the outside w with cos^2 <= thr
-    violations: list[tuple[int, int, int, int, int]] = []  # (popcount, mask, v, d_S, M_S[v][v])
-    level = {0: (1, a)}  # reachable masks of this size -> (d_S, M_S)
+    violation = None
+    # reachable masks of this size -> (chain, d_S, M_S).  The masks of one size
+    # are inserted in lexicographic order of their chains, because their parents
+    # were and each parent extends by v ascending; so the chain a mask is first
+    # reached with is its lexicographically smallest in-threshold ordering.
+    # Below the first violating size every ordering is in threshold, so at that
+    # size each chain is its sorted set and the first violation met is the
+    # least by (size, sorted prefix set, v).
+    level = {0: ((), 1, a)}
     for size in range(n):
-        nxt: dict[int, tuple[int, list[list[int]]]] = {}
-        for mask, (d, m) in level.items():
-            bits = 0
+        nxt: dict[int, tuple[tuple[int, ...], int, list[list[int]]]] = {}
+        for mask, (chain, d, m) in level.items():
             outside = [w for w in range(n) if not mask >> w & 1]
             for pos, v in enumerate(outside):
                 if (q - p) * d * a[v][v] > q * m[pos][pos]:
-                    violations.append((size, mask, v, d, m[pos][pos]))
-                    continue
-                bits |= 1 << v
-                if mask | 1 << v not in nxt:
-                    nxt[mask | 1 << v] = m[pos][pos], schur_step(m, d, pos, pos)
-            within[mask] = bits
+                    if violation is None:
+                        ordering = chain + (v,) + tuple(w for w in outside if w != v)
+                        violation = OrthoViolation(ordering, size, 1 - Fraction(m[pos][pos], d * a[v][v]))
+                elif mask | 1 << v not in nxt:
+                    nxt[mask | 1 << v] = chain + (v,), m[pos][pos], schur_step(m, d, pos, pos)
         level = nxt
 
-    weakly = full in level
-    strictly = not violations
-
-    def lex_chain(target_mask: int) -> tuple[int, ...] | None:
-        """Lexicographically smallest in-threshold ordering of the bits of target_mask."""
-        dead: set[int] = set()
-
-        def go(mask: int, chain: list[int]):
-            if mask == target_mask:
-                return tuple(chain)
-            if mask in dead:
-                return None
-            for v in range(n):
-                if target_mask >> v & 1 and not mask >> v & 1:
-                    if within[mask] >> v & 1:
-                        chain.append(v)
-                        res = go(mask | (1 << v), chain)
-                        if res is not None:
-                            return res
-                        chain.pop()
-            dead.add(mask)
-            return None
-
-        return go(0, [])
-
-    witness = lex_chain(full) if weakly else None
-
-    violation = None
-    if violations:
-        size, mask, v, d, resid = min(
-            violations, key=lambda t: (t[0], tuple(i for i in range(n) if t[1] >> i & 1), t[2])
-        )
-        prefix = lex_chain(mask)
-        assert prefix is not None  # the mask was reachable
-        rest = sorted(i for i in range(n) if i != v and not mask >> i & 1)
-        violation = OrthoViolation(
-            ordering=prefix + (v,) + tuple(rest),
-            level=size,
-            cos_sq=1 - Fraction(resid, d * a[v][v]),
-        )
-    return OrthoVerdict(weakly, strictly, witness, violation)
+    witness = level[full][0] if full in level else None
+    return OrthoVerdict(witness is not None, violation is None, witness, violation)
 
 
 @dataclass(frozen=True)
@@ -231,22 +202,6 @@ class MembershipReport:
     search_strict_witness: tuple[tuple[int, ...], ...] | None
     reasons: tuple[str, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "stored_basis": self.stored_basis.to_json_dict(),
-            "kissing_number": self.kissing_number,
-            "in_weak": self.in_weak,
-            "in_strict": self.in_strict,
-            "searched": self.searched,
-            "search_weak_witness": [list(u) for u in self.search_weak_witness]
-            if self.search_weak_witness
-            else None,
-            "search_strict_witness": [list(u) for u in self.search_strict_witness]
-            if self.search_strict_witness
-            else None,
-            "reasons": list(self.reasons),
-        }
-
 
 def minimal_basis_subsets(lat: Lattice):
     """Yield (subset, det) for every n-subset of minimal pairs with nonzero
@@ -264,10 +219,6 @@ def minimal_basis_subsets(lat: Lattice):
         d = rat_det(RatMatrix.from_rows([list(u) for u in subset]))
         if d != 0:
             yield subset, d
-
-
-def _gram_of_coefficient_basis(lat: Lattice, subset) -> RatMatrix:
-    return RatMatrix.from_rows(gram_of_vectors(lat.gram, subset))
 
 
 def membership_report(
@@ -314,7 +265,7 @@ def membership_report(
         for subset, d in minimal_basis_subsets(lat):
             if abs(d) != 1:
                 continue
-            candidate = lattice_from_gram(f"{lat.name}~basis", _gram_of_coefficient_basis(lat, subset))
+            candidate = lattice_from_gram(f"{lat.name}~basis", gram_of_vectors(lat.gram, subset))
             verdict = is_theta_orthogonal(candidate, cos_sq_threshold)
             if verdict.weakly and not found_weak:
                 found_weak = True

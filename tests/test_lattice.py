@@ -63,6 +63,12 @@ def test_lattice_checks_its_gram(rank, rows, error):
         Lattice("bad", rank, RatMatrix.from_rows(rows))
 
 
+def test_lattice_rejects_a_gram_that_is_not_positive_definite():
+    # symmetric but indefinite: an angle profile on it would read cos^2 = 4
+    with pytest.raises(NotPositiveDefinite, match=r"^pivot 1 is -3$"):
+        Lattice("x", 2, RatMatrix.from_rows([[1, 2], [2, 1]]))
+
+
 def test_float_basis_hexagonal():
     cols = [(1.0, 0.0), (0.5, math.sqrt(3) / 2)]
     lat = lattice_from_float_basis("hex", cols, max_denominator=64)

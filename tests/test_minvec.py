@@ -35,6 +35,7 @@ from wrlat import (
     staircase,
     hybrid,
 )
+from wrlat import minvec
 from wrlat.minvec import _canonical_pair, _shortest
 
 from conftest import disguise, quad_form
@@ -180,9 +181,10 @@ def test_dimension_guard():
         minimal_vectors(integer_lattice(13))
 
 
-def test_pair_count_guard():
+def test_pair_count_guard(monkeypatch):
+    monkeypatch.setattr(minvec, "DEFAULT_PAIR_GUARD_FACTOR", 0)
     with pytest.raises(PairCountGuardExceeded):
-        minimal_vectors(an_root(4), pair_guard_factor=0)
+        minimal_vectors(an_root(4))
 
 
 def test_brute_force_box_guard():
@@ -260,18 +262,20 @@ def e8_plus_z_disguised():
     return disguise(lattice_from_gram("e8+z", g), [(0, 8, 1)])[0]
 
 
-def test_pair_guard_counts_only_ties_at_the_final_norm():
+def test_pair_guard_counts_only_ties_at_the_final_norm(monkeypatch):
     lat = e8_plus_z_disguised()
     assert min(lat.gram[i, i] for i in range(9)) == 2
     # the walk meets the norm-2 shell (120 pairs, past the limit 1 * 9^2) in
     # the b_8 = 0 half before it finds the norm-1 vector, so the overflow must
     # be cleared when the bound drops
     assert len(minimal_vectors(principal_sublattice(lat, range(8))).pairs) == 120
-    mvs = minimal_vectors(lat, pair_guard_factor=1)
+    monkeypatch.setattr(minvec, "DEFAULT_PAIR_GUARD_FACTOR", 1)
+    mvs = minimal_vectors(lat)
     assert mvs.norm_sq == 1
     assert mvs.pairs == ((1, 0, 0, 0, 0, 0, 0, 0, -1),)
+    monkeypatch.setattr(minvec, "DEFAULT_PAIR_GUARD_FACTOR", 0)
     with pytest.raises(PairCountGuardExceeded, match="e8"):
-        minimal_vectors(lat, pair_guard_factor=0)
+        minimal_vectors(lat)
 
 
 def test_renamed_copy_hits_the_cache():

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from unittest import mock
 
 import pytest
@@ -246,6 +246,40 @@ def test_verdict_matches_oracle_on_random_grams(lat, thr):
         assert minor_cos_sq(lat, vec, prefix) == v.cos_sq
 
 
+@settings(max_examples=60, deadline=None)
+@given(spd_lattices(), st.sampled_from(THRESHOLDS))
+def test_witness_and_violation_are_the_first_by_definition(lat, thr):
+    # replay the definition by brute force: the witness is the first
+    # in-threshold permutation, the violation the least (level, prefix set, v)
+    n = lat.rank
+
+    def first_ordering(subset):
+        for perm in permutations(sorted(subset)):
+            if all(minor_cos_sq(lat, perm[i], perm[:i]) <= thr for i in range(1, len(perm))):
+                return perm
+        return None
+
+    verdict = is_theta_orthogonal(lat, thr)
+    assert verdict.witness_ordering == first_ordering(range(n))
+    violating = (  # in (level, sorted prefix set, v) order, so the first is the least
+        (chain, v)
+        for level in range(n)
+        for prefix in combinations(range(n), level)
+        if (chain := first_ordering(prefix)) is not None
+        for v in range(n)
+        if v not in prefix and minor_cos_sq(lat, v, prefix) > thr
+    )
+    least = next(violating, None)
+    if least is None:
+        assert verdict.violation is None
+    else:
+        chain, v = least
+        rest = tuple(w for w in range(n) if w != v and w not in chain)
+        assert verdict.violation.ordering == chain + (v,) + rest
+        assert verdict.violation.level == len(chain)
+        assert verdict.violation.cos_sq == minor_cos_sq(lat, v, chain)
+
+
 @pytest.mark.parametrize("lat, most", [(staircase(9), 2**9 - 1), (an_dual_frame(9), 501)])
 def test_verdict_makes_one_pivot_per_reachable_subset(lat, most):
     with mock.patch.object(ortho, "schur_step", wraps=ortho.schur_step) as counted:
@@ -352,14 +386,14 @@ def test_minimal_basis_subsets_guard_fails_loudly():
 def test_frame3_exclusion_confirmed_by_exhaustive_search():
     # dual route to the coherence rule: literally every basis made of
     # minimal vectors of the rank-3 frame lattice fails weak orthogonality
-    from wrlat.ortho import _gram_of_coefficient_basis
+    from wrlat.ratlinalg import gram_of_vectors
 
     lat = an_dual_frame(3)
     bases = 0
     for subset, det in minimal_basis_subsets(lat):
         if abs(det) != 1:
             continue
-        cand = lattice_from_gram("b", _gram_of_coefficient_basis(lat, subset))
+        cand = lattice_from_gram("b", gram_of_vectors(lat.gram, subset))
         assert not is_theta_orthogonal(cand).weakly
         bases += 1
     assert bases == 4  # any 3 of the 4 frame pairs span

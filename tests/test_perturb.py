@@ -190,7 +190,8 @@ def test_no_strict_basis_attains_mu_half_beyond_rank_2():
     # vectors has every pairwise |cos| equal to 1/2; rank 2 attains the
     # extreme exactly at the hexagonal lattice
     from wrlat import mu_nu
-    from wrlat.ortho import minimal_basis_subsets, _gram_of_coefficient_basis
+    from wrlat.ortho import minimal_basis_subsets
+    from wrlat.ratlinalg import gram_of_vectors
 
     for n in (3, 4, 5):
         for m in range(0, n // 2 + 1):
@@ -198,7 +199,7 @@ def test_no_strict_basis_attains_mu_half_beyond_rank_2():
             for subset, det in minimal_basis_subsets(lat):
                 if abs(det) != 1:
                     continue
-                cand = lattice_from_gram("b", _gram_of_coefficient_basis(lat, subset))
+                cand = lattice_from_gram("b", gram_of_vectors(lat.gram, subset))
                 assert mu_nu(cand)[0].cos_sq < F(1, 4), (lat.name, subset)
     hex_mu, _ = mu_nu(hexagonal())
     assert hex_mu.exact_cos == HALF
