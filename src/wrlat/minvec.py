@@ -10,8 +10,9 @@ floating point and no Fraction.  Results are cached on the Gram matrix alone.
 Well-roundedness is the integer rank of the pair matrix (`int_rank`, which
 stops at n independent pairs), cached on the pairs.  Every helper that needs
 the minimal vectors, here and in invariants, ortho and eutaxy, takes the rank
-guard `max_dim` and passes it on, so one setting holds for a whole report.  A box-scan brute-force oracle
-(an integer odometer) is provided for cross-validation in tests.
+guard `max_dim` and passes it on, so one setting holds for a whole report.
+A box-scan brute-force oracle cross-validates the enumerator: an integer
+odometer over every coordinate but the last, which is swept row by row.
 """
 
 from __future__ import annotations
@@ -157,9 +158,13 @@ def is_well_rounded(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> bool:
 def brute_force_min_vectors(lat: Lattice, box: int) -> MinimalVectorSet:
     """Exhaustive scan of the coefficient box [-box, box]^n.
 
-    Test oracle for the enumerator, independent of its elimination: an
-    odometer over an integer-scaled Gram updates Gu and q = u^T G u per step
-    and stops at the zero vector, halfway, as q(-u) = q(u).  Exact but exponential: a guard.
+    Test oracle for the enumerator, independent of its elimination.  It
+    evaluates, in integers on s G, every point of the half box whose first
+    nonzero coordinate is negative, as q(-u) = q(u): an odometer over the
+    prefix u_0..u_{n-2} carries g = s G (prefix, 0) and q0 = s prefix^T G
+    prefix, and each row sweeps the last coordinate x at q0 + x (2 g_{n-1} +
+    x a), a = s G_{n-1,n-1}, with x < 0 only on the all-zero prefix, the last
+    row.  Exact but exponential: a guard.
     """
     n = lat.rank
     if box < 1:
@@ -168,23 +173,30 @@ def brute_force_min_vectors(lat: Lattice, box: int) -> MinimalVectorSet:
     if points > BRUTE_FORCE_POINT_GUARD:
         raise DimensionGuardExceeded(f"box {box} at rank {n} scans {points} points > {BRUTE_FORCE_POINT_GUARD}")
     scale, gi = integer_scaled(lat.gram)
-    u = [-box] * n
-    gu = [-box * sum(row) for row in gi]
-    q = -box * sum(gu)
-    best = q
-    vecs: list[tuple[int, ...]] = []
-    for _ in range((points - 1) // 2):
-        if q < best:
-            best, vecs = q, [tuple(u)]
-        elif q == best:
-            vecs.append(tuple(u))
-        i, d = n, -1
-        while d < 0:  # wrap each trailing coordinate at box, then step one up
+    m = n - 1
+    a = gi[m][m]
+    xs = range(-box, box + 1)
+    u = [-box] * m
+    gu = [-box * sum(row[:m]) for row in gi]
+    q0 = -box * sum(gu[:m])
+    best, vecs = q0 + box * (box * a - 2 * gu[m]), []  # the first point, (-box, ..., -box)
+    for left in reversed(range(((2 * box + 1) ** m + 1) // 2)):  # rows up to the all-zero prefix
+        if not left:
+            xs = range(-box, 0)
+        c = 2 * gu[m]
+        qs = [q0 + x * (c + x * a) for x in xs]
+        low = min(qs)
+        if low <= best:
+            if low < best:
+                best, vecs = low, []
+            vecs += [(*u, x) for x, q in zip(xs, qs) if q == low]
+        i, d = m, -1
+        while left and d < 0:  # wrap each trailing prefix coordinate at box, then step one up
             i -= 1
             d = -2 * box if u[i] == box else 1
             col = gi[i]
-            q += d * (2 * gu[i] + d * col[i])
-            gu = [y + d * c for y, c in zip(gu, col)]
+            q0 += d * (2 * gu[i] + d * col[i])
+            gu = [y + d * e for y, e in zip(gu, col)]
             u[i] += d
     pairs = sorted({_canonical_pair(u) for u in vecs})
     return MinimalVectorSet(norm_sq=Fraction(best, scale), pairs=tuple(pairs))

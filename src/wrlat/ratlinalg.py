@@ -64,7 +64,7 @@ class RatMatrix:
     __slots__ = ("rows", "cols", "entries", "_hash")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        ent = tuple(Fraction(e) for e in entries)
+        ent = tuple(e if type(e) is Fraction else Fraction(e) for e in entries)  # Fraction is immutable
         if rows < 0 or cols < 0 or len(ent) != rows * cols:
             raise ValueError(f"need {rows * cols} entries, got {len(ent)}")
         object.__setattr__(self, "rows", rows)

@@ -30,7 +30,7 @@ from .errors import NotPositiveDefinite
 from .eutaxy import EutaxyClass, eutaxy_classify, is_perfect
 from .invariants import cn_test, cn_value, coherence, packing_density
 from .lattice import Lattice, lattice_from_gram
-from .minvec import brute_force_min_vectors, is_well_rounded, minimal_vectors
+from .minvec import DEFAULT_MAX_DIM, brute_force_min_vectors, is_well_rounded, minimal_vectors
 from .ortho import is_theta_orthogonal, minimal_basis_subsets
 from .perturb import perturb_2d, perturb_block
 
@@ -405,6 +405,8 @@ def run_suite(suite: str = "all", max_n: int = 8) -> SuiteReport:
         raise ValueError(f"unknown suite {suite!r}")
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
+    if max_n > DEFAULT_MAX_DIM:
+        raise ValueError(f"max_n must be at most {DEFAULT_MAX_DIM}, the enumeration guard")
     selected = [r for r in _REGISTRY if suite in ("all", r[1])]
 
     def run_one(entry) -> CheckResult:

@@ -349,6 +349,24 @@ def product_scan(lat, box):
 
 
 @settings(max_examples=60, deadline=None)
-@given(rational_lattices(st.integers(1, 3)), st.integers(1, 3))
+@given(rational_lattices(st.integers(1, 5)), st.integers(1, 3))
 def test_odometer_matches_product_scan(lat, box):
+    assume((2 * box + 1) ** lat.rank <= 20_000)
     assert brute_force_min_vectors(lat, box) == product_scan(lat, box)
+
+
+def test_oracle_rank_1_sweeps_an_empty_prefix():
+    # the only row is the all-zero prefix: x in [-3, -1], q = 7/2 x^2
+    lat = lattice_from_gram("r1", [[F(7, 2)]])
+    assert brute_force_min_vectors(lat, 3) == MinimalVectorSet(norm_sq=F(7, 2), pairs=((1,),))
+    assert brute_force_min_vectors(lat, 1) == product_scan(lat, 1)
+
+
+def test_oracle_zero_prefix_row_covers_only_negative_x():
+    # Z^2, box 1: rows u_0 = -1 (x = -1, 0, 1), then u_0 = 0 (x = -1 only)
+    mvs = brute_force_min_vectors(integer_lattice(2), 1)
+    assert mvs == MinimalVectorSet(norm_sq=F(1), pairs=((0, 1), (1, 0)))
+    # a Gram whose shortest vector is (1, -1): reached only in the u_0 = -1 row
+    lat = lattice_from_gram("skew", [[2, F(3, 2)], [F(3, 2), 2]])
+    assert brute_force_min_vectors(lat, 1) == MinimalVectorSet(norm_sq=F(1), pairs=((1, -1),))
+    assert brute_force_min_vectors(lat, 1) == product_scan(lat, 1)

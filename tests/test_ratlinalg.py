@@ -49,6 +49,16 @@ def test_hash_is_computed_once_and_matrix_stays_immutable():
             setattr(g, name, None)
 
 
+def test_entries_of_any_rational_type_give_equal_matrices():
+    rows = [[1, "1/2"], [F(1, 2), F(3)]]
+    from_fractions = RatMatrix.from_rows([[F(1), F(1, 2)], [F(1, 2), F(3)]])
+    mixed = RatMatrix.from_rows(rows)
+    from_strings = RatMatrix.from_rows([["1", "1/2"], ["2/4", "3"]])
+    assert mixed == from_fractions == from_strings
+    assert hash(mixed) == hash(from_fractions) == hash(from_strings)
+    assert all(type(e) is Fraction for e in mixed.entries + from_strings.entries)
+
+
 # --- determinant ------------------------------------------------------------
 
 

@@ -173,6 +173,15 @@ def test_cli_verify_subsuite(tmp_path):
     assert all({"id", "claim", "status", "details"} == set(c) for c in data["checks"])
 
 
+def test_cli_verify_max_n_above_the_enumeration_guard_exits_2(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run_cli("verify", "--max-n", "13", "--out", str(out)) == 2
+    assert "at most 12" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="at most 12"):
+        run_suite("constructions", max_n=13)
+
+
 def test_cli_perturb_block(tmp_path, capsys):
     f = tmp_path / "l31.json"
     run_cli("construct", "lnm", "--n", "3", "--m", "1", "--out", str(f))
