@@ -80,9 +80,7 @@ from .ortho import (
     MembershipReport,
     OrthoVerdict,
     angle_profile,
-    cos_sq_angle_to_span,
     is_theta_orthogonal,
-    is_weakly_theta_orthogonal,
     membership_report,
     minimal_basis_subsets,
 )
@@ -98,7 +96,6 @@ from .ratlinalg import (
     format_rational,
     int_sqrt_floor,
     parse_rational,
-    rat_det,
     rat_inv,
 )
 from .verify import CheckResult, SuiteReport, run_suite

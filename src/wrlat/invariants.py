@@ -3,11 +3,12 @@ coherence threshold under which a unit basis is forced nearly orthogonal.
 
 Minimal vectors share the same norm, so every pairwise |cos| on the minimal
 set is an exact rational |u^T G w| / minnorm^2.  Both coherences read one
-integer pass over the products u_i^T (s G) u_j, i <= j, with s the lcm of
-G's denominators; the pass is cached per Gram and keeps only its maximum,
-the pair attaining it and the worst row sum.  Packing density is kept in
-two forms: an exact rational delta^2 / omega_n^2 for comparisons, and a
-float for display (omega_n, the unit-ball volume, is irrational).
+pass over the integer Gram of the minimal pairs, u_i^T (s G) u_j with s the
+lcm of G's denominators (`ratlinalg.gram_of_vectors`); the pass is cached
+per Gram and keeps only its maximum, the pair attaining it and the worst
+row sum, not the matrix.  Packing density is kept in two forms: an exact
+rational delta^2 / omega_n^2 for comparisons, and a float for display
+(omega_n, the unit-ball volume, is irrational).
 """
 
 from __future__ import annotations
@@ -16,36 +17,28 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
+from operator import itemgetter
 
 from .errors import FewerThanTwoPairs, LatticeError
 from .lattice import Lattice
 from .minvec import DEFAULT_MAX_DIM, minimal_norm_sq, minimal_vectors
-from .ratlinalg import RatMatrix, format_rational, integer_scaled, rational_sqrt_exact
+from .ratlinalg import RatMatrix, format_rational, gram_of_vectors, rational_sqrt_exact
 
 
 @lru_cache(maxsize=4096)
 def _pair_pass(gram: RatMatrix, pairs: tuple[tuple[int, ...], ...]) -> tuple[int, int, int, int, int]:
-    """(norm, top, i, j, worst) over the integer products d_ij = u_i^T (s G) u_j.
+    """(norm, top, i, j, worst) over the integer products d_ij = u_i^T (s G) u_j
+    of `gram_of_vectors`.
 
     norm is d_ii (the same for every minimal pair), top = |d_ij| is the
     largest off the diagonal with (i, j) its lexicographically first pair,
     and worst the largest row sum of |d_ij| over j != i.
     """
-    _, a = integer_scaled(gram)
-    gu = [[sum(x * y for x, y in zip(row, u)) for row in a] for u in pairs]
-    k = len(pairs)
-    rows = [0] * k
-    top, arg = -1, (0, 1)
-    for i in range(k):
-        gu_i = gu[i]
-        for j in range(i + 1, k):
-            d = abs(sum(x * y for x, y in zip(gu_i, pairs[j])))
-            rows[i] += d
-            rows[j] += d
-            if d > top:
-                top, arg = d, (i, j)
-    norm = sum(x * y for x, y in zip(gu[0], pairs[0]))
-    return norm, top, *arg, max(rows)
+    d = gram_of_vectors(gram, pairs)
+    top, i, j = max(((abs(d[i][j]), i, j) for i, j in combinations(range(len(d)), 2)), key=itemgetter(0))
+    worst = max(sum(map(abs, row)) - row[i] for i, row in enumerate(d))
+    return d[0][0], top, i, j, worst
 
 
 def _pairs_of_two_or_more(lat: Lattice, max_dim: int) -> tuple[tuple[int, ...], ...]:

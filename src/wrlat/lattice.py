@@ -22,7 +22,6 @@ from .ratlinalg import (
     format_rational,
     integer_scaled,
     parse_rational,
-    rat_det,
 )
 
 BASIS_GRAM_TOLERANCE = 1e-9
@@ -51,7 +50,9 @@ class Lattice:
         gram_pivots(g)
 
     def det_gram(self) -> Fraction:
-        return rat_det(self.gram)
+        """det G = P_n / s^n, the last leading minor of s G (`gram_pivots`)."""
+        scale, pivots, _ = gram_pivots(self.gram)
+        return Fraction(pivots[-1], scale**self.rank)
 
     def __repr__(self) -> str:
         return f"Lattice({self.name!r}, rank={self.rank})"

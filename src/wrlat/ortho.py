@@ -21,54 +21,28 @@ Verdicts are relative to the stored basis.  For the strict class the
 optional search over bases of minimal vectors is complete (a basis that is
 nearly orthogonal consists of minimal vectors), for the weak class it is a
 documented heuristic; membership_report also applies the kissing-number and
-coherence bounds that decide some cases outright.
+coherence bounds that decide some cases outright.  The search works on one
+integer Gram of the minimal pairs: a subset's Gram is a principal submatrix
+of it, whose leading minors decide whether the subset is a basis, and the
+verdict runs on that submatrix.  It stops once nothing is left undecided.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
 from .errors import DimensionGuardExceeded, NotWellRounded, SubsetGuardExceeded
-from .lattice import Lattice, lattice_from_gram
+from .lattice import Lattice, gram_pivots
 from .minvec import DEFAULT_MAX_DIM, is_well_rounded, minimal_vectors
-from .ratlinalg import (
-    RatMatrix, diagonal_pivots, format_rational, gram_of_vectors, integer_scaled, rat_det, schur_step,
-)
+from .ratlinalg import diagonal_pivots, format_rational, gram_of_vectors, integer_scaled, schur_step
 
 PI_THIRD_COS_SQ = Fraction(1, 4)
 DEFAULT_ORDERING_DIM_GUARD = 9
 DEFAULT_SUBSET_GUARD = 50_000
-
-
-def _chain_cos_sq(g: RatMatrix, order: Sequence[int]) -> list[Fraction]:
-    """Squared cosine of each order[i], i >= 1, against span{b_j : j in order[:i]}.
-
-    On the integer Gram A = s G reordered by `order`, with leading minors
-    P (`diagonal_pivots`), entry i is 1 - P_{i+1} / (P_i a_ww) for w = order[i].
-    The minors are positive because a Lattice rejects a Gram that is not
-    positive definite.
-    """
-    _, a = integer_scaled(g)
-    pivots, _ = diagonal_pivots([[a[i][j] for j in order] for i in order])
-    return [1 - Fraction(pivots[i + 1], pivots[i] * a[w][w]) for i, w in enumerate(order) if i]
-
-
-def cos_sq_angle_to_span(lat: Lattice, v: int, span: Sequence[int]) -> Fraction:
-    """Squared cosine of the angle between basis vector v and span{b_i : i in span}.
-
-    Indices are 0-based.
-    """
-    idx = list(span)
-    if not idx:
-        raise ValueError("span must be nonempty")
-    if v in idx:
-        raise ValueError("vector must not lie in the span index set")
-    if len(set(idx)) < len(idx) or not all(0 <= i < lat.rank for i in (*idx, v)):
-        raise ValueError(f"bad span {span!r} for vector {v} in rank {lat.rank}")
-    return _chain_cos_sq(lat.gram, idx + [v])[-1]
 
 
 @dataclass(frozen=True)
@@ -78,24 +52,20 @@ class AngleProfile:
 
 
 def angle_profile(lat: Lattice, ordering: Sequence[int]) -> AngleProfile:
-    """Profile of squared cosines along one ordering (a permutation of 0..n-1)."""
+    """Profile of squared cosines along one ordering (a permutation of 0..n-1).
+
+    On the integer Gram A = s G reordered by the ordering, with leading
+    minors P (`diagonal_pivots`), the entry of w = ordering[i], i >= 1, is
+    1 - P_{i+1} / (P_i a_ww).  The minors are positive because a Lattice
+    rejects a Gram that is not positive definite.
+    """
     perm = tuple(ordering)
     if sorted(perm) != list(range(lat.rank)):
         raise ValueError(f"{ordering!r} is not a permutation of 0..{lat.rank - 1}")
-    return AngleProfile(ordering=perm, cos_sq=tuple(_chain_cos_sq(lat.gram, perm)))
-
-
-def is_weakly_theta_orthogonal(
-    lat: Lattice,
-    ordering: Sequence[int],
-    cos_sq_threshold: Fraction = PI_THIRD_COS_SQ,
-) -> bool:
-    """True iff every profile entry of this ordering is <= cos_sq_threshold."""
-    thr = Fraction(cos_sq_threshold)
-    if not 0 <= thr <= 1:
-        raise ValueError("threshold must be a squared cosine in [0, 1]")
-    profile = angle_profile(lat, ordering)
-    return all(c <= thr for c in profile.cos_sq)
+    _, a = integer_scaled(lat.gram)
+    pivots, _ = diagonal_pivots([[a[i][j] for j in perm] for i in perm])
+    cos_sq = (1 - Fraction(pivots[i + 1], pivots[i] * a[w][w]) for i, w in enumerate(perm) if i)
+    return AngleProfile(perm, tuple(cos_sq))
 
 
 @dataclass(frozen=True)
@@ -153,8 +123,13 @@ def is_theta_orthogonal(
     n = lat.rank
     if n > DEFAULT_ORDERING_DIM_GUARD:
         raise DimensionGuardExceeded(f"rank {n} exceeds the orderings guard {DEFAULT_ORDERING_DIM_GUARD}")
+    return _verdict(integer_scaled(lat.gram)[1], thr)
 
-    _, a = integer_scaled(lat.gram)
+
+def _verdict(a: list[list[int]], thr: Fraction) -> OrthoVerdict:
+    """The all-orderings verdict of `is_theta_orthogonal` on a positive-definite
+    integer Gram a, with the threshold thr already checked."""
+    n = len(a)
     p, q = thr.numerator, thr.denominator
     full = (1 << n) - 1
     violation = None
@@ -204,21 +179,27 @@ class MembershipReport:
 
 
 def minimal_basis_subsets(lat: Lattice):
-    """Yield (subset, det) for every n-subset of minimal pairs with nonzero
-    coefficient determinant.  Determinant +-1 means the subset is a basis of
-    the lattice; callers assert the unimodularity property on the rest."""
-    mvs = minimal_vectors(lat)
-    n = lat.rank
-    total = 1
-    k = len(mvs.pairs)
-    for i in range(n):
-        total = total * (k - i) // (i + 1)
+    """Yield (subset, |det|) for every n-subset of minimal pairs that spans,
+    with |det| the absolute determinant of its coefficient vectors: 1 means
+    the subset is a basis of the lattice.
+
+    One integer Gram A = U^T (s G) U of all k pairs (`gram_of_vectors`)
+    serves every subset: its Gram is a principal submatrix of A, and the last
+    leading minor that `diagonal_pivots` gives is P_n = det(U_S)^2 det(s G).
+    The subset spans iff P_n > 0, and then |det U_S| = isqrt(P_n / det(s G)).
+    Raises SubsetGuardExceeded before the first subset once C(k, n) exceeds
+    the guard."""
+    pairs = minimal_vectors(lat).pairs
+    n, k = lat.rank, len(pairs)
+    total = math.comb(k, n)
     if total > DEFAULT_SUBSET_GUARD:
         raise SubsetGuardExceeded(f"{total} candidate subsets exceed guard {DEFAULT_SUBSET_GUARD}")
-    for subset in combinations(mvs.pairs, n):
-        d = rat_det(RatMatrix.from_rows([list(u) for u in subset]))
-        if d != 0:
-            yield subset, d
+    det_sg = gram_pivots(lat.gram)[1][-1]
+    a = gram_of_vectors(lat.gram, pairs)
+    for idx in combinations(range(k), n):
+        minors, _ = diagonal_pivots([[a[i][j] for j in idx] for i in idx])
+        if minors[-1] > 0:
+            yield tuple(pairs[i] for i in idx), math.isqrt(minors[-1] // det_sg)
 
 
 def membership_report(
@@ -227,6 +208,17 @@ def membership_report(
     cos_sq_threshold: Fraction = PI_THIRD_COS_SQ,
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> MembershipReport:
+    """Decide in_weak and in_strict as far as the stored basis, the bounds and,
+    on request, the minimal-basis search can.
+
+    The search runs the verdict on the integer Gram of each basis of minimal
+    vectors (`minimal_basis_subsets` with |det| = 1, in subset order) and
+    stops once nothing is left undecided: at the first strict witness, which
+    is also weak, or at the first weak witness when in_strict was decided
+    before the search.  The search runs with in_strict decided only when the
+    kissing number exceeds 3n, where no strict basis exists, so each witness
+    reported is the first basis of its class.
+    """
     from .invariants import coherence  # deferred: invariants does not import this module
 
     if not is_well_rounded(lat, max_dim):
@@ -261,29 +253,27 @@ def membership_report(
     weak_witness = strict_witness = None
     if search_minimal_bases and (in_strict is None or in_weak is None):
         searched = True
-        found_weak = found_strict = False
-        for subset, d in minimal_basis_subsets(lat):
-            if abs(d) != 1:
+        thr = Fraction(cos_sq_threshold)
+        for subset, det in minimal_basis_subsets(lat):
+            if det != 1:
                 continue
-            candidate = lattice_from_gram(f"{lat.name}~basis", gram_of_vectors(lat.gram, subset))
-            verdict = is_theta_orthogonal(candidate, cos_sq_threshold)
-            if verdict.weakly and not found_weak:
-                found_weak = True
+            verdict = _verdict(gram_of_vectors(lat.gram, subset), thr)
+            if verdict.weakly and weak_witness is None:
                 weak_witness = subset
-            if verdict.strictly and not found_strict:
-                found_strict = True
+            if verdict.strictly:
                 strict_witness = subset
-            if found_strict and found_weak:
+                break
+            if weak_witness is not None and in_strict is not None:
                 break
         if in_strict is None:
             # complete for the strict class: a nearly orthogonal basis
             # consists of minimal vectors, all of which were tried
-            in_strict = found_strict
+            in_strict = strict_witness is not None
             reasons.append(
                 "minimal-basis search "
-                + ("found a nearly orthogonal basis" if found_strict else "exhausted all minimal bases")
+                + ("found a nearly orthogonal basis" if in_strict else "exhausted all minimal bases")
             )
-        if in_weak is None and found_weak:
+        if in_weak is None and weak_witness is not None:
             in_weak = True
             reasons.append("minimal-basis search found a weakly nearly orthogonal basis")
         elif in_weak is None:

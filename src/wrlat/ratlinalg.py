@@ -6,11 +6,13 @@ dense row-major tuples of Fractions, and all eliminations are exact.
 Matrices are small (desk-scale ranks, at most ~12), so dense algorithms are
 the right tool.  Every elimination runs fraction-free on the integer matrix
 s A, with s the lcm of A's denominators, and every row update is one
-`sylvester_step`: forward (`schur_step`) in `rat_det`, in the verdicts of
-`ortho` and in `diagonal_pivots`, the one elimination of a Gram (its leading
-minors decide positive definiteness and give the levels of the
-shortest-vector enumerator and the angle profiles); Gauss-Jordan in
-`solve_affine`, `rat_inv` and the simplex tableau.  Only `int_rank` keeps its
+`sylvester_step`: forward (`schur_step`) in the verdicts of `ortho` and in
+`diagonal_pivots`, the one elimination of a Gram (its leading minors decide
+positive definiteness, give the determinant, the levels of the
+shortest-vector enumerator and the angle profiles, and, on the integer Gram
+of n minimal vectors from `gram_of_vectors`, decide whether they span and
+whether they form a basis); Gauss-Jordan in `solve_affine`, `rat_inv` and
+the simplex tableau.  Only `int_rank` keeps its
 own row-by-row reduction, which stops early.  Fractions are built from the
 integers once an elimination ends.
 """
@@ -146,18 +148,18 @@ def integer_scaled(a: RatMatrix) -> tuple[int, list[list[int]]]:
     return scale, [[e.numerator * (scale // e.denominator) for e in a.row(i)] for i in range(a.rows)]
 
 
-def gram_of_vectors(g: RatMatrix, vectors: Sequence[Sequence[int]]) -> list[list[Fraction]]:
-    """Inner products u^T G w for every pair of integer coefficient vectors u, w.
+def gram_of_vectors(g: RatMatrix, vectors: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The integer Gram U^T (s G) U of integer coefficient vectors u_i, the columns of U.
 
-    The products are taken in integers on s G and divided by s once.  G is
-    symmetric, so only the products with w at or after u are computed.
+    s is the scale of `integer_scaled`.  G is symmetric, so only the
+    k(k+1)/2 products u_i^T (s G) u_j with j >= i are computed.
     """
-    scale, a = integer_scaled(g)
+    _, a = integer_scaled(g)
     gu = [[sum(x * y for x, y in zip(row, u)) for row in a] for u in vectors]
-    out = [[None] * len(vectors) for _ in vectors]
+    out = [[0] * len(vectors) for _ in vectors]
     for i, gu_i in enumerate(gu):
         for j in range(i, len(vectors)):
-            out[i][j] = out[j][i] = Fraction(sum(x * y for x, y in zip(gu_i, vectors[j])), scale)
+            out[i][j] = out[j][i] = sum(x * y for x, y in zip(gu_i, vectors[j]))
     return out
 
 
@@ -237,26 +239,6 @@ def _gauss_jordan(m: list[list[int]], ncols: int) -> tuple[list[list[int]], list
         d = m[r][c]
         pivots.append(c)
     return m, pivots, d
-
-
-def rat_det(a: RatMatrix) -> Fraction:
-    """Exact determinant: forward fraction-free elimination of s A, over s^n.
-
-    Taking the pivot from row r of the residual moves that row to the top, r
-    adjacent swaps; the last pivot is then det s A up to that sign.
-    """
-    if a.rows != a.cols:
-        raise ValueError("determinant needs a square matrix")
-    scale, m = integer_scaled(a)
-    sign = d = 1
-    while m:
-        r = next((i for i, row in enumerate(m) if row[0]), None)
-        if r is None:
-            return Fraction(0)
-        if r % 2:
-            sign = -sign
-        d, m = m[r][0], schur_step(m, d, r, 0)
-    return Fraction(sign * d, scale**a.rows)
 
 
 def int_rank(rows: Sequence[Sequence[int]]) -> int:

@@ -42,7 +42,7 @@ GRID = (Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), HALF)
 class CheckResult:
     check_id: str
     claim: str
-    status: str  # pass | fail | skipped
+    status: str  # pass | fail | error | skipped
     details: str
 
     def to_json_dict(self) -> dict:
@@ -60,14 +60,15 @@ class SuiteReport:
 
     @property
     def counts(self) -> dict:
+        """Checks per status; "error" is a key only when a check crashed."""
         out = {"pass": 0, "fail": 0, "skipped": 0}
         for c in self.checks:
-            out[c.status] += 1
+            out[c.status] = out.get(c.status, 0) + 1
         return out
 
     @property
     def passed(self) -> bool:
-        return self.counts["fail"] == 0
+        return all(c.status in ("pass", "skipped") for c in self.checks)
 
     def to_json_dict(self) -> dict:
         return {
@@ -222,7 +223,7 @@ def _check_min_basis_unimodular(max_n: int) -> str:
     subsets = 0
     for lat in strict_family_lattices(min(max_n, 6)):
         for _, det in minimal_basis_subsets(lat):
-            assert abs(det) == 1, f"{lat.name}: spanning subset with det {det}"
+            assert det == 1, f"{lat.name}: spanning subset with |det| {det}"
             subsets += 1
     return f"{subsets} spanning subsets"
 
@@ -416,8 +417,8 @@ def run_suite(suite: str = "all", max_n: int = 8) -> SuiteReport:
             return CheckResult(check_id, claim, "pass", details)
         except AssertionError as exc:
             return CheckResult(check_id, claim, "fail", str(exc))
-        except Exception as exc:  # guard trips etc. are failures, not crashes
-            return CheckResult(check_id, claim, "fail", f"{type(exc).__name__}: {exc}")
+        except Exception as exc:  # a crash or a guard trip is not evidence against the claim
+            return CheckResult(check_id, claim, "error", f"{type(exc).__name__}: {exc}")
 
     results = [run_one(e) for e in selected]
     results.sort(key=lambda c: c.check_id)

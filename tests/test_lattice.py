@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wrlat import (
     FloatBasis,
@@ -15,6 +17,8 @@ from wrlat import (
     direct_sum,
     hexagonal,
     integer_lattice,
+    k3_prime,
+    an_dual_frame,
     an_root,
     lattice_from_float_basis,
     lattice_from_gram,
@@ -26,8 +30,8 @@ from wrlat import (
     minimal_vectors,
     normalize_min_norm,
     principal_sublattice,
-    rat_det,
     reorder_basis,
+    scale_gram,
     save_lattice,
     staircase,
 )
@@ -134,14 +138,51 @@ def test_direct_sum_hex_plus_line_matches_block_family():
     assert got.gram == lnm(3, 1).gram
 
 
-def test_direct_sum_det_multiplicative():
-    a, b = staircase(3), hexagonal()
-    assert rat_det(direct_sum(a, b).gram) == rat_det(a.gram) * rat_det(b.gram)
+# Small lattices, scaled so that the minimal norms of two summands sometimes
+# match and sometimes differ.
+summands = st.builds(
+    scale_gram,
+    st.sampled_from([integer_lattice(1), integer_lattice(2), hexagonal(), staircase(3), lnm(3, 1), k3_prime(),
+                     an_root(3), an_dual_frame(3)]),
+    st.sampled_from([F(1), F(2), F(1, 2), F(4, 3)]),
+)
 
 
-def test_direct_sum_minimal_vectors_union():
-    s = direct_sum(staircase(3), hexagonal())
-    assert minimal_vectors(s).count == 16  # 10 + 6, equal minimal norms
+@settings(max_examples=40, deadline=None)
+@given(summands, summands)
+@example(staircase(3), hexagonal())
+def test_direct_sum_det_multiplicative(a, b):
+    assert direct_sum(a, b).det_gram() == a.det_gram() * b.det_gram()
+
+
+@settings(max_examples=40, deadline=None)
+@given(summands, summands, st.booleans())
+@example(staircase(3), hexagonal(), False)
+def test_direct_sum_minimal_vectors_union(a, b, match):
+    # the summand with the smaller minimal norm keeps its minimal vectors;
+    # when the norms match, both do and the kissing numbers add
+    if match:
+        a, b = normalize_min_norm(a), normalize_min_norm(b)
+    na, nb = minimal_norm_sq(a), minimal_norm_sq(b)
+    left = {u + (0,) * b.rank for u in minimal_vectors(a).pairs} if na <= nb else set()
+    right = {(0,) * a.rank + w for w in minimal_vectors(b).pairs} if nb <= na else set()
+    mvs = minimal_vectors(direct_sum(a, b))
+    assert mvs.norm_sq == min(na, nb)
+    assert set(mvs.pairs) == left | right
+    if na == nb:
+        assert mvs.count == minimal_vectors(a).count + minimal_vectors(b).count
+
+
+@settings(max_examples=40, deadline=None)
+@given(summands, summands)
+def test_direct_sum_coherence_is_the_larger(a, b):
+    # pairs from different summands are orthogonal, so with matching norms the
+    # coherence is the larger of the two (a summand with one pair adds only 0s)
+    def coh(lat):
+        return coherence(lat).value if len(minimal_vectors(lat).pairs) > 1 else 0
+
+    a, b = normalize_min_norm(a), normalize_min_norm(b)
+    assert coherence(direct_sum(a, b)).value == max(coh(a), coh(b))
 
 
 def test_normalize_identity_noop():
@@ -221,7 +262,7 @@ def test_reorder_rejects_bad_permutation():
 def test_reorder_preserves_invariants():
     lat = staircase(4)
     moved = reorder_basis(lat, (3, 1, 0, 2))
-    assert rat_det(moved.gram) == rat_det(lat.gram)
+    assert moved.det_gram() == lat.det_gram()
     assert minimal_norm_sq(moved) == minimal_norm_sq(lat)
     assert minimal_vectors(moved).count == minimal_vectors(lat).count
     assert coherence(moved).value == coherence(lat).value

@@ -14,12 +14,10 @@ from wrlat import (
     an_dual_frame,
     an_root,
     angle_profile,
-    cos_sq_angle_to_span,
     hexagonal,
     hybrid,
     integer_lattice,
     is_theta_orthogonal,
-    is_weakly_theta_orthogonal,
     k3_prime,
     lattice_from_gram,
     lnm,
@@ -62,6 +60,17 @@ def _sympy_minor(g, idx):
     return from_sympy(to_sympy([[g[i, j] for j in idx] for i in idx]).det()) if idx else F(1)
 
 
+def cos_sq_after(lat, v, span):
+    """cos^2 of b_v against span{b_i : i in span}: the profile entry of v in
+    the ordering span + (v,) + rest, at index len(span) - 1."""
+    rest = tuple(i for i in range(lat.rank) if i != v and i not in span)
+    return angle_profile(lat, (*span, v, *rest)).cos_sq[len(span) - 1]
+
+
+def is_weak_ordering(lat, ordering, threshold=QUARTER):
+    return all(c <= threshold for c in angle_profile(lat, ordering).cos_sq)
+
+
 def exhaustive_verdict(lat, threshold=QUARTER):
     """Oracle: replay all n! orderings without pruning or memoization."""
     n = lat.rank
@@ -77,25 +86,15 @@ def exhaustive_verdict(lat, threshold=QUARTER):
 
 
 def test_orthogonal_direction_has_zero_angle():
-    assert cos_sq_angle_to_span(integer_lattice(3), 2, (0, 1)) == 0
+    assert cos_sq_after(integer_lattice(3), 2, (0, 1)) == 0
 
 
 def test_staircase3_last_vector_against_other_two():
-    assert cos_sq_angle_to_span(staircase(3), 0, (1, 2)) == F(2, 5)
+    assert cos_sq_after(staircase(3), 0, (1, 2)) == F(2, 5)
 
 
 def test_staircase3_prefix_angle():
-    assert cos_sq_angle_to_span(staircase(3), 2, (0, 1)) == QUARTER
-
-
-def test_span_rejects_bad_input():
-    with pytest.raises(ValueError):
-        cos_sq_angle_to_span(staircase(3), 0, ())
-    with pytest.raises(ValueError):
-        cos_sq_angle_to_span(staircase(3), 1, (0, 1))
-    for v, span in ((2, (0, 0)), (0, (-1,)), (3, (0,))):
-        with pytest.raises(ValueError):
-            cos_sq_angle_to_span(staircase(3), v, span)
+    assert cos_sq_after(staircase(3), 2, (0, 1)) == QUARTER
 
 
 @st.composite
@@ -129,7 +128,7 @@ def test_cos_sq_equals_projection_solve(case):
     g_sv = [g[i, v] for i in span]
     x = [from_sympy(e) for e in to_sympy(g_ss.to_rows()).LUsolve(to_sympy([[e] for e in g_sv]))]
     want = sum(a * b for a, b in zip(g_sv, x)) / g[v, v]
-    assert cos_sq_angle_to_span(lat, v, span) == want
+    assert cos_sq_after(lat, v, span) == want
 
 
 # --- profiles ----------------------------------------------------------------
@@ -160,15 +159,15 @@ def test_profile_first_entries_invariant_under_prefix_shuffle():
 
 def test_staircase_identity_ordering_is_weak():
     for n in range(2, 9):
-        assert is_weakly_theta_orthogonal(staircase(n), tuple(range(n)))
+        assert is_weak_ordering(staircase(n), tuple(range(n)))
 
 
 def test_staircase3_rotated_ordering_fails():
-    assert not is_weakly_theta_orthogonal(staircase(3), (1, 2, 0))
+    assert not is_weak_ordering(staircase(3), (1, 2, 0))
 
 
 def test_trivial_threshold_accepts_everything():
-    assert is_weakly_theta_orthogonal(staircase(3), (1, 2, 0), cos_sq_threshold=F(1))
+    assert is_weak_ordering(staircase(3), (1, 2, 0), threshold=F(1))
 
 
 # --- all-orderings verdicts ----------------------------------------------------
@@ -184,7 +183,7 @@ def test_staircase3_weak_but_not_strict():
     verdict = is_theta_orthogonal(staircase(3))
     assert verdict.weakly and not verdict.strictly
     assert verdict.witness_ordering is not None
-    assert is_weakly_theta_orthogonal(staircase(3), verdict.witness_ordering)
+    assert is_weak_ordering(staircase(3), verdict.witness_ordering)
     v = verdict.violation
     assert v is not None
     # replay: the reported level of the reported ordering breaks the threshold
@@ -375,6 +374,61 @@ def test_minimal_basis_subsets_spanning_dets():
             assert abs(det) == 1
             seen += 1
         assert seen > 0
+
+
+def disguised(lat, u):
+    """The lattice in the basis b U, for an integer unimodular U given by rows."""
+    n, g = lat.rank, lat.gram
+    rows = [[sum(u[a][i] * g[a, b] * u[b][j] for a in range(n) for b in range(n)) for j in range(n)] for i in range(n)]
+    return lattice_from_gram(f"{lat.name}~", rows)
+
+
+def bidiagonal(n):
+    """b_j <- b_j + b_{j-1}: unimodular, and it skews every basis vector but the first."""
+    return [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
+
+
+D4_CARTAN = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+
+
+@pytest.mark.parametrize(
+    "lat, dets", [(lattice_from_gram("D4", D4_CARTAN), {1, 2}), (disguised(staircase(4), bidiagonal(4)), {1})]
+)
+def test_minimal_basis_subsets_dets_match_sympy(lat, dets):
+    from wrlat import minimal_vectors
+
+    want = []
+    for subset in combinations(minimal_vectors(lat).pairs, lat.rank):
+        det = abs(int(sympy.Matrix(subset).det()))
+        if det:
+            want.append((subset, det))
+    assert list(minimal_basis_subsets(lat)) == want
+    assert {d for _, d in want} == dets  # D4 has subsets of index 2
+
+
+def test_search_stops_at_the_first_weak_witness_when_strict_is_decided(monkeypatch):
+    # kissing number 18 > 3n = 15 decides in_strict = False before the search,
+    # so the first weakly nearly orthogonal basis decides everything left
+    lat = disguised(hybrid(5, 2), bidiagonal(5))
+    everything = list(minimal_basis_subsets(lat))
+    first = next(
+        i for i, (subset, det) in enumerate(everything)
+        if det == 1 and is_theta_orthogonal(lattice_from_gram("b", ortho.gram_of_vectors(lat.gram, subset))).weakly
+    )
+    consumed, real = [], ortho.minimal_basis_subsets
+
+    def counting(lat):
+        for item in real(lat):
+            consumed.append(item)
+            yield item
+
+    monkeypatch.setattr(ortho, "minimal_basis_subsets", counting)
+    report = membership_report(lat, search_minimal_bases=True)
+    assert report.kissing_number == 18 and not report.stored_basis.weakly
+    assert (report.in_weak, report.in_strict) == (True, False)
+    assert report.search_weak_witness == everything[first][0]
+    assert report.search_strict_witness is None
+    assert consumed == everything[: first + 1] and first + 1 < len(everything)
 
 
 def test_minimal_basis_subsets_guard_fails_loudly():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -13,7 +14,6 @@ from wrlat import (
     int_sqrt_floor,
     lattice_from_gram,
     parse_rational,
-    rat_det,
     rat_inv,
 )
 from wrlat.ratlinalg import diagonal_pivots, int_rank, integer_scaled, solve_affine
@@ -63,13 +63,13 @@ def test_entries_of_any_rational_type_give_equal_matrices():
 
 
 def test_det_identity():
-    assert rat_det(RatMatrix.identity(3)) == 1
+    assert lattice_from_gram("Z3", RatMatrix.identity(3)).det_gram() == 1
 
 
 def test_det_hexagonal_gram():
     g = RatMatrix.from_rows([[1, F(1, 2)], [F(1, 2), 1]])
     # 2x2 cofactor by hand: 1*1 - 1/2*1/2
-    assert rat_det(g) == F(3, 4)
+    assert lattice_from_gram("hex", g).det_gram() == F(3, 4)
 
 
 def test_det_staircase3_matches_cofactor_expansion():
@@ -77,20 +77,35 @@ def test_det_staircase3_matches_cofactor_expansion():
 
     rows = staircase(3).gram.to_rows()
     assert cofactor_det3(rows) == F(9, 16)
-    assert rat_det(staircase(3).gram) == F(9, 16)
+    assert staircase(3).det_gram() == F(9, 16)
 
 
-@settings(max_examples=60)
+def transpose(a):
+    return RatMatrix.from_rows([list(r) for r in zip(*a.to_rows())])
+
+
+def diagonal(xs):
+    return RatMatrix.from_rows([[x if i == j else 0 for j in range(len(xs))] for i, x in enumerate(xs)])
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.data())
 def test_det_is_multiplicative(n, data):
-    ent = st.fractions(min_value=-3, max_value=3, max_denominator=6)
-    a = RatMatrix.from_rows(
-        [[data.draw(ent) for _ in range(n)] for _ in range(n)]
-    )
-    b = RatMatrix.from_rows(
-        [[data.draw(ent) for _ in range(n)] for _ in range(n)]
-    )
-    assert rat_det(product(a, b)) == rat_det(a) * rat_det(b)
+    # det(U^T G U) = det(U)^2 det(G), the identity the minimal-basis search
+    # reads |det U| from.  G = L D L^T is SPD; U = P L' S R'^T is nonsingular
+    # with det U = +-prod S.
+    def unitriangular(ent):
+        return RatMatrix.from_rows([[data.draw(ent) if j < i else int(i == j) for j in range(n)] for i in range(n)])
+
+    low = unitriangular(st.fractions(min_value=-3, max_value=3, max_denominator=6))
+    d = [data.draw(st.fractions(min_value=F(1, 6), max_value=3, max_denominator=6)) for _ in range(n)]
+    g = product(product(low, diagonal(d)), transpose(low))
+    perm = data.draw(st.permutations(range(n)))
+    scales = [data.draw(st.sampled_from((-3, -2, -1, 1, 2, 3))) for _ in range(n)]
+    l2, r2 = unitriangular(st.integers(-2, 2)), unitriangular(st.integers(-2, 2))
+    u = product(product(RatMatrix.from_rows([l2.row(p) for p in perm]), diagonal(scales)), transpose(r2))
+    moved = lattice_from_gram("UtGU", product(product(transpose(u), g), u))
+    assert moved.det_gram() == math.prod(scales) ** 2 * lattice_from_gram("G", g).det_gram()
 
 
 # --- solve ------------------------------------------------------------------

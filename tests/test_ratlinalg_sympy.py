@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wrlat import NotPositiveDefinite, RatMatrix, lattice_from_gram, rat_det, rat_inv
+from wrlat import NotPositiveDefinite, RatMatrix, lattice_from_gram, rat_inv
 from wrlat.ratlinalg import diagonal_pivots, int_rank, integer_scaled, solve_affine
 
 sympy = pytest.importorskip("sympy")
@@ -64,10 +64,20 @@ def test_int_rank_matches_sympy(rows):
     assert int_rank(rows) == to_sympy(rows).rank()
 
 
+@st.composite
+def spd_grams(draw):
+    """B^T B + D for a random rational B and a positive diagonal D: symmetric positive definite."""
+    n = draw(st.integers(1, 5))
+    b = [[draw(entries) for _ in range(n)] for _ in range(draw(st.integers(1, 5)))]
+    pos = st.fractions(min_value=F(1, 5), max_value=3, max_denominator=5)
+    d = [draw(pos) for _ in range(n)]
+    return [[sum(r[i] * r[j] for r in b) + (d[i] if i == j else 0) for j in range(n)] for i in range(n)]
+
+
 @settings(max_examples=80, deadline=None)
-@given(matrices(square=True))
+@given(spd_grams())
 def test_det_matches_sympy(rows):
-    assert rat_det(RatMatrix.from_rows(rows)) == from_sympy(to_sympy(rows).det())
+    assert lattice_from_gram("spd", rows).det_gram() == from_sympy(to_sympy(rows).det())
 
 
 @settings(max_examples=80, deadline=None)

@@ -173,6 +173,29 @@ def test_cli_verify_subsuite(tmp_path):
     assert all({"id", "claim", "status", "details"} == set(c) for c in data["checks"])
 
 
+def test_a_crashing_check_is_an_error_not_a_failed_claim(tmp_path, monkeypatch):
+    from wrlat import verify
+
+    def crash(max_n):
+        raise RuntimeError("boom")
+
+    index = next(i for i, entry in enumerate(verify._REGISTRY) if entry[0] == "coherence.integer_lattice")
+    check_id, group, claim, _ = verify._REGISTRY[index]
+    clean = run_suite(group, max_n=4)
+    assert set(clean.counts) == {"pass", "fail", "skipped"} and clean.passed
+    registry = list(verify._REGISTRY)
+    registry[index] = (check_id, group, claim, crash)
+    monkeypatch.setattr(verify, "_REGISTRY", registry)
+    report = run_suite(group, max_n=4)
+    crashed = next(c for c in report.checks if c.check_id == check_id)
+    assert (crashed.status, crashed.details) == ("error", "RuntimeError: boom")
+    assert report.counts == {**clean.counts, "pass": clean.counts["pass"] - 1, "error": 1}
+    assert not report.passed
+    out = tmp_path / "report.json"
+    assert run_cli("verify", "--suite", group, "--max-n", "4", "--out", str(out)) == 1
+    assert json.loads(out.read_text())["summary"]["error"] == 1
+
+
 def test_cli_verify_max_n_above_the_enumeration_guard_exits_2(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run_cli("verify", "--max-n", "13", "--out", str(out)) == 2
