@@ -96,7 +96,6 @@ from .ratlinalg import (
     format_rational,
     int_sqrt_floor,
     parse_rational,
-    rat_inv,
 )
 from .verify import CheckResult, SuiteReport, run_suite
 

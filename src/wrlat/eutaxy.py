@@ -2,12 +2,21 @@
 
 Eutaxy is solved in Gram coordinates: with one representative u_i per
 minimal pair, the defining identity ||v||^2 = sum_i c_i (v, x_i)^2 for all v
-is equivalent to sum_i c_i u_i u_i^T = G^{-1}.  The classification ladder:
+is equivalent to sum_i c_i u_i u_i^T = G^{-1}.  No inverse is formed: with
+A = s G integer (s the lcm of G's denominators) and w_i = A u_i,
+multiplying by A on both sides gives the integer system
+sum_i c_i w_i w_i^T = s A, which has the same solutions.  The
+classification ladder:
 
   no real solution            -> NotWeaklyEutactic
   a real solution exists      -> WeaklyEutactic
   a strictly positive one     -> Eutactic       (decided by an exact LP)
   the all-equal one works     -> StronglyEutactic (checked directly)
+
+The LP maximizes t over c = x + t (1, ..., 1) with x, t >= 0, subject to the
+reduced rows of the system (one per pivot of its elimination); the lattice
+is Eutactic iff the optimum t is positive, and then t is the largest
+possible smallest coefficient.
 
 Perfection asks whether the rank-one forms u_i u_i^T span the whole space of
 symmetric matrices; conjugation by the basis matrix preserves that rank, so
@@ -30,8 +39,8 @@ from .invariants import (
 from .lattice import Lattice
 from .minvec import DEFAULT_MAX_DIM, is_well_rounded, minimal_vectors
 from .ortho import PI_THIRD_COS_SQ, membership_report
-from .ratlinalg import format_rational, int_rank, rat_inv, solve_affine
-from .simplex import OPTIMAL, simplex_max_free
+from .ratlinalg import format_rational, int_rank, integer_scaled, row_reduce
+from .simplex import OPTIMAL, UNBOUNDED, simplex_max
 
 
 class EutaxyClass(enum.Enum):
@@ -67,25 +76,29 @@ def eutaxy_classify(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> EutaxyResul
         raise NotWellRounded(f"{lat.name!r} is not well-rounded")
     n = lat.rank
     pairs = minimal_vectors(lat, max_dim).pairs
-    ginv = rat_inv(lat.gram)
+    k = len(pairs)
+    scale, a = integer_scaled(lat.gram)
+    w = [[sum(x * y for x, y in zip(row, u)) for row in a] for u in pairs]
 
-    # one equation per entry (a, b), a <= b: the transpose of the rank-one rows
-    system_rows = list(zip(*_rank_one_rows(pairs, n)))
-    rhs = [ginv[a, b] for a in range(n) for b in range(a, n)]
-    solution = solve_affine(system_rows, rhs)
-    if solution is None:
+    # one equation per entry (p, q), p <= q, of sum_i c_i w_i w_i^T = s A
+    system_rows = list(zip(*_rank_one_rows(w, n)))
+    reduced = row_reduce(system_rows, [scale * a[p][q] for p in range(n) for q in range(p, n)])
+    if reduced is None:
         return EutaxyResult(EutaxyClass.NOT_WEAKLY_EUTACTIC, None, -1)
-    particular, null_basis = solution
-    dim = len(null_basis)
+    rows, pivots, d = reduced
+    dim = k - len(pivots)
+    # reduced row i reads: coefficient pivots[i] plus its free-coefficient terms = rhs[i]
+    rhs = [Fraction(row[-1], d) for row in rows]
+    sums = [Fraction(sum(row[:-1]), d) for row in rows]
+    particular = [Fraction(0)] * k
+    for c, r in zip(pivots, rhs):
+        particular[c] = r
 
     # direct all-equal test, independent of the LP below: c (1, ..., 1)
-    # solves the system iff rhs_i == c * (sum of row i) for every i
-    sums = [sum(row) for row in system_rows]
+    # solves the system iff rhs_i == c * (sum of row i) for every row i
     common = next((r / s for r, s in zip(rhs, sums) if s), None)
     if common is not None and common > 0 and all(r == common * s for r, s in zip(rhs, sums)):
-        return EutaxyResult(
-            EutaxyClass.STRONGLY_EUTACTIC, (common,) * len(pairs), dim
-        )
+        return EutaxyResult(EutaxyClass.STRONGLY_EUTACTIC, (common,) * k, dim)
 
     if dim == 0:
         coeffs = tuple(particular)
@@ -93,25 +106,16 @@ def eutaxy_classify(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> EutaxyResul
             return EutaxyResult(EutaxyClass.EUTACTIC, coeffs, 0)
         return EutaxyResult(EutaxyClass.WEAKLY_EUTACTIC, coeffs, 0)
 
-    # maximize the smallest coefficient over the affine solution set:
-    # variables (y_1..y_dim, t), constraints t - (N y)_i <= particular_i
-    k = len(pairs)
-    a_rows = [
-        [-null_basis[j][i] for j in range(dim)] + [Fraction(1)] for i in range(k)
-    ]
-    objective = [Fraction(0)] * dim + [Fraction(1)]
-    status, value, point = simplex_max_free(objective, a_rows, particular)
-    if status != OPTIMAL:
-        # the coefficient sum is pinned by the trace identity, so the LP
-        # cannot be unbounded; treat anything else as a hard error
-        raise LatticeError(f"positivity LP ended with status {status!r}")
-    if value > 0:
-        y = point[:dim]
-        coeffs = tuple(
-            particular[i] + sum(null_basis[j][i] * y[j] for j in range(dim))
-            for i in range(k)
-        )
+    # maximize the smallest coefficient t: c = x + t (1, ..., 1) with x, t >= 0
+    # on the reduced rows, whose row sums are the column of t
+    a_rows = [[Fraction(x, d) for x in row[:-1]] + [s] for row, s in zip(rows, sums)]
+    status, value, point = simplex_max([0] * k + [1], a_rows, rhs)
+    if status == OPTIMAL and value > 0:
+        coeffs = tuple(x + value for x in point[:k])
         return EutaxyResult(EutaxyClass.EUTACTIC, coeffs, dim)
+    if status == UNBOUNDED:
+        # cannot happen: the trace identity pins the coefficient sum
+        raise LatticeError(f"positivity LP ended with status {status!r}")
     return EutaxyResult(EutaxyClass.WEAKLY_EUTACTIC, tuple(particular), dim)
 
 

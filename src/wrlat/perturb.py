@@ -89,22 +89,23 @@ def _gram_distance(a: RatMatrix, b: RatMatrix) -> Fraction:
     return max(abs(x - y) for x, y in zip(a.entries, b.entries))
 
 
-def perturb_2d(lat: Lattice, new_cos: Fraction) -> PerturbationOutcome:
-    """Replace the off-diagonal of a rank-2 unit Gram, preserving its sign."""
-    if lat.rank != 2:
-        raise ValueError("perturb_2d needs a rank-2 lattice")
-    _require_unit_diagonal(lat)
-    new_cos = Fraction(new_cos)
+def _certify_strict(lat: Lattice) -> bool:
+    if certified_by_block_structure(lat.gram):
+        return True
+    return is_theta_orthogonal(lat).strictly
+
+
+def _replace_pair(
+    lat: Lattice, i: int, j: int, new_cos: Fraction, name: str, what: str
+) -> PerturbationOutcome:
+    """Set the cosine G_ij of the unit pair (i, j) to new_cos, keeping its sign."""
     if abs(new_cos) > Fraction(1, 2):
         raise ValueError("|new cosine| must be at most 1/2")
-    old = lat.gram[0, 1]
-    sign = -1 if old < 0 else 1
-    entry = sign * new_cos
-    after = lattice_from_gram(
-        f"{lat.name}~cos={new_cos}",
-        [[1, entry], [entry, 1]],
-        provenance=f"pair cosine moved from {old} to {entry}",
-    )
+    old = lat.gram[i, j]
+    entry = -new_cos if old < 0 else new_cos
+    rows = lat.gram.to_rows()
+    rows[i][j] = rows[j][i] = entry
+    after = lattice_from_gram(name, rows, provenance=f"{what} cosine moved from {old} to {entry}")
     return PerturbationOutcome(
         before=lat,
         after=after,
@@ -112,9 +113,18 @@ def perturb_2d(lat: Lattice, new_cos: Fraction) -> PerturbationOutcome:
         value_before=abs(old),
         value_after=abs(new_cos),
         density_ratio_sq=_density_ratio_sq(lat, after),
-        still_nearly_orthogonal=is_theta_orthogonal(after).strictly,
+        still_nearly_orthogonal=_certify_strict(after),
         gram_distance=_gram_distance(lat.gram, after.gram),
     )
+
+
+def perturb_2d(lat: Lattice, new_cos: Fraction) -> PerturbationOutcome:
+    """Replace the off-diagonal of a rank-2 unit Gram, preserving its sign."""
+    if lat.rank != 2:
+        raise ValueError("perturb_2d needs a rank-2 lattice")
+    _require_unit_diagonal(lat)
+    new_cos = Fraction(new_cos)
+    return _replace_pair(lat, 0, 1, new_cos, f"{lat.name}~cos={new_cos}", "pair")
 
 
 def perturb_block(lat: Lattice, block_index: int, new_cos: Fraction) -> PerturbationOutcome:
@@ -126,8 +136,6 @@ def perturb_block(lat: Lattice, block_index: int, new_cos: Fraction) -> Perturba
     """
     _require_unit_diagonal(lat)
     new_cos = Fraction(new_cos)
-    if abs(new_cos) > Fraction(1, 2):
-        raise ValueError("|new cosine| must be at most 1/2")
     i = 2 * block_index
     j = i + 1
     if block_index < 0 or j >= lat.rank:
@@ -137,36 +145,8 @@ def perturb_block(lat: Lattice, block_index: int, new_cos: Fraction) -> Perturba
             raise ValueError("target block is coupled to the rest of the basis")
     if minimal_norm_sq(lat) != 1:
         raise ValueError("block perturbation expects minimal norm 1")
-    old = lat.gram[i, j]
-    sign = -1 if old < 0 else 1
-    entry = sign * new_cos
-    rows = lat.gram.to_rows()
-    rows[i][j] = rows[j][i] = entry
-    after = lattice_from_gram(
-        f"{lat.name}~block{block_index}={new_cos}",
-        rows,
-        provenance=f"block {block_index} cosine moved from {old} to {entry}",
-    )
-    if certified_by_block_structure(after.gram):
-        still = True
-    else:
-        still = is_theta_orthogonal(after).strictly
-    return PerturbationOutcome(
-        before=lat,
-        after=after,
-        mode="cos",
-        value_before=abs(old),
-        value_after=abs(new_cos),
-        density_ratio_sq=_density_ratio_sq(lat, after),
-        still_nearly_orthogonal=still,
-        gram_distance=_gram_distance(lat.gram, after.gram),
-    )
-
-
-def _certify_strict(lat: Lattice) -> bool:
-    if certified_by_block_structure(lat.gram):
-        return True
-    return is_theta_orthogonal(lat).strictly
+    name = f"{lat.name}~block{block_index}={new_cos}"
+    return _replace_pair(lat, i, j, new_cos, name, f"block {block_index}")
 
 
 def perturb_general(

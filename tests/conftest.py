@@ -2,7 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from wrlat import hexagonal, integer_lattice, k3_prime, lattice_from_gram, lnm, staircase
+from wrlat import (
+    direct_sum,
+    hexagonal,
+    integer_lattice,
+    k3_prime,
+    lattice_from_gram,
+    lnm,
+    scale_gram,
+    staircase,
+)
 
 F = Fraction
 
@@ -30,6 +39,15 @@ def k3():
 @pytest.fixture
 def a2_plus_z():
     return lnm(3, 1)
+
+
+def root_plus_hexagonal(name, n, edges):
+    """The root lattice with the given Dynkin diagram (its Cartan matrix as
+    Gram) plus 2 A2, the hexagonal plane at the same minimal norm 2."""
+    gram = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for a, b in edges:
+        gram[a][b] = gram[b][a] = -1
+    return direct_sum(lattice_from_gram(name, gram), scale_gram(hexagonal(), 2))
 
 
 def gram_rows(lat):

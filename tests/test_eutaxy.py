@@ -22,14 +22,13 @@ from wrlat import (
     lattice_from_gram,
     lnm,
     minimal_vectors,
-    scale_gram,
     staircase,
 )
 import wrlat.eutaxy
 from wrlat.constructions import weak_family_lattices
-from wrlat.simplex import OPTIMAL, UNBOUNDED, INFEASIBLE, simplex_max, simplex_max_free
+from wrlat.simplex import OPTIMAL, UNBOUNDED, INFEASIBLE, simplex_max
 
-from conftest import disguise
+from conftest import disguise, root_plus_hexagonal
 
 F = Fraction
 
@@ -43,15 +42,6 @@ def replay_identity(lat, coefficients):
     for a in range(n):
         for b in range(n):
             assert sum(s[a][k] * lat.gram[k, b] for k in range(n)) == (a == b), (a, b)
-
-
-def root_plus_hexagonal(name, n, edges):
-    """The root lattice with the given Dynkin diagram (its Cartan matrix as
-    Gram) plus 2 A2, the hexagonal plane at the same minimal norm 2."""
-    gram = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for a, b in edges:
-        gram[a][b] = gram[b][a] = -1
-    return direct_sum(lattice_from_gram(name, gram), scale_gram(hexagonal(), 2))
 
 
 # every family lattice of rank <= 7 (K3' among them), and two root lattices
@@ -75,6 +65,23 @@ def test_eutaxy_certificate_replays_in_stored_and_disguised_bases(lat):
             replay_identity(case, res.coefficients)
         if klass in (EutaxyClass.EUTACTIC, EutaxyClass.STRONGLY_EUTACTIC):
             assert all(c > 0 for c in res.coefficients)
+
+
+@pytest.mark.parametrize(
+    "lat,t", [(CERTIFIED[-2], F(1, 12)), (CERTIFIED[-1], F(1, 18))], ids=["E6+2A2", "E7+2A2"]
+)
+def test_lp_reaches_the_largest_smallest_coefficient(lat, t):
+    # the trace identity fixes the coefficient sum of each block: rank / 2 over
+    # the root system's pairs (36 for E6, 63 for E7) and 1 over the plane's
+    # 3 pairs, so the smallest coefficient is at most 6/72 = 1/12 (7/126 =
+    # 1/18), reached only when the root pairs share it and the plane's get 1/3
+    res = eutaxy_classify(lat)
+    pairs = minimal_vectors(lat).pairs
+    assert res.klass is EutaxyClass.EUTACTIC and min(res.coefficients) == t
+    by_block = sorted((any(u[-2:]), c) for u, c in zip(pairs, res.coefficients))
+    root = lat.rank - 2
+    assert by_block == [(False, t)] * (len(pairs) - 3) + [(True, F(1, 3))] * 3
+    assert (len(pairs) - 3) * t == F(root, 2)
 
 
 # --- classification ---------------------------------------------------------
@@ -134,11 +141,11 @@ def test_weakly_eutactic_sum_where_the_lp_optimum_is_zero(monkeypatch):
     optima = []
 
     def recorded(*args):
-        result = simplex_max_free(*args)
+        result = simplex_max(*args)
         optima.append(result[:2])
         return result
 
-    monkeypatch.setattr(wrlat.eutaxy, "simplex_max_free", recorded)
+    monkeypatch.setattr(wrlat.eutaxy, "simplex_max", recorded)
     res = eutaxy_classify(lat)
     assert lat.rank == 8 and len(minimal_vectors(lat).pairs) == 19
     assert res.klass is EutaxyClass.WEAKLY_EUTACTIC and res.solution_space_dim == 2
@@ -273,26 +280,40 @@ def test_report_non_well_rounded():
 # --- exact simplex -------------------------------------------------------------
 
 
+def simplex_ineq(c, a, b, free=False):
+    """max c.x s.t. A x <= b, with x >= 0 or free, through the equality-form
+    `simplex_max`: a free x is split as x+ - x- into two nonnegative columns,
+    and row i gains the slack column s_i >= 0 with A_i x + s_i = b_i."""
+    n, m = len(c), len(a)
+    if free:
+        c, a = list(c) + [-e for e in c], [list(r) + [-e for e in r] for r in a]
+    rows = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(a)]
+    status, value, x = simplex_max(list(c) + [0] * m, rows, b)
+    if x is not None:
+        x = [x[j] - x[n + j] for j in range(n)] if free else x[:n]
+    return status, value, x
+
+
 def test_simplex_basic_optimum():
     # max x + y st x <= 2, y <= 3, x + y <= 4
-    status, value, x = simplex_max([1, 1], [[1, 0], [0, 1], [1, 1]], [2, 3, 4])
+    status, value, x = simplex_ineq([1, 1], [[1, 0], [0, 1], [1, 1]], [2, 3, 4])
     assert status == OPTIMAL and value == 4
 
 
 def test_simplex_unbounded():
-    status, _, _ = simplex_max([1], [[-1]], [0])
+    status, _, _ = simplex_ineq([1], [[-1]], [0])
     assert status == UNBOUNDED
 
 
 def test_simplex_infeasible():
     # x <= -1 with x >= 0
-    status, _, _ = simplex_max([1], [[1]], [-1])
+    status, _, _ = simplex_ineq([1], [[1]], [-1])
     assert status == INFEASIBLE
 
 
 def test_simplex_fractional_optimum():
     # max 3x + 2y st 2x + y <= 3/2, x + 3y <= 2
-    status, value, x = simplex_max(
+    status, value, x = simplex_ineq(
         [3, 2], [[2, 1], [1, 3]], [F(3, 2), 2]
     )
     assert status == OPTIMAL
@@ -302,48 +323,57 @@ def test_simplex_fractional_optimum():
 
 def test_simplex_free_variables():
     # max t st t - y <= -1, t + y <= 3: optimum t = 1 at y = 2
-    status, value, point = simplex_max_free([0, 1], [[-1, 1], [1, 1]], [-1, 3])
+    status, value, point = simplex_ineq([0, 1], [[-1, 1], [1, 1]], [-1, 3], free=True)
     assert status == OPTIMAL and value == 1
     assert point[1] == 1
 
 
 def test_simplex_degenerate_no_cycling():
     # classic degeneracy: several redundant constraints through the origin
-    status, value, _ = simplex_max(
+    status, value, _ = simplex_ineq(
         [1, 1], [[1, 0], [0, 1], [1, 1], [1, 1]], [1, 1, 1, 1]
     )
     assert status == OPTIMAL and value == 1
 
 
+def test_simplex_redundant_equality_row():
+    # the second row is twice the first: its artificial stays basic on a
+    # zero row after phase 1; with an inconsistent right side, infeasible
+    assert simplex_max([1, 2], [[1, 1], [2, 2]], [1, 2]) == (OPTIMAL, 2, [0, 1])
+    assert simplex_max([1, 2], [[1, 1], [2, 2]], [1, 3])[0] == INFEASIBLE
+
+
 PINNED_LPS = {
-    # scaling each row to integers by its own lcm reweights the phase-1
-    # artificials, and Bland's rule then ends at (11/4, -15/2) instead
+    # max c.x s.t. A x <= b, x >= 0 or free, as (c, A, b, free, result).
+    # Scaling each row to integers by its own lcm reweights the phase-1
+    # artificials, and Bland's rule then ends at the other optimal vertex (2/3, 0)
     "one-common-scale": (
-        [1, F(1, 2)],
-        [[F(-3, 4), F(3, 4)], [1, F(1, 2)], [F(-1, 2), 0], [2, F(1, 3)], [F(-1, 2), F(-1, 4)], [F(1, 2), 1], [F(-1, 2), F(1, 3)]],
-        [-4, -1, 2, 3, F(5, 3), 2, 1],
-        (OPTIMAL, -1, [F(10, 9), F(-38, 9)]),
+        [-2, -2], [[-1, F(-3, 4)], [-1, -1]], [1, F(-2, 3)], False, (OPTIMAL, F(-4, 3), [0, F(2, 3)])
     ),
     # driving the artificial out takes a negative pivot; without negating the
-    # tableau after it, the LP reads as unbounded
-    "negative-cleanup-pivot": ([0, F(1, 2)], [[0, -3], [0, 1]], [-3, 1], (OPTIMAL, F(1, 2), [0, 1])),
+    # tableau after it, the LP ends at x = 0 with optimum 0
+    "negative-cleanup-pivot": ([F(-4, 3)], [[2], [F(-1, 3)]], [3, F(-1, 2)], False, (OPTIMAL, -2, [F(3, 2)])),
     # phase 1 ends with an artificial basic at zero; left in the basis, it can
     # grow in phase 2, which drops its row, and the LP reads as unbounded
-    "artificial-at-zero": ([2, 0], [[-1, 0], [2, F(1, 2)], [0, F(-3, 2)]], [F(3, 2), -2, -3], (OPTIMAL, -3, [F(-3, 2), 2])),
-    # tied ratios: Bland's rule leaves on the smaller basic index
+    "artificial-at-zero": (
+        [2, 0], [[-1, 0], [2, F(1, 2)], [0, F(-3, 2)]], [F(3, 2), -2, -3], True, (OPTIMAL, -3, [F(-3, 2), 2])
+    ),
+    # tied ratios: Bland's rule leaves on the smaller basic index; leaving on
+    # the first tied row ends at the other optimal vertex (1/4, 1/2, 0, 0)
     "ratio-tie": (
-        [3, 0],
-        [[1, F(1, 2)], [0, -2], [3, 0], [F(-1, 2), F(-3, 2)], [1, F(1, 2)]],
-        [0, 1, -3, -1, 0],
-        (OPTIMAL, -3, [-1, 1]),
+        [2, 0, F(1, 2), -1],
+        [[1, F(3, 2), 2, F(3, 2)], [2, 0, 1, 0], [0, -3, 0, -2]],
+        [1, F(1, 2), 0],
+        False,
+        (OPTIMAL, F(1, 2), [F(1, 4), 0, 0, 0]),
     ),
 }
 
 
 @pytest.mark.parametrize("name", PINNED_LPS)
 def test_simplex_pinned_vertices(name):
-    c, a, b, want = PINNED_LPS[name]
-    assert simplex_max_free(c, a, b) == want
+    c, a, b, free, want = PINNED_LPS[name]
+    assert simplex_ineq(c, a, b, free) == want
 
 
 @st.composite
@@ -395,7 +425,7 @@ def test_simplex_matches_sympy_linprog(case):
     with c.x >= b.y (weak duality makes that an equality)."""
     pytest.importorskip("sympy")
     c, a, b, free = case
-    status, value, x = (simplex_max_free if free else simplex_max)(c, a, b)
+    status, value, x = simplex_ineq(c, a, b, free)
     # the oracle gets a free x as x+ - x-, both parts nonnegative
     oc, oa = (c + [-e for e in c], [r + [-e for e in r] for r in a]) if free else (c, a)
     if sympy_feasible_point(oa, b) is None:

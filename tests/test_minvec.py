@@ -31,12 +31,12 @@ from wrlat import (
     packing_density,
     planar_wr,
     principal_sublattice,
-    rat_inv,
     staircase,
     hybrid,
 )
 from wrlat import minvec
 from wrlat.minvec import _canonical_pair, _shortest
+from wrlat.ratlinalg import solve_affine
 
 from conftest import disguise, quad_form
 
@@ -321,9 +321,10 @@ def certified_box(lat):
     """A box holding every minimal vector: q(u) <= m, the smallest diagonal
     entry, gives u_i^2 <= m (G^-1)_ii."""
     n = lat.rank
-    inv = rat_inv(lat.gram)
+    rows = lat.gram.to_rows()
+    inv_diag = [solve_affine(rows, [int(i == j) for j in range(n)])[0][i] for i in range(n)]
     m = min(lat.gram[i, i] for i in range(n))
-    return max(math.isqrt(math.floor(m * inv[i, i])) for i in range(n))
+    return max(math.isqrt(math.floor(m * x)) for x in inv_diag)
 
 
 @settings(max_examples=80, deadline=None)

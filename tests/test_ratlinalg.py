@@ -14,7 +14,6 @@ from wrlat import (
     int_sqrt_floor,
     lattice_from_gram,
     parse_rational,
-    rat_inv,
 )
 from wrlat.ratlinalg import diagonal_pivots, int_rank, integer_scaled, solve_affine
 
@@ -266,9 +265,3 @@ def test_parse_rational_rejects_floats():
 def test_format_round_trips():
     for x in (F(3, 4), F(-1, 2), F(5), F(0)):
         assert parse_rational(format_rational(x)) == x
-
-
-def test_inverse_exact():
-    g = RatMatrix.from_rows([[1, F(1, 2)], [F(1, 2), 1]])
-    assert rat_inv(g) == RatMatrix.from_rows([[F(4, 3), F(-2, 3)], [F(-2, 3), F(4, 3)]])
-    assert product(rat_inv(g), g) == RatMatrix.identity(2)

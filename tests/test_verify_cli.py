@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import wrlat
-from wrlat import lnm, load_lattice, run_suite, staircase
+from wrlat import lnm, load_lattice, run_suite, save_lattice, staircase
 from wrlat.cli import main, parse_cos_sq_threshold
+
+from conftest import root_plus_hexagonal
 
 F = Fraction
 
@@ -141,6 +143,26 @@ def test_cli_analyze_frame4(tmp_path, capsys):
     assert report["coherence"] == "1/4"
     assert report["kissing_number"] == 10
     assert report["in_weak"] is False
+
+
+PANEL_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "panel"
+PANEL = {
+    "staircase-9": lambda: staircase(9),
+    "A9star": lambda: wrlat.an_dual_frame(9),
+    "L-9-4": lambda: lnm(9, 4),
+    "hybrid-8-2": lambda: wrlat.hybrid(8, 2),
+    "A7-4": lambda: wrlat.coxeter_barnes(7, 4),
+    "K3prime": wrlat.k3_prime,
+    "E6+2A2": lambda: root_plus_hexagonal("E6", 6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)]),
+}
+
+
+@pytest.mark.parametrize("name", PANEL)
+def test_cli_analyze_panel_report_is_byte_identical(name, tmp_path, capsys):
+    f = tmp_path / f"{name}.json"
+    save_lattice(PANEL[name](), str(f))
+    assert run_cli("analyze", str(f)) == 0
+    assert capsys.readouterr().out == (PANEL_REFS / f"{name}.json").read_text(encoding="utf-8")
 
 
 def test_cli_analyze_missing_file():
