@@ -1,18 +1,22 @@
 """Exact shortest-vector machinery: minimal norm, minimal vectors, well-roundedness.
 
 One depth-first enumeration per Gram matrix finds the minimal norm and every
-minimal vector together: the bound starts at the smallest diagonal entry,
-drops to each strictly shorter vector found, and the vectors at the current
-bound are kept as ties, so the ties left at the end are the complete minimal
-set.  Its levels are read from one diagonal elimination of s G
-(`ratlinalg.diagonal_pivots`) and scaled to integers, so the walk uses no
-floating point and no Fraction.  Results are cached on the Gram matrix alone.
-Well-roundedness is the integer rank of the pair matrix (`int_rank`, which
-stops at n independent pairs), cached on the pairs.  Every helper that needs
-the minimal vectors, here and in invariants, ortho and eutaxy, takes the rank
-guard `max_dim` and passes it on, so one setting holds for a whole report.
-A box-scan brute-force oracle cross-validates the enumerator: an integer
-odometer over every coordinate but the last, which is swept row by row.
+minimal vector together.  It walks the pair-reduced integer Gram
+(`_pair_reduce`), so a disguised basis costs little more than a reduced one:
+the bound starts at the smallest diagonal entry, drops to each strictly
+shorter vector found, and the vectors at the current bound are kept as ties,
+so the ties left at the end are the complete minimal set, which is mapped
+back to the input basis.  Its levels are read from one diagonal elimination
+(`ratlinalg.diagonal_pivots`) and scaled to integers, and each level's center
+is a running sum, so the walk uses no floating point and no Fraction.
+Results are cached on the Gram matrix alone.  Well-roundedness is the integer
+rank of the pair matrix (`int_rank`, which stops at n independent pairs),
+cached on the pairs.  Every helper that needs the minimal vectors, here and
+in invariants, ortho and eutaxy, takes the rank guard `max_dim` and passes it
+on, so one setting holds for a whole report.  A box-scan brute-force oracle
+cross-validates the enumerator on the Gram as given, with no reduction: an
+integer odometer over every coordinate but the last, which is swept row by
+row.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DimensionGuardExceeded, PairCountGuardExceeded
-from .lattice import Lattice, gram_pivots
-from .ratlinalg import RatMatrix, format_rational, int_rank, integer_scaled
+from .lattice import Lattice
+from .ratlinalg import RatMatrix, diagonal_pivots, format_rational, int_rank, integer_scaled
 
 DEFAULT_MAX_DIM = 12
 DEFAULT_PAIR_GUARD_FACTOR = 10
@@ -60,61 +64,133 @@ def _canonical_pair(u: tuple[int, ...]) -> tuple[int, ...]:
     return u
 
 
+def _pair_reduce(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]] | None]:
+    """(T A T^T, T) for a positive-definite integer Gram A, with |2 a_ij| <= a_jj.
+
+    While some |2 a_ij| > a_jj, the move b_i -= q b_j, q the nearest integer
+    to a_ij / a_jj, strictly lowers a_ii, so the loop ends.  The rows of the
+    unimodular T give the reduced basis in input coordinates, ordered by
+    ascending diagonal.  When no move happens, A is returned as it is and T
+    is None.
+    """
+    a = [list(row) for row in a]
+    n = len(a)
+    t = [[0] * n for _ in range(n)]
+    for i, row in enumerate(t):
+        row[i] = 1
+    moves = 0
+    while True:
+        before = moves
+        for j, aj in enumerate(a):
+            ajj = aj[j]
+            # a move on b_i changes only row and column i, so the other a_ij stay as listed
+            for i in [i for i, x in enumerate(aj) if 2 * abs(x) > ajj and i != j]:
+                q = (2 * aj[i] + ajj) // (2 * ajj)
+                ri = [x - q * y for x, y in zip(a[i], aj)]
+                ri[i] -= q * ri[j]  # <b_i - q b_j, b_i - q b_j>
+                a[i] = ri
+                for row, x in zip(a, ri):
+                    row[i] = x
+                t[i] = [x - q * y for x, y in zip(t[i], t[j])]
+                moves += 1
+        if moves == before:
+            break
+    if not moves:
+        return a, None
+    order = sorted(range(n), key=lambda i: a[i][i])
+    return [[row[j] for j in order] for row in map(a.__getitem__, order)], [t[i] for i in order]
+
+
+def _in_basis(v: tuple[int, ...], t: list[list[tuple[int, int]]]) -> tuple[int, ...]:
+    """The vector sum_i v_i t_i, with each row t_i given by its nonzero (index, entry)."""
+    u = [0] * len(t)
+    for vi, ti in zip(v, t):
+        if vi:
+            for j, e in ti:
+                u[j] += vi * e
+    return tuple(u)
+
+
 @lru_cache(maxsize=4096)
 def _shortest(gram: RatMatrix, limit: int) -> tuple[Fraction, tuple[tuple[int, ...], ...], bool]:
     """Core exact enumerator: (minimal norm, canonical minimal pairs, overflowed).
 
-    Explores the half-space where the highest-index nonzero coordinate is
-    positive.  The bound tightens whenever a strictly shorter nonzero vector
-    is found, which empties the tie list; every vector at the current bound
-    is kept, up to `limit` pairs.  `overflowed` is True when a further tie at
-    the final norm was dropped.  With the leading minors P and the column
-    minors M_jk of s G (`diagonal_pivots`), level k adds
-    (P_{k+1} x_k + sum_{j>k} M_jk x_j)^2 / (s P_k P_{k+1}).  With g_k the gcd
-    of P_{k+1} and the M_jk, that is w_k (b_k x_k + a)^2 in units 1/S, with
-    integers w_k, b_k = P_{k+1} / g_k and a = sum_{j>k} (M_jk / g_k) x_j.
+    Walks A = T (s G) T^T from `_pair_reduce`, over the half-space where the
+    highest-index nonzero coordinate is positive.  The bound starts at A's
+    smallest diagonal entry and tightens whenever a strictly shorter nonzero
+    vector is found, which empties the tie list; every vector at the current
+    bound is kept, up to `limit` pairs, and the ties at the final bound are
+    mapped back through T.  `overflowed` is True when a further tie at the
+    final norm was dropped; that set does not depend on the basis.  With the
+    leading minors P and the column minors M_jk of A (`diagonal_pivots`),
+    level k adds (P_{k+1} x_k + sum_{j>k} M_jk x_j)^2 / (s P_k P_{k+1}).  With
+    g_k the gcd of P_{k+1} and the M_jk, that is w_k (b_k x_k + c_k)^2 in units
+    1/S, with integers w_k, b_k = P_{k+1} / g_k and the center
+    c_k = sum_{j>k} (M_jk / g_k) x_j.  When x_j changes by d, each c_k that
+    reads it gains d M_jk / g_k.  Level 0 is swept inside the loop of level 1.
     """
     n = gram.rows
-    s, pivots, cols = gram_pivots(gram)
+    s, a = integer_scaled(gram)
+    a, t = _pair_reduce(a)
+    pivots, cols = diagonal_pivots(a)
     g = [math.gcd(*col) for col in cols]
     b = [col[0] // gk for col, gk in zip(cols, g)]
-    diag = [Fraction(p, s * prev) for prev, p in zip(pivots, pivots[1:])]
-    scale = math.lcm(*(d.denominator * bk * bk for d, bk in zip(diag, b)))  # S q(u) is integral
-    w = [int(d * scale / (bk * bk)) for d, bk in zip(diag, b)]
-    terms = [[(k + i, c // g[k]) for i, c in enumerate(col) if i and c] for k, col in enumerate(cols)]
+    level = [(p, s * prev * bk * bk) for prev, p, bk in zip(pivots, pivots[1:], b)]  # w_k / S as p / q
+    scale = math.lcm(*(q // math.gcd(p, q) for p, q in level))
+    w = [p * scale // q for p, q in level]
+    # readers[j]: each level k < j whose center reads x_j, with M_jk / g_k
+    readers = [[(k, cols[k][j - k] // g[k]) for k in range(j) if cols[k][j - k]] for j in range(n)]
+    # x may hold values left by an earlier branch below the current level; the
+    # centers always agree with x, and each level resets its x before it reads
     x = [0] * n
-    bound = int(min(gram[i, i] for i in range(n)) * scale)
+    center = [0] * n
+    w0, b0 = w[0], b[0]
+    bound = min(a[i][i] for i in range(n)) * scale // s
     ties: list[tuple[int, ...]] = []
     overflowed = False
 
-    def rec(k: int, partial: int, higher_zero: bool):
+    def walk(k: int, partial: int, higher_zero: bool):
+        # 1 <= k, and partial <= bound on entry: the caller checked it after its last drop
         nonlocal bound, ties, overflowed
-        if k < 0:
-            if higher_zero:
-                return
-            if partial < bound:
-                bound, ties, overflowed = partial, [], False
-            if len(ties) < limit:
-                ties.append(_canonical_pair(tuple(x)))
-            else:
-                overflowed = True
-            return
-        # partial <= bound on entry: the caller checked it after its last drop
-        wk, bk = w[k], b[k]
-        a = sum(c * x[j] for j, c in terms[k])
-        s = math.isqrt((bound - partial) // wk)
-        lo = 0 if higher_zero else -((s + a) // bk)
-        for xk in range(lo, (s - a) // bk + 1):
-            t = bk * xk + a
-            contrib = wk * t * t
-            if partial + contrib > bound:
+        wk, bk, c = w[k], b[k], center[k]
+        r = math.isqrt((bound - partial) // wk)
+        for xk in range(0 if higher_zero else -((r + c) // bk), (r - c) // bk + 1):
+            y = bk * xk + c
+            p = partial + wk * y * y
+            if p > bound:
                 continue
-            x[k] = xk
-            rec(k - 1, partial + contrib, higher_zero and xk == 0)
-        x[k] = 0
+            step = xk - x[k]
+            if step:
+                x[k] = xk
+                for i, m in readers[k]:
+                    center[i] += m * step
+            zero = higher_zero and not xk
+            if k > 1:
+                walk(k - 1, p, zero)
+                continue
+            c0 = center[0]
+            r0 = math.isqrt((bound - p) // w0)
+            for x0 in range(1 if zero else -((r0 + c0) // b0), (r0 - c0) // b0 + 1):
+                y = b0 * x0 + c0
+                q = p + w0 * y * y
+                if q <= bound:
+                    if q < bound:
+                        bound, ties, overflowed = q, [], False
+                    if len(ties) < limit:
+                        x[0] = x0
+                        ties.append(tuple(x))
+                    else:
+                        overflowed = True
 
-    rec(n - 1, 0, True)
-    return Fraction(bound, scale), tuple(sorted(ties)), overflowed
+    if n > 1:
+        walk(n - 1, 0, True)
+    else:  # the half-line of b_0 meets the bound once, at x_0 = 1
+        ties, overflowed = ([(1,)], False) if limit else ([], True)
+    if t is not None:
+        nonzero = [[(j, e) for j, e in enumerate(row) if e] for row in t]
+        ties = [_in_basis(v, nonzero) for v in ties]
+    pairs = sorted(_canonical_pair(v) for v in ties)
+    return Fraction(bound, scale), tuple(pairs), overflowed
 
 
 def _check_dim(lat: Lattice, max_dim: int) -> None:

@@ -9,9 +9,10 @@ s A, with s the lcm of A's denominators, and every row update is one
 `sylvester_step`: forward (`schur_step`) in the verdicts of `ortho` and in
 `diagonal_pivots`, the one elimination of a Gram (its leading minors decide
 positive definiteness, give the determinant, the levels of the
-shortest-vector enumerator and the angle profiles, and, on the integer Gram
-of n minimal vectors from `gram_of_vectors`, decide whether they span and
-whether they form a basis); Gauss-Jordan in `row_reduce`, which gives
+shortest-vector enumerator on the pair-reduced Gram it walks and the angle
+profiles, and, on the integer Gram of n minimal vectors from
+`gram_of_vectors`, decide whether they span and whether they form a basis);
+Gauss-Jordan in `row_reduce`, which gives
 `solve_affine` and the reduced rows of the eutaxy system, and in the simplex
 tableau.  No inverse is formed.  Only `int_rank` keeps its own row-by-row
 reduction, because it stops once the rank reaches the column count: the
@@ -63,7 +64,10 @@ def int_sqrt_floor(q: Fraction | int) -> int:
 class RatMatrix:
     """Immutable dense matrix of Fractions, stored row-major.
 
-    The hash is computed on first use and kept, since Grams key caches.
+    The hash is computed on first use and kept, since Grams key caches.  It
+    reads each entry's (numerator, denominator), which costs less than
+    `Fraction.__hash__`; Fractions are normalized, so equal matrices still
+    hash equal.
     """
 
     __slots__ = ("rows", "cols", "entries", "_hash")
@@ -123,7 +127,8 @@ class RatMatrix:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.rows, self.cols, self.entries)))
+            ratios = map(Fraction.as_integer_ratio, self.entries)
+            object.__setattr__(self, "_hash", hash((self.rows, self.cols, *ratios)))
         return self._hash
 
     def __repr__(self) -> str:

@@ -17,6 +17,7 @@ from wrlat import (
     average_coherence,
     brute_force_min_vectors,
     coherence,
+    coxeter_barnes,
     direct_sum,
     eutaxy_classify,
     hexagonal,
@@ -35,8 +36,8 @@ from wrlat import (
     hybrid,
 )
 from wrlat import minvec
-from wrlat.minvec import _canonical_pair, _shortest
-from wrlat.ratlinalg import solve_affine
+from wrlat.minvec import _canonical_pair, _pair_reduce, _shortest
+from wrlat.ratlinalg import diagonal_pivots, integer_scaled, solve_affine
 
 from conftest import disguise, quad_form
 
@@ -53,6 +54,20 @@ def rank_le_5_family():
     lats += [an_dual_frame(n) for n in range(2, 6)]
     lats += [planar_wr(F(1, 10), 2).lattice, planar_wr(F(1, 2), 1).lattice]
     return lats
+
+
+def rank_le_8_family():
+    lats = rank_le_5_family() + [staircase(n) for n in (6, 7, 8)] + [lnm(7, 2), lnm(8, 4), hybrid(8, 2)]
+    lats += [an_root(7), an_root(8), an_dual_frame(7), an_dual_frame(8), coxeter_barnes(7, 4)]
+    return lats + [lattice_from_gram("E8", e8_gram())]
+
+
+def e8_gram():
+    """The Cartan matrix of E8: 240 roots of norm 2."""
+    g = [[2 * int(i == j) for j in range(8)] for i in range(8)]
+    for i, j in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)]:
+        g[i][j] = g[j][i] = -1
+    return g
 
 
 def test_min_norm_integer_lattice():
@@ -207,19 +222,34 @@ def test_json_shape():
 
 
 @st.composite
-def disguised_family_lattices(draw):
-    lat = draw(st.sampled_from(rank_le_5_family()))
+def disguised_family_lattices(draw, family=rank_le_5_family(), steps=(1, -1), moves_per_rank=2):
+    lat = draw(st.sampled_from(family))
     n = lat.rank
     moves = []
     if n > 1:
-        for _ in range(draw(st.integers(1, 2 * n))):
+        for _ in range(draw(st.integers(1, moves_per_rank * n))):
             i, j = draw(st.permutations(range(n)))[:2]
-            moves.append((i, j, draw(st.sampled_from((1, -1)))))
+            moves.append((i, j, draw(st.sampled_from(steps))))
     return lat, moves
 
 
+def certified_box(lat, m=None):
+    """A box holding every vector of norm <= m, and so every minimal vector
+    when m is at least the minimum (by default the smallest diagonal entry):
+    q(u) <= m gives u_i^2 <= m (G^-1)_ii."""
+    n = lat.rank
+    rows = lat.gram.to_rows()
+    inv_diag = [solve_affine(rows, [int(i == j) for j in range(n)])[0][i] for i in range(n)]
+    if m is None:
+        m = min(lat.gram[i, i] for i in range(n))
+    return max(math.isqrt(math.floor(m * x)) for x in inv_diag)
+
+
+deep_disguises = disguised_family_lattices(rank_le_8_family(), (1, -1, 2, -2), 4)
+
+
 @settings(max_examples=60, deadline=None)
-@given(disguised_family_lattices())
+@given(deep_disguises)
 def test_enumeration_is_basis_invariant(case):
     lat, moves = case
     disguised, u = disguise(lat, moves)
@@ -232,6 +262,31 @@ def test_enumeration_is_basis_invariant(case):
     # the pairs map back to the undisguised ones through U
     back = {_canonical_pair(tuple(sum(a * b for a, b in zip(r, w)) for r in u)) for w in got.pairs}
     assert back == set(want.pairs)
+    n = lat.rank
+    if n <= 4:
+        # the stored basis's smallest norm bounds the minimum independently of
+        # the enumerator; deep disguises can put the box past this budget
+        box = certified_box(disguised, min(lat.gram[i, i] for i in range(n)))
+        if (2 * box + 1) ** n <= 50_000:
+            assert got == brute_force_min_vectors(disguised, box)
+
+
+@settings(max_examples=60, deadline=None)
+@given(deep_disguises)
+def test_pair_reduce_is_a_unimodular_congruence(case):
+    lat, moves = case
+    _, a = integer_scaled(disguise(lat, moves)[0].gram)
+    red, t = _pair_reduce(a)
+    n = len(a)
+    if t is None:
+        assert red == a
+    else:
+        assert diagonal_pivots([[sum(map(math.prod, zip(r, q))) for q in t] for r in t])[0][-1] == 1  # det(T)^2
+        ta = [[sum(r[k] * a[k][j] for k in range(n)) for j in range(n)] for r in t]
+        assert [[sum(map(math.prod, zip(r, q))) for q in t] for r in ta] == red
+        assert [red[i][i] for i in range(n)] == sorted(red[i][i] for i in range(n))
+    assert all(2 * abs(red[i][j]) <= red[j][j] for i in range(n) for j in range(n) if i != j)
+    assert _pair_reduce(red) == (red, None)
 
 
 @settings(max_examples=60, deadline=None)
@@ -253,26 +308,42 @@ def test_pair_layer_is_basis_invariant(case):
 def e8_plus_z_disguised():
     """E8 (+) Z stored with b_8 += b_0: every diagonal entry is at least 2,
     the norm-2 shell holds the 120 root pairs of E8, and the minimum is 1."""
-    g = [[0] * 9 for _ in range(9)]
-    for i in range(8):
-        g[i][i] = 2
-    for i, j in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)]:
-        g[i][j] = g[j][i] = -1
-    g[8][8] = 1
+    g = e8_gram()
+    for row in g:
+        row.append(0)
+    g.append([0] * 8 + [1])
     return disguise(lattice_from_gram("e8+z", g), [(0, 8, 1)])[0]
 
 
-def test_pair_guard_counts_only_ties_at_the_final_norm(monkeypatch):
+def test_pair_reduce_undoes_the_disguise():
     lat = e8_plus_z_disguised()
     assert min(lat.gram[i, i] for i in range(9)) == 2
-    # the walk meets the norm-2 shell (120 pairs, past the limit 1 * 9^2) in
-    # the b_8 = 0 half before it finds the norm-1 vector, so the overflow must
-    # be cleared when the bound drops
-    assert len(minimal_vectors(principal_sublattice(lat, range(8))).pairs) == 120
+    red, t = _pair_reduce(integer_scaled(lat.gram)[1])
+    assert t is not None and [red[i][i] for i in range(9)] == [1] + [2] * 8
+    assert minimal_vectors(lat).pairs == ((1, 0, 0, 0, 0, 0, 0, 0, -1),)
+
+
+def e8_a2_plus_short_diagonal():
+    """E8 (+) M, M = [[2, -1, -1], [-1, 2, -1], [-1, -1, 12/5]]: pair-reduced,
+    so it is walked as stored, from the bound 2, while its minimum is 2/5, at
+    M's (1, 1, 1).  The half x_10 = 0, walked first, holds the 123 norm-2
+    pairs of E8 (+) A2 and no shorter vector."""
+    g = [row + [0, 0, 0] for row in e8_gram()]
+    g += [[0] * 8 + [2, -1, -1], [0] * 8 + [-1, 2, -1], [0] * 8 + [-1, -1, F(12, 5)]]
+    return lattice_from_gram("e8+a2+m", g)
+
+
+def test_pair_guard_counts_only_ties_at_the_final_norm(monkeypatch):
+    lat = e8_a2_plus_short_diagonal()
+    assert _pair_reduce(integer_scaled(lat.gram)[1])[1] is None
+    assert min(lat.gram[i, i] for i in range(11)) == 2
+    assert len(minimal_vectors(principal_sublattice(lat, range(10))).pairs) == 123
+    # 123 ties pass the limit 1 * 11^2 before the bound drops, so the
+    # overflow must be cleared when it does
     monkeypatch.setattr(minvec, "DEFAULT_PAIR_GUARD_FACTOR", 1)
     mvs = minimal_vectors(lat)
-    assert mvs.norm_sq == 1
-    assert mvs.pairs == ((1, 0, 0, 0, 0, 0, 0, 0, -1),)
+    assert mvs.norm_sq == F(2, 5)
+    assert mvs.pairs == ((0,) * 8 + (1, 1, 1),)
     monkeypatch.setattr(minvec, "DEFAULT_PAIR_GUARD_FACTOR", 0)
     with pytest.raises(PairCountGuardExceeded, match="e8"):
         minimal_vectors(lat)
@@ -315,16 +386,6 @@ def rational_lattices(draw, ranks):
     diag = [draw(fractions_over(1, 12)) for _ in range(n)]
     g = [[sum(low[i][k] * diag[k] * low[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
     return lattice_from_gram("rational", g)
-
-
-def certified_box(lat):
-    """A box holding every minimal vector: q(u) <= m, the smallest diagonal
-    entry, gives u_i^2 <= m (G^-1)_ii."""
-    n = lat.rank
-    rows = lat.gram.to_rows()
-    inv_diag = [solve_affine(rows, [int(i == j) for j in range(n)])[0][i] for i in range(n)]
-    m = min(lat.gram[i, i] for i in range(n))
-    return max(math.isqrt(math.floor(m * x)) for x in inv_diag)
 
 
 @settings(max_examples=80, deadline=None)
