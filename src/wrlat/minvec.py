@@ -64,23 +64,22 @@ def _canonical_pair(u: tuple[int, ...]) -> tuple[int, ...]:
     return u
 
 
-def _pair_reduce(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]] | None]:
+def _pair_reduce(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
     """(T A T^T, T) for a positive-definite integer Gram A, with |2 a_ij| <= a_jj.
 
     While some |2 a_ij| > a_jj, the move b_i -= q b_j, q the nearest integer
     to a_ij / a_jj, strictly lowers a_ii, so the loop ends.  The rows of the
     unimodular T give the reduced basis in input coordinates, ordered by
-    ascending diagonal.  When no move happens, A is returned as it is and T
-    is None.
+    ascending diagonal; when no move happens, T is a permutation.
     """
     a = [list(row) for row in a]
     n = len(a)
     t = [[0] * n for _ in range(n)]
     for i, row in enumerate(t):
         row[i] = 1
-    moves = 0
-    while True:
-        before = moves
+    moved = True
+    while moved:
+        moved = False
         for j, aj in enumerate(a):
             ajj = aj[j]
             # a move on b_i changes only row and column i, so the other a_ij stay as listed
@@ -92,23 +91,9 @@ def _pair_reduce(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]] |
                 for row, x in zip(a, ri):
                     row[i] = x
                 t[i] = [x - q * y for x, y in zip(t[i], t[j])]
-                moves += 1
-        if moves == before:
-            break
-    if not moves:
-        return a, None
+                moved = True
     order = sorted(range(n), key=lambda i: a[i][i])
     return [[row[j] for j in order] for row in map(a.__getitem__, order)], [t[i] for i in order]
-
-
-def _in_basis(v: tuple[int, ...], t: list[list[tuple[int, int]]]) -> tuple[int, ...]:
-    """The vector sum_i v_i t_i, with each row t_i given by its nonzero (index, entry)."""
-    u = [0] * len(t)
-    for vi, ti in zip(v, t):
-        if vi:
-            for j, e in ti:
-                u[j] += vi * e
-    return tuple(u)
 
 
 @lru_cache(maxsize=4096)
@@ -127,7 +112,8 @@ def _shortest(gram: RatMatrix, limit: int) -> tuple[Fraction, tuple[tuple[int, .
     g_k the gcd of P_{k+1} and the M_jk, that is w_k (b_k x_k + c_k)^2 in units
     1/S, with integers w_k, b_k = P_{k+1} / g_k and the center
     c_k = sum_{j>k} (M_jk / g_k) x_j.  When x_j changes by d, each c_k that
-    reads it gains d M_jk / g_k.  Level 0 is swept inside the loop of level 1.
+    reads it gains d M_jk / g_k.  Level 0 is swept in one loop, with no call
+    per leaf.
     """
     n = gram.rows
     s, a = integer_scaled(gram)
@@ -144,53 +130,48 @@ def _shortest(gram: RatMatrix, limit: int) -> tuple[Fraction, tuple[tuple[int, .
     # centers always agree with x, and each level resets its x before it reads
     x = [0] * n
     center = [0] * n
-    w0, b0 = w[0], b[0]
-    bound = min(a[i][i] for i in range(n)) * scale // s
+    bound = a[0][0] * scale // s
     ties: list[tuple[int, ...]] = []
     overflowed = False
 
     def walk(k: int, partial: int, higher_zero: bool):
-        # 1 <= k, and partial <= bound on entry: the caller checked it after its last drop
+        # partial <= bound on entry: the caller checked it after its last drop
         nonlocal bound, ties, overflowed
         wk, bk, c = w[k], b[k], center[k]
         r = math.isqrt((bound - partial) // wk)
-        for xk in range(0 if higher_zero else -((r + c) // bk), (r - c) // bk + 1):
+        lo = (0 if k else 1) if higher_zero else -((r + c) // bk)
+        for xk in range(lo, (r - c) // bk + 1):
             y = bk * xk + c
             p = partial + wk * y * y
             if p > bound:
                 continue
-            step = xk - x[k]
-            if step:
-                x[k] = xk
-                for i, m in readers[k]:
-                    center[i] += m * step
-            zero = higher_zero and not xk
-            if k > 1:
-                walk(k - 1, p, zero)
+            if k:
+                step = xk - x[k]
+                if step:
+                    x[k] = xk
+                    for i, m in readers[k]:
+                        center[i] += m * step
+                walk(k - 1, p, higher_zero and not xk)
                 continue
-            c0 = center[0]
-            r0 = math.isqrt((bound - p) // w0)
-            for x0 in range(1 if zero else -((r0 + c0) // b0), (r0 - c0) // b0 + 1):
-                y = b0 * x0 + c0
-                q = p + w0 * y * y
-                if q <= bound:
-                    if q < bound:
-                        bound, ties, overflowed = q, [], False
-                    if len(ties) < limit:
-                        x[0] = x0
-                        ties.append(tuple(x))
-                    else:
-                        overflowed = True
+            if p < bound:
+                bound, ties, overflowed = p, [], False
+            if len(ties) < limit:
+                x[0] = xk
+                ties.append(tuple(x))
+            else:
+                overflowed = True
 
-    if n > 1:
-        walk(n - 1, 0, True)
-    else:  # the half-line of b_0 meets the bound once, at x_0 = 1
-        ties, overflowed = ([(1,)], False) if limit else ([], True)
-    if t is not None:
-        nonzero = [[(j, e) for j, e in enumerate(row) if e] for row in t]
-        ties = [_in_basis(v, nonzero) for v in ties]
-    pairs = sorted(_canonical_pair(v) for v in ties)
-    return Fraction(bound, scale), tuple(pairs), overflowed
+    walk(n - 1, 0, True)
+    nonzero = [[(j, e) for j, e in enumerate(row) if e] for row in t]
+    pairs = []
+    for v in ties:  # u = sum_i v_i t_i, over the nonzero v_i and t_ij
+        u = [0] * n
+        for vi, ti in zip(v, nonzero):
+            if vi:
+                for j, e in ti:
+                    u[j] += vi * e
+        pairs.append(_canonical_pair(tuple(u)))
+    return Fraction(bound, scale), tuple(sorted(pairs)), overflowed
 
 
 def _check_dim(lat: Lattice, max_dim: int) -> None:

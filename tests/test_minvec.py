@@ -62,6 +62,10 @@ def rank_le_8_family():
     return lats + [lattice_from_gram("E8", e8_gram())]
 
 
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def e8_gram():
     """The Cartan matrix of E8: 240 roots of norm 2."""
     g = [[2 * int(i == j) for j in range(8)] for i in range(8)]
@@ -278,15 +282,12 @@ def test_pair_reduce_is_a_unimodular_congruence(case):
     _, a = integer_scaled(disguise(lat, moves)[0].gram)
     red, t = _pair_reduce(a)
     n = len(a)
-    if t is None:
-        assert red == a
-    else:
-        assert diagonal_pivots([[sum(map(math.prod, zip(r, q))) for q in t] for r in t])[0][-1] == 1  # det(T)^2
-        ta = [[sum(r[k] * a[k][j] for k in range(n)) for j in range(n)] for r in t]
-        assert [[sum(map(math.prod, zip(r, q))) for q in t] for r in ta] == red
-        assert [red[i][i] for i in range(n)] == sorted(red[i][i] for i in range(n))
+    assert diagonal_pivots([[sum(map(math.prod, zip(r, q))) for q in t] for r in t])[0][-1] == 1  # det(T)^2
+    ta = [[sum(r[k] * a[k][j] for k in range(n)) for j in range(n)] for r in t]
+    assert [[sum(map(math.prod, zip(r, q))) for q in t] for r in ta] == red
+    assert [red[i][i] for i in range(n)] == sorted(red[i][i] for i in range(n))
     assert all(2 * abs(red[i][j]) <= red[j][j] for i in range(n) for j in range(n) if i != j)
-    assert _pair_reduce(red) == (red, None)
+    assert _pair_reduce(red) == (red, identity(n))
 
 
 @settings(max_examples=60, deadline=None)
@@ -319,8 +320,14 @@ def test_pair_reduce_undoes_the_disguise():
     lat = e8_plus_z_disguised()
     assert min(lat.gram[i, i] for i in range(9)) == 2
     red, t = _pair_reduce(integer_scaled(lat.gram)[1])
-    assert t is not None and [red[i][i] for i in range(9)] == [1] + [2] * 8
+    assert t != identity(9) and [red[i][i] for i in range(9)] == [1] + [2] * 8
     assert minimal_vectors(lat).pairs == ((1, 0, 0, 0, 0, 0, 0, 0, -1),)
+
+
+def test_pair_reduce_orders_a_reduced_basis_by_a_permutation():
+    a = [[4, 1, 0], [1, 2, 0], [0, 0, 3]]
+    assert _pair_reduce(a) == ([[2, 0, 1], [0, 3, 0], [1, 0, 4]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    assert minimal_vectors(lattice_from_gram("unsorted", a)).pairs == ((0, 1, 0),)
 
 
 def e8_a2_plus_short_diagonal():
@@ -335,7 +342,8 @@ def e8_a2_plus_short_diagonal():
 
 def test_pair_guard_counts_only_ties_at_the_final_norm(monkeypatch):
     lat = e8_a2_plus_short_diagonal()
-    assert _pair_reduce(integer_scaled(lat.gram)[1])[1] is None
+    a = integer_scaled(lat.gram)[1]
+    assert _pair_reduce(a) == (a, identity(11))
     assert min(lat.gram[i, i] for i in range(11)) == 2
     assert len(minimal_vectors(principal_sublattice(lat, range(10))).pairs) == 123
     # 123 ties pass the limit 1 * 11^2 before the bound drops, so the

@@ -38,9 +38,11 @@ def product(a, b):
 
 def test_hash_is_computed_once_and_matrix_stays_immutable():
     g = RatMatrix.from_rows([[1, F(1, 2)], [F(1, 2), 1]])
-    with mock.patch.object(Fraction, "__hash__", autospec=True, side_effect=Fraction.__hash__) as counted:
+    ratio = Fraction.as_integer_ratio
+    with mock.patch.object(Fraction, "as_integer_ratio", autospec=True, side_effect=ratio) as counted:
         first = hash(g)
-        assert hash(g) == first == g._hash and counted.call_count == 0  # keyed on (p, q), kept
+        calls = counted.call_count
+        assert hash(g) == first and counted.call_count == calls == 4  # one (p, q) per entry, once
     assert first == hash(RatMatrix.from_rows(g.to_rows()))
     for name in ("entries", "_hash"):
         with pytest.raises(AttributeError):
