@@ -91,7 +91,6 @@ from .perturb import (
     perturb_general,
 )
 from .ratlinalg import (
-    Rational,
     RatMatrix,
     format_rational,
     int_sqrt_floor,

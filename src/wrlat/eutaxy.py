@@ -16,7 +16,10 @@ classification ladder:
 The LP maximizes t over c = x + t (1, ..., 1) with x, t >= 0, subject to the
 reduced rows of the system (one per pivot of its elimination); the lattice
 is Eutactic iff the optimum t is positive, and then t is the largest
-possible smallest coefficient.
+possible smallest coefficient.  The elimination and the LP run on integers
+only: the integer rows of `row_reduce`, d times the reduced form, reach the
+LP divided by their gcd taken with the sign of d, and Fractions are built
+only for the coefficients reported.
 
 Perfection asks whether the rank-one forms u_i u_i^T span the whole space of
 symmetric matrices; conjugation by the basis matrix preserves that rank, so
@@ -26,6 +29,7 @@ the Gram-coordinate test is equivalent to the ambient one.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -87,17 +91,17 @@ def eutaxy_classify(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> EutaxyResul
         return EutaxyResult(EutaxyClass.NOT_WEAKLY_EUTACTIC, None, -1)
     rows, pivots, d = reduced
     dim = k - len(pivots)
-    # reduced row i reads: coefficient pivots[i] plus its free-coefficient terms = rhs[i]
-    rhs = [Fraction(row[-1], d) for row in rows]
-    sums = [Fraction(sum(row[:-1]), d) for row in rows]
+    # reduced row i, rows[i] / d, reads: coefficient pivots[i] plus its
+    # free-coefficient terms = rows[i][-1] / d
+    sums = [sum(row[:-1]) for row in rows]
     particular = [Fraction(0)] * k
-    for c, r in zip(pivots, rhs):
-        particular[c] = r
+    for c, row in zip(pivots, rows):
+        particular[c] = Fraction(row[-1], d)
 
     # direct all-equal test, independent of the LP below: c (1, ..., 1)
-    # solves the system iff rhs_i == c * (sum of row i) for every row i
-    common = next((r / s for r, s in zip(rhs, sums) if s), None)
-    if common is not None and common > 0 and all(r == common * s for r, s in zip(rhs, sums)):
+    # solves the system iff rows[i][-1] == c * sums[i] for every row i (d cancels)
+    common = next((Fraction(row[-1], s) for row, s in zip(rows, sums) if s), None)
+    if common is not None and common > 0 and all(row[-1] == common * s for row, s in zip(rows, sums)):
         return EutaxyResult(EutaxyClass.STRONGLY_EUTACTIC, (common,) * k, dim)
 
     if dim == 0:
@@ -107,9 +111,13 @@ def eutaxy_classify(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> EutaxyResul
         return EutaxyResult(EutaxyClass.WEAKLY_EUTACTIC, coeffs, 0)
 
     # maximize the smallest coefficient t: c = x + t (1, ..., 1) with x, t >= 0
-    # on the reduced rows, whose row sums are the column of t
-    a_rows = [[Fraction(x, d) for x in row[:-1]] + [s] for row, s in zip(rows, sums)]
-    status, value, point = simplex_max([0] * k + [1], a_rows, rhs)
+    # on the reduced rows, whose row sums are the column of t.  Dividing the
+    # rows, sums and right sides by their gcd, taken with the sign of d, gives
+    # the smallest integer multiple of the rational rows / d that keeps their
+    # signs, as one positive factor for the whole LP must.
+    g = math.gcd(*(x for row in rows for x in row), *sums) * (1 if d > 0 else -1)
+    lp_rows = [[x // g for x in row[:-1]] + [s // g] for row, s in zip(rows, sums)]
+    status, value, point = simplex_max([0] * k + [1], lp_rows, [row[-1] // g for row in rows])
     if status == OPTIMAL and value > 0:
         coeffs = tuple(x + value for x in point[:k])
         return EutaxyResult(EutaxyClass.EUTACTIC, coeffs, dim)

@@ -1,33 +1,31 @@
 """Exact rational scalars and dense rational linear algebra.
 
 Every quantity in this package that can be rational is kept rational: the
-scalar type is ``fractions.Fraction`` (aliased ``Rational``), matrices are
-dense row-major tuples of Fractions, and all eliminations are exact.
-Matrices are small (desk-scale ranks, at most ~12), so dense algorithms are
-the right tool.  Every elimination runs fraction-free on the integer matrix
-s A, with s the lcm of A's denominators, and every row update is one
+scalar type is ``fractions.Fraction``, matrices are dense row-major tuples
+of Fractions, and all eliminations are exact.  Matrices are small
+(desk-scale ranks, at most ~12), so dense algorithms are the right tool.
+`integer_scaled` is the one place where Fractions become integers: it gives
+the integer matrix s A, with s the lcm of A's denominators, and every
+elimination runs fraction-free on integers, each row update one
 `sylvester_step`: forward (`schur_step`) in the verdicts of `ortho` and in
 `diagonal_pivots`, the one elimination of a Gram (its leading minors decide
 positive definiteness, give the determinant, the levels of the
 shortest-vector enumerator on the pair-reduced Gram it walks and the angle
 profiles, and, on the integer Gram of n minimal vectors from
 `gram_of_vectors`, decide whether they span and whether they form a basis);
-Gauss-Jordan in `row_reduce`, which gives
-`solve_affine` and the reduced rows of the eutaxy system, and in the simplex
-tableau.  No inverse is formed.  Only `int_rank` keeps its own row-by-row
-reduction, because it stops once the rank reaches the column count: the
-ranks of the minimal pairs behind 44 well-roundedness tests (ranks 10-12)
-took it 15 ms, and `row_reduce` 88 ms.  Fractions are built from the
-integers once an elimination ends.
+Gauss-Jordan in `row_reduce`, which gives the reduced rows of the integer
+eutaxy system, and in the simplex tableau.  No inverse is formed.  Only
+`int_rank` keeps its own row-by-row reduction, because it stops once the
+rank reaches the column count: the ranks of the minimal pairs behind 44
+well-roundedness tests (ranks 10-12) took it 15 ms, and `row_reduce` 88 ms.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-Rational = Fraction
 
 
 def parse_rational(s: str) -> Fraction:
@@ -151,9 +149,15 @@ def block_diag(*mats: RatMatrix) -> RatMatrix:
 
 
 def integer_scaled(a: RatMatrix) -> tuple[int, list[list[int]]]:
-    """(s, s A) as integer rows, with s the lcm of the denominators of A."""
-    scale = math.lcm(*(e.denominator for e in a.entries))
-    return scale, [[e.numerator * (scale // e.denominator) for e in a.row(i)] for i in range(a.rows)]
+    """(s, s A) as integer rows, with s the lcm of the denominators of A.
+
+    Each entry's (numerator, denominator) is read once.
+    """
+    ratios = list(map(Fraction.as_integer_ratio, a.entries))
+    scale = math.lcm(*(q for _, q in ratios))
+    flat = [p * (scale // q) for p, q in ratios]
+    c = a.cols
+    return scale, [flat[i * c : (i + 1) * c] for i in range(a.rows)]
 
 
 def gram_of_vectors(g: RatMatrix, vectors: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -256,19 +260,22 @@ def int_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(kept)
 
 
-def row_reduce(a_rows: Sequence[Sequence], b: Sequence) -> tuple[list[list[int]], list[int], int] | None:
-    """The reduced row echelon form of [A | b] by fraction-free Gauss-Jordan elimination.
+def row_reduce(a_rows: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[list[list[int]], list[int], int] | None:
+    """The reduced row echelon form of the integer system [A | b] by fraction-free
+    Gauss-Jordan elimination.
 
     Returns (rows, pivot columns, d), or None when A x = b is inconsistent:
     one integer row per pivot, holding d in column pivots[i] and zeros in
-    the other pivot columns, so that the reduced form is rows / d.  The
-    zero rows are dropped.
+    the other pivot columns, so that the reduced form is rows / d.  d may be
+    negative.  The zero rows are dropped.  Rational systems are scaled to
+    integers first (`integer_scaled`).
     """
     nr = len(a_rows)
     nc = len(a_rows[0]) if nr else 0
     if len(b) != nr:
         raise ValueError("right-hand side length mismatch")
-    _, m = integer_scaled(RatMatrix.from_rows([[*row, b[i]] for i, row in enumerate(a_rows)]))
+    # integer data only: operator.index raises TypeError on a Fraction
+    m = [[*map(operator.index, row), operator.index(b_i)] for row, b_i in zip(a_rows, b)]
     pivots: list[int] = []
     d = 1
     for c in range(nc):
@@ -283,27 +290,6 @@ def row_reduce(a_rows: Sequence[Sequence], b: Sequence) -> tuple[list[list[int]]
     if any(m[i][nc] for i in range(len(pivots), nr)):
         return None
     return m[: len(pivots)], pivots, d
-
-
-def solve_affine(a_rows: Sequence[Sequence], b: Sequence):
-    """General exact solver for A x = b with any shape.
-
-    Returns (particular, nullspace_basis) or None when inconsistent.
-    The nullspace basis vectors are indexed by the free columns in order.
-    """
-    reduced = row_reduce(a_rows, b)
-    if reduced is None:
-        return None
-    rows, pivots, d = reduced
-    nc = len(a_rows[0]) if a_rows else 0
-    row_of = dict(zip(pivots, rows))
-    particular = [Fraction(row_of[c][-1], d) if c in row_of else Fraction(0) for c in range(nc)]
-    null_basis = [
-        [Fraction(-row_of[c][fc], d) if c in row_of else Fraction(int(c == fc)) for c in range(nc)]
-        for fc in range(nc)
-        if fc not in row_of
-    ]
-    return particular, null_basis
 
 
 def rational_sqrt_exact(q: Fraction) -> Fraction | None:

@@ -1,22 +1,28 @@
-"""Small exact linear-programming solver over the rationals.
+"""Small exact linear-programming solver on integer data.
 
-One LP form, max c.x subject to A x = b and x >= 0, solved by a two-phase
-dense simplex with one artificial variable per row and Bland's rule (no
-cycling); eutaxy uses it to find the largest smallest coefficient.  The
-tableau is integer (Edmonds' integer-preserving pivoting): the LP is scaled
-to integers by one positive factor, the tableau holds d times the rational
-one, with d the last pivot, and every pivot is one
-`ratlinalg.sylvester_step`.  The reduced costs, times d, are one more
-tableau row, set once per phase and updated by the same step.  Ratios are
-compared by cross-multiplying.
+One LP form, max c.x subject to A x = b and x >= 0 with A, b and c integer,
+solved by a two-phase dense simplex with one artificial variable per row and
+Bland's rule (no cycling); eutaxy uses it to find the largest smallest
+coefficient.  The tableau is integer (Edmonds' integer-preserving pivoting):
+it starts from the rows as given, holds d times the rational tableau, with d
+the last pivot, and every pivot is one `ratlinalg.sylvester_step`.  The
+reduced costs, times d, are one more tableau row, set once per phase and
+updated by the same step.  Ratios are compared by cross-multiplying.
+
+A rational LP is scaled to integers by the caller: [A | b] by one positive
+factor, since scaling rows apart reweights the phase-1 artificials and
+leads Bland's rule to another vertex, and c by any positive factor, since
+the pivots read only the signs of the reduced costs; the optimum is then
+that factor times the rational one.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Sequence
 
-from .ratlinalg import RatMatrix, integer_scaled, sylvester_step
+from .ratlinalg import sylvester_step
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -61,24 +67,22 @@ def _optimize(tab: list[list[int]], d: int, basis: list[int], cost: list[int], a
         tab, d = _pivot(tab, d, basis, leaving, entering)
 
 
-def simplex_max(c: Sequence, a_rows: Sequence[Sequence], b: Sequence):
-    """Maximize c.x subject to A x = b, x >= 0, exactly.
+def simplex_max(c: Sequence[int], a_rows: Sequence[Sequence[int]], b: Sequence[int]):
+    """Maximize c.x subject to A x = b, x >= 0, exactly, on integer data.
 
     Returns (status, optimum, x) with status one of "optimal", "unbounded",
-    "infeasible"; optimum and x are None unless optimal.
+    "infeasible"; optimum and x (Fractions) are None unless optimal.
     """
     m = len(a_rows)
     n = len(c)
-    # one positive factor for the whole LP: scaling rows apart would reweight
-    # the phase-1 artificials and lead Bland's rule to another vertex
-    _, rows = integer_scaled(RatMatrix.from_rows([[*row, b[i]] for i, row in enumerate(a_rows)] + [[*c, 0]]))
-    cost = rows.pop()[:n]
+    # integer data only: operator.index raises TypeError on a Fraction
+    cost = list(map(operator.index, c))
     # a row with b_i < 0 is negated, so that its artificial n + i starts basic at b_i >= 0
     basis = list(range(n, n + m))
     tab = []
-    for i, row in enumerate(rows):
-        sign = -1 if row[-1] < 0 else 1
-        tab.append([sign * x for x in row[:n]] + [int(i == j) for j in range(m)] + [sign * row[-1]])
+    for i, (row, b_i) in enumerate(zip(a_rows, map(operator.index, b))):
+        sign = -1 if b_i < 0 else 1
+        tab.append([sign * x for x in map(operator.index, row)] + [int(i == j) for j in range(m)] + [sign * b_i])
     d = 1
 
     status, tab, d = _optimize(tab, d, basis, [0] * n + [-1] * m, range(n + m))
@@ -100,5 +104,5 @@ def simplex_max(c: Sequence, a_rows: Sequence[Sequence], b: Sequence):
     for i, bcol in enumerate(basis):
         if bcol < n:
             x[bcol] = Fraction(tab[i][-1], d)
-    value = sum(Fraction(cj) * xj for cj, xj in zip(c, x))
+    value = sum(cj * xj for cj, xj in zip(cost, x))
     return OPTIMAL, value, x

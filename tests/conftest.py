@@ -12,6 +12,7 @@ from wrlat import (
     scale_gram,
     staircase,
 )
+from wrlat.ratlinalg import RatMatrix, integer_scaled, row_reduce
 
 F = Fraction
 
@@ -61,6 +62,18 @@ def cofactor_det3(m):
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
+
+
+def reduced_form(a, b):
+    """(pivots, rows / d) of `row_reduce` on the rational system [A | b],
+    scaled to integers by one factor (which keeps its solutions), or None
+    when it is inconsistent."""
+    _, m = integer_scaled(RatMatrix.from_rows([[*row, v] for row, v in zip(a, b)]))
+    reduced = row_reduce([row[:-1] for row in m], [row[-1] for row in m])
+    if reduced is None:
+        return None
+    rows, pivots, d = reduced
+    return pivots, [[F(x, d) for x in row] for row in rows]
 
 
 def cofactor_det2(m):

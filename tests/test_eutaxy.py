@@ -26,6 +26,7 @@ from wrlat import (
 )
 import wrlat.eutaxy
 from wrlat.constructions import weak_family_lattices
+from wrlat.ratlinalg import RatMatrix, integer_scaled, row_reduce
 from wrlat.simplex import OPTIMAL, UNBOUNDED, INFEASIBLE, simplex_max
 
 from conftest import disguise, root_plus_hexagonal
@@ -130,14 +131,18 @@ def test_planar_17_not_weakly_eutactic():
     assert res.solution_space_dim == -1 and res.coefficients is None
 
 
-def test_weakly_eutactic_sum_where_the_lp_optimum_is_zero(monkeypatch):
-    # w is weakly eutactic with a zero coefficient and no freedom; D4 is
-    # strongly eutactic.  In the sum the solution space has dimension 2, and
-    # the LP shows that no solution is strictly positive: its optimum is 0.
+def w_plus_d4():
+    """w is weakly eutactic with a zero coefficient and no freedom; D4 is
+    strongly eutactic.  In the sum the solution space has dimension 2."""
     w = [[1, F(1, 4), F(-1, 2), F(-1, 4)], [F(1, 4), 1, F(-1, 2), F(-1, 4)],
          [F(-1, 2), F(-1, 2), 1, F(1, 2)], [F(-1, 4), F(-1, 4), F(1, 2), 1]]
     d4 = [[1, F(-1, 2), 0, 0], [F(-1, 2), 1, F(1, 2), F(-1, 2)], [0, F(1, 2), 1, 0], [0, F(-1, 2), 0, 1]]
-    lat = direct_sum(lattice_from_gram("w", w), lattice_from_gram("D4", d4))
+    return direct_sum(lattice_from_gram("w", w), lattice_from_gram("D4", d4))
+
+
+def test_weakly_eutactic_sum_where_the_lp_optimum_is_zero(monkeypatch):
+    # the LP on w + D4 shows that no solution is strictly positive: its optimum is 0
+    lat = w_plus_d4()
     optima = []
 
     def recorded(*args):
@@ -151,6 +156,43 @@ def test_weakly_eutactic_sum_where_the_lp_optimum_is_zero(monkeypatch):
     assert res.klass is EutaxyClass.WEAKLY_EUTACTIC and res.solution_space_dim == 2
     assert optima == [(OPTIMAL, 0)]
     replay_identity(lat, res.coefficients)
+
+
+# a disguise of w + D4 whose eliminated system ends on a negative d
+W_D4_MOVES = [(6, 7, -1), (0, 2, -1), (6, 7, -1), (7, 2, 1), (2, 7, 1), (1, 4, -1), (2, 7, 1), (1, 6, -1)]
+
+
+@pytest.mark.parametrize(
+    "lat,d_negative",
+    [(CERTIFIED[-2], False), (disguise(w_plus_d4(), W_D4_MOVES)[0], True)],
+    ids=["E6+2A2", "w+D4-disguised"],
+)
+def test_lp_gets_the_integer_form_of_the_rational_rows(lat, d_negative, monkeypatch):
+    # The LP's rational rows are the reduced rows / d, with the row sums / d
+    # as the column of t.  integer_scaled of those rows and c together
+    # scales them by one positive factor, which keeps every sign and so every
+    # pivot; dividing by an unsigned gcd would negate them all when d < 0.
+    seen = {}
+
+    def reduce(*args):
+        seen["reduced"] = row_reduce(*args)
+        return seen["reduced"]
+
+    def solve(*args):
+        seen["lp"] = args
+        return simplex_max(*args)
+
+    monkeypatch.setattr(wrlat.eutaxy, "row_reduce", reduce)
+    monkeypatch.setattr(wrlat.eutaxy, "simplex_max", solve)
+    eutaxy_classify(lat)
+    (rows, _, d), (c, a_rows, b) = seen["reduced"], seen["lp"]
+    assert (d < 0) == d_negative
+    k = len(rows[0]) - 1
+    rational = [[F(x, d) for x in row[:-1]] + [F(sum(row[:-1]), d), F(row[-1], d)] for row in rows]
+    _, scaled = integer_scaled(RatMatrix.from_rows(rational + [[0] * k + [1, 0]]))
+    scaled.pop()
+    assert c == [0] * k + [1]
+    assert [[*row, v] for row, v in zip(a_rows, b)] == scaled
 
 
 def test_eutaxy_requires_well_rounded():
@@ -287,8 +329,14 @@ def simplex_ineq(c, a, b, free=False):
     n, m = len(c), len(a)
     if free:
         c, a = list(c) + [-e for e in c], [list(r) + [-e for e in r] for r in a]
-    rows = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(a)]
-    status, value, x = simplex_max(list(c) + [0] * m, rows, b)
+    rows = [list(r) + [int(i == j) for j in range(m)] + [v] for i, (r, v) in enumerate(zip(a, b))]
+    # the rational data reaches the integer simplex as [A | I | b] times one
+    # positive factor and c times another, which scales the optimum
+    _, rows = integer_scaled(RatMatrix.from_rows(rows))
+    c_scale, (cost,) = integer_scaled(RatMatrix.from_rows([list(c) + [0] * m]))
+    status, value, x = simplex_max(cost, [r[:-1] for r in rows], [r[-1] for r in rows])
+    if value is not None:
+        value /= c_scale
     if x is not None:
         x = [x[j] - x[n + j] for j in range(n)] if free else x[:n]
     return status, value, x
@@ -341,6 +389,12 @@ def test_simplex_redundant_equality_row():
     # zero row after phase 1; with an inconsistent right side, infeasible
     assert simplex_max([1, 2], [[1, 1], [2, 2]], [1, 2]) == (OPTIMAL, 2, [0, 1])
     assert simplex_max([1, 2], [[1, 1], [2, 2]], [1, 3])[0] == INFEASIBLE
+
+
+def test_simplex_rejects_fractions():
+    for args in (([F(1, 3), 1], [[1, 1]], [1]), ([1, 1], [[F(1, 2), 1]], [1]), ([1, 1], [[1, 1]], [F(1, 2)])):
+        with pytest.raises(TypeError):
+            simplex_max(*args)
 
 
 PINNED_LPS = {

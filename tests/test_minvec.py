@@ -37,7 +37,7 @@ from wrlat import (
 )
 from wrlat import minvec
 from wrlat.minvec import _canonical_pair, _pair_reduce, _shortest
-from wrlat.ratlinalg import diagonal_pivots, integer_scaled, solve_affine
+from wrlat.ratlinalg import diagonal_pivots, integer_scaled
 
 from conftest import disguise, quad_form
 
@@ -240,10 +240,14 @@ def disguised_family_lattices(draw, family=rank_le_5_family(), steps=(1, -1), mo
 def certified_box(lat, m=None):
     """A box holding every vector of norm <= m, and so every minimal vector
     when m is at least the minimum (by default the smallest diagonal entry):
-    q(u) <= m gives u_i^2 <= m (G^-1)_ii."""
+    q(u) <= m gives u_i^2 <= m (G^-1)_ii, a ratio of cofactors: the det of
+    G without row and column i over det G (1 / g_00 at rank 1)."""
     n = lat.rank
-    rows = lat.gram.to_rows()
-    inv_diag = [solve_affine(rows, [int(i == j) for j in range(n)])[0][i] for i in range(n)]
+    if n == 1:
+        inv_diag = [1 / lat.gram[0, 0]]
+    else:
+        others = [[j for j in range(n) if j != i] for i in range(n)]
+        inv_diag = [principal_sublattice(lat, idx).det_gram() / lat.det_gram() for idx in others]
     if m is None:
         m = min(lat.gram[i, i] for i in range(n))
     return max(math.isqrt(math.floor(m * x)) for x in inv_diag)
@@ -406,16 +410,17 @@ def test_enumerator_matches_certified_oracle_on_rational_grams(lat):
 
 
 def product_scan(lat, box):
-    """The plain box scan: every nonzero point, with q = u^T G u in full."""
+    """The plain box scan: every nonzero point, with q = u^T (s G) u in full, in integers."""
+    s, a = integer_scaled(lat.gram)
     best, pairs = None, set()
     for u in product(range(-box, box + 1), repeat=lat.rank):
         if any(u):
-            q = quad_form(lat, u)
+            q = sum(x * sum(map(math.prod, zip(row, u))) for row, x in zip(a, u))
             if best is None or q < best:
                 best, pairs = q, set()
             if q == best:
                 pairs.add(_canonical_pair(u))
-    return MinimalVectorSet(norm_sq=best, pairs=tuple(sorted(pairs)))
+    return MinimalVectorSet(norm_sq=F(best, s), pairs=tuple(sorted(pairs)))
 
 
 @settings(max_examples=60, deadline=None)

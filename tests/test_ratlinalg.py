@@ -15,9 +15,9 @@ from wrlat import (
     lattice_from_gram,
     parse_rational,
 )
-from wrlat.ratlinalg import diagonal_pivots, int_rank, integer_scaled, solve_affine
+from wrlat.ratlinalg import diagonal_pivots, int_rank, integer_scaled, row_reduce
 
-from conftest import cofactor_det3
+from conftest import cofactor_det3, reduced_form
 
 F = Fraction
 
@@ -114,34 +114,53 @@ def test_det_is_multiplicative(n, data):
 
 def test_solve_identity_returns_rhs():
     b = [F(3), F(-1, 2), F(7, 5)]
-    assert solve_affine(RatMatrix.identity(3).to_rows(), b) == (b, [])
+    identity = RatMatrix.identity(3).to_rows()
+    assert reduced_form(identity, b) == ([0, 1, 2], [[*row, v] for row, v in zip(identity, b)])
 
 
 def test_solve_projection_system():
     # Cramer on [[1,-1/4],[-1/4,1]] x = (1/2, 1/4):
     # det = 15/16, x1 = (1/2 + 1/16)/(15/16) = 3/5, x2 = (1/4 + 1/8)/(15/16) = 2/5
     a = [[1, F(-1, 4)], [F(-1, 4), 1]]
-    assert solve_affine(a, [F(1, 2), F(1, 4)]) == ([F(3, 5), F(2, 5)], [])
+    assert reduced_form(a, [F(1, 2), F(1, 4)]) == ([0, 1], [[1, 0, F(3, 5)], [0, 1, F(2, 5)]])
 
 
 def test_solve_singular_returns_none():
-    assert solve_affine([[1, 1], [1, 1]], [1, 2]) is None
+    assert row_reduce([[1, 1], [1, 1]], [1, 2]) is None
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
-        solve_affine(RatMatrix.identity(2).to_rows(), [1, 2, 3])
+        row_reduce([[1, 0], [0, 1]], [1, 2, 3])
+
+
+def test_row_reduce_rejects_fractions():
+    # the rows are used as given, and floor division on Fractions would drop
+    # this nonsingular system's second row
+    with pytest.raises(TypeError):
+        row_reduce([[1, F(-1, 4)], [F(-1, 4), 1]], [F(1, 2), F(1, 4)])
 
 
 @settings(max_examples=60)
 @given(st.integers(1, 4), st.data())
 def test_solve_solution_satisfies_system(n, data):
+    # x = rhs at the pivots and 0 elsewhere solves A x = b; each free column
+    # f gives the null vector e_f - (column f at the pivots)
     ent = st.fractions(min_value=-3, max_value=3, max_denominator=6)
     a = [[data.draw(ent) for _ in range(n)] for _ in range(n)]
     b = [data.draw(ent) for _ in range(n)]
-    solution = solve_affine(a, b)
+    solution = reduced_form(a, b)
     if solution is not None:
-        x, null_basis = solution
+        pivots, rows = solution
+        x = [F(0)] * n
+        for c, row in zip(pivots, rows):
+            x[c] = row[-1]
+        null_basis = []
+        for f in (j for j in range(n) if j not in pivots):
+            v = [F(int(j == f)) for j in range(n)]
+            for c, row in zip(pivots, rows):
+                v[c] = -row[f]
+            null_basis.append(v)
         for i in range(n):
             assert sum(a[i][j] * x[j] for j in range(n)) == b[i]
             assert all(sum(a[i][j] * v[j] for j in range(n)) == 0 for v in null_basis)

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wrlat import NotPositiveDefinite, RatMatrix, lattice_from_gram
-from wrlat.ratlinalg import diagonal_pivots, int_rank, integer_scaled, solve_affine
+from wrlat.ratlinalg import diagonal_pivots, int_rank, integer_scaled
+
+from conftest import reduced_form
 
 sympy = pytest.importorskip("sympy")
 
@@ -32,10 +34,6 @@ def to_sympy(rows):
 
 def from_sympy(x):
     return F(int(x.p), int(x.q))
-
-
-def mat_vec(rows, x):
-    return [sum(a * b for a, b in zip(r, x)) for r in rows]
 
 
 @settings(max_examples=80, deadline=None)
@@ -86,26 +84,28 @@ def test_solve_matches_sympy(rows, data):
     b = [data.draw(entries) for _ in rows]
     s = to_sympy(rows)
     if s.det() == 0:
-        return  # test_solve_affine_matches_sympy covers singular systems
+        return  # test_row_reduce_matches_sympy_rref covers singular systems
     want = s.LUsolve(to_sympy([[v] for v in b]))
-    assert solve_affine(rows, b) == ([from_sympy(v) for v in want], [])
+    pivots, red = reduced_form(rows, b)
+    assert pivots == list(range(len(rows)))
+    assert [row[-1] for row in red] == [from_sympy(v) for v in want]
 
 
 @settings(max_examples=80, deadline=None)
 @given(matrices(), st.data())
-def test_solve_affine_matches_sympy(rows, data):
+def test_row_reduce_matches_sympy_rref(rows, data):
+    # the pivots and rows / d are sympy's reduced row echelon form of [A | b],
+    # and row_reduce gives None exactly when b's column holds a pivot
     b = [data.draw(entries) for _ in rows]
     nc = len(rows[0])
-    rank = to_sympy(rows).rank()
-    consistent = to_sympy([r + [v] for r, v in zip(rows, b)]).rank() == rank
-    solution = solve_affine(rows, b)
-    if not consistent:
-        assert solution is None
+    want, want_pivots = to_sympy([r + [v] for r, v in zip(rows, b)]).rref()
+    got = reduced_form(rows, b)
+    if nc in want_pivots:
+        assert got is None
         return
-    particular, null_basis = solution
-    assert mat_vec(rows, particular) == b
-    assert all(mat_vec(rows, v) == [0] * len(rows) for v in null_basis)
-    assert len(null_basis) == nc - rank
+    pivots, red = got
+    assert pivots == list(want_pivots)
+    assert red == [[from_sympy(want[i, j]) for j in range(nc + 1)] for i in range(len(pivots))]
 
 
 @settings(max_examples=80, deadline=None)
