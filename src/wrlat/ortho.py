@@ -6,13 +6,14 @@ ordering is *weakly* theta-orthogonal when every profile entry stays at or
 below cos^2(theta); the basis is *theta-orthogonal* when every ordering is.
 All comparisons happen on squared cosines, which are exact rationals.
 
-Each squared cosine is 1 - M_S[w][w] / (d_S a_ww) on the integer Gram
-A = s G: d_S = det A_SS and M_S[w][w] = det A_{S+w,S+w}, both kept by
-fraction-free Schur steps (`ratlinalg.schur_step`).  Along one ordering these
-are consecutive leading minors of the reordered A, so an angle profile is one
-diagonal elimination (`ratlinalg.diagonal_pivots`).  The all-orderings
-verdict is one pass over subsets by size: it makes one step per subset it
-reaches, carries that subset's first in-threshold ordering along (the
+Each squared cosine is 1 - d_{S+w} / (d_S a_ww) on the integer Gram A = s G,
+with d_P = det A_PP.  Along one ordering these are consecutive leading minors
+of the reordered A, so an angle profile is one diagonal elimination
+(`ratlinalg.diagonal_pivots`).  The all-orderings verdict is one pass over
+subsets by size.  It reads each minor from the *tail* of a sorted prefix, the
+fraction-free Schur residual over the indices above its largest
+(`ratlinalg.tail_step`), built on first read, so prefixes share their steps.
+It carries each reached subset's first in-threshold ordering along (the
 witness and the violation are read from these), and compares cross-multiplied
 integers with the threshold p/q; a Fraction is built only for the reported
 violation.
@@ -23,8 +24,9 @@ nearly orthogonal consists of minimal vectors), for the weak class it is a
 documented heuristic; membership_report also applies the kissing-number and
 coherence bounds that decide some cases outright.  The search works on one
 integer Gram of the minimal pairs: a subset's Gram is a principal submatrix
-of it, whose leading minors decide whether the subset is a basis, and the
-verdict runs on that submatrix.  It stops once nothing is left undecided.
+of it, whose determinant decides whether the subset is a basis, and the
+verdict runs on that submatrix.  The subsets are walked depth first, one tail
+step per chosen pair, and the search stops once nothing is left undecided.
 """
 
 from __future__ import annotations
@@ -32,13 +34,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from .errors import DimensionGuardExceeded, NotWellRounded, SubsetGuardExceeded
 from .lattice import Lattice, gram_pivots
 from .minvec import DEFAULT_MAX_DIM, is_well_rounded, minimal_vectors
-from .ratlinalg import diagonal_pivots, format_rational, gram_of_vectors, integer_scaled, schur_step
+from .ratlinalg import diagonal_pivots, format_rational, gram_of_vectors, integer_scaled, tail_step
 
 PI_THIRD_COS_SQ = Fraction(1, 4)
 DEFAULT_ORDERING_DIM_GUARD = 9
@@ -107,10 +108,11 @@ def is_theta_orthogonal(
     placed before it, so the search runs over subsets, by size: a subset is
     reachable when some ordering of it stays within the threshold, and a
     reachable prefix whose extension violates the threshold prunes everything
-    beyond.  Each reachable mask S keeps d_S and the integer residual M_S of
-    the vectors outside it (A = s G itself for the empty mask); reaching
-    S + v is one `schur_step`.  With the threshold p/q,
-    cos^2 <= p/q iff (q - p) d_S a_ww <= q M_S[w][w], as d_S a_ww > 0.
+    beyond.  Each reachable mask S keeps d_S = det A_SS on the integer Gram
+    A = s G, and d_{S+w} is read off the tail of S + w less its largest index
+    (`_tail`): at most 2^(n-1) - 1 steps, each made only when first read.
+    With the threshold p/q, cos^2 <= p/q iff (q - p) d_S a_ww <= q d_{S+w},
+    as d_S a_ww > 0.
     Each reachable mask also keeps its lexicographically first in-threshold
     ordering: the witness is the one of the full mask.  The violation is the
     least by (size, sorted prefix set, vector): the prefix set in ascending
@@ -126,6 +128,19 @@ def is_theta_orthogonal(
     return _verdict(integer_scaled(lat.gram)[1], thr)
 
 
+def _tail(tails: dict[int, tuple[int, list[list[int]]]], mask: int) -> tuple[int, list[list[int]]]:
+    """(d_P, tail of P) for the mask P, made from its prefix on first read and
+    kept in tails.  Row j of the tail stands for the index P.bit_length() + j."""
+    got = tails.get(mask)
+    if got is None:
+        top = mask.bit_length() - 1
+        rest = mask ^ 1 << top
+        d, m = _tail(tails, rest)
+        k = top - rest.bit_length()
+        got = tails[mask] = m[k][k], tail_step(m, d, k)
+    return got
+
+
 def _verdict(a: list[list[int]], thr: Fraction) -> OrthoVerdict:
     """The all-orderings verdict of `is_theta_orthogonal` on a positive-definite
     integer Gram a, with the threshold thr already checked."""
@@ -133,25 +148,39 @@ def _verdict(a: list[list[int]], thr: Fraction) -> OrthoVerdict:
     p, q = thr.numerator, thr.denominator
     full = (1 << n) - 1
     violation = None
-    # reachable masks of this size -> (chain, d_S, M_S).  The masks of one size
-    # are inserted in lexicographic order of their chains, because their parents
+    # mask -> (d_P, tail), and mask -> d_P once read.  d_{S+v} is read from the
+    # tail of S + v less its largest index, so no mask holding n - 1 needs a tail.
+    tails = {0: (1, a)}
+    minors = {}
+    # reachable masks of this size -> (chain, d_S).  The masks of one size are
+    # inserted in lexicographic order of their chains, because their parents
     # were and each parent extends by v ascending; so the chain a mask is first
     # reached with is its lexicographically smallest in-threshold ordering.
     # Below the first violating size every ordering is in threshold, so at that
     # size each chain is its sorted set and the first violation met is the
     # least by (size, sorted prefix set, v).
-    level = {0: ((), 1, a)}
+    level = {0: ((), 1)}
     for size in range(n):
-        nxt: dict[int, tuple[tuple[int, ...], int, list[list[int]]]] = {}
-        for mask, (chain, d, m) in level.items():
-            outside = [w for w in range(n) if not mask >> w & 1]
-            for pos, v in enumerate(outside):
-                if (q - p) * d * a[v][v] > q * m[pos][pos]:
+        nxt: dict[int, tuple[tuple[int, ...], int]] = {}
+        for mask, (chain, d) in level.items():
+            for v in range(n):
+                if mask >> v & 1:
+                    continue
+                grown = mask | 1 << v
+                if violation is not None and grown in nxt:
+                    continue  # already reached, and only the first violation counts
+                d_grown = minors.get(grown)
+                if d_grown is None:
+                    top = grown.bit_length() - 1
+                    rest = grown ^ 1 << top
+                    k = top - rest.bit_length()
+                    d_grown = minors[grown] = _tail(tails, rest)[1][k][k]
+                if (q - p) * d * a[v][v] > q * d_grown:
                     if violation is None:
-                        ordering = chain + (v,) + tuple(w for w in outside if w != v)
-                        violation = OrthoViolation(ordering, size, 1 - Fraction(m[pos][pos], d * a[v][v]))
-                elif mask | 1 << v not in nxt:
-                    nxt[mask | 1 << v] = chain + (v,), m[pos][pos], schur_step(m, d, pos, pos)
+                        ordering = chain + (v,) + tuple(w for w in range(n) if not grown >> w & 1)
+                        violation = OrthoViolation(ordering, size, 1 - Fraction(d_grown, d * a[v][v]))
+                elif grown not in nxt:
+                    nxt[grown] = chain + (v,), d_grown
         level = nxt
 
     witness = level[full][0] if full in level else None
@@ -184,9 +213,10 @@ def minimal_basis_subsets(lat: Lattice):
     the subset is a basis of the lattice.
 
     One integer Gram A = U^T (s G) U of all k pairs (`gram_of_vectors`)
-    serves every subset: its Gram is a principal submatrix of A, and the last
-    leading minor that `diagonal_pivots` gives is P_n = det(U_S)^2 det(s G).
-    The subset spans iff P_n > 0, and then |det U_S| = isqrt(P_n / det(s G)).
+    serves every subset: its Gram is a principal submatrix of A, of
+    determinant det(U_S)^2 det(s G), so the subset spans iff that is > 0, and
+    then |det U_S| = isqrt(det A_SS / det(s G)).  The subsets are walked
+    lazily, depth first in `combinations` order (`_spanning_subsets`).
     Raises SubsetGuardExceeded before the first subset once C(k, n) exceeds
     the guard."""
     pairs = minimal_vectors(lat).pairs
@@ -195,11 +225,25 @@ def minimal_basis_subsets(lat: Lattice):
     if total > DEFAULT_SUBSET_GUARD:
         raise SubsetGuardExceeded(f"{total} candidate subsets exceed guard {DEFAULT_SUBSET_GUARD}")
     det_sg = gram_pivots(lat.gram)[1][-1]
-    a = gram_of_vectors(lat.gram, pairs)
-    for idx in combinations(range(k), n):
-        minors, _ = diagonal_pivots([[a[i][j] for j in idx] for i in idx])
-        if minors[-1] > 0:
-            yield tuple(pairs[i] for i in idx), math.isqrt(minors[-1] // det_sg)
+    for idx, minor in _spanning_subsets(k, n, (), 1, gram_of_vectors(lat.gram, pairs)):
+        yield tuple(pairs[i] for i in idx), math.isqrt(minor // det_sg)
+
+
+def _spanning_subsets(k: int, n: int, chosen: tuple[int, ...], d: int, m: list[list[int]]):
+    """Yield (subset, det) for the n-subsets of range(k) that extend chosen and
+    have a nonzero principal minor, in `combinations` order; d and m are the
+    minor and the tail of chosen on a positive-semidefinite Gram, so one
+    `tail_step` per chosen index and the diagonal of the last tail give every
+    minor, and a zero minor rules out every superset."""
+    lo = chosen[-1] + 1 if chosen else 0
+    for j in range(k - lo - (n - 1 - len(chosen))):  # leave room for the rest
+        minor = m[j][j]
+        if not minor:
+            continue
+        if len(chosen) == n - 1:
+            yield chosen + (lo + j,), minor
+        else:
+            yield from _spanning_subsets(k, n, chosen + (lo + j,), minor, tail_step(m, d, j))
 
 
 def membership_report(

@@ -7,14 +7,15 @@ of Fractions, and all eliminations are exact.  Matrices are small
 `integer_scaled` is the one place where Fractions become integers: it gives
 the integer matrix s A, with s the lcm of A's denominators, and every
 elimination runs fraction-free on integers, each row update one
-`sylvester_step`: forward (`schur_step`) in the verdicts of `ortho` and in
-`diagonal_pivots`, the one elimination of a Gram (its leading minors decide
-positive definiteness, give the determinant, the levels of the
-shortest-vector enumerator on the pair-reduced Gram it walks and the angle
-profiles, and, on the integer Gram of n minimal vectors from
-`gram_of_vectors`, decide whether they span and whether they form a basis);
-Gauss-Jordan in `row_reduce`, which gives the reduced rows of the integer
-eutaxy system, and in the simplex tableau.  No inverse is formed.  Only
+`sylvester_step`: forward (`schur_step`) in `diagonal_pivots`, the one
+elimination of a Gram down its diagonal (its leading minors decide positive
+definiteness, give the determinant, the levels of the shortest-vector
+enumerator on the pair-reduced Gram it walks and the angle profiles), and in
+`tail_step`, which gives the principal minors of sorted index sets one prefix
+at a time (the all-orderings verdict, and the minimal-basis search on the
+integer Gram of the minimal pairs from `gram_of_vectors`); Gauss-Jordan in
+`row_reduce`, which gives the reduced rows of the integer eutaxy system, and
+in the simplex tableau.  No inverse is formed.  Only
 `int_rank` keeps its own row-by-row reduction, because it stops once the
 rank reaches the column count: the ranks of the minimal pairs behind 44
 well-roundedness tests (ranks 10-12) took it 15 ms, and `row_reduce` 88 ms.
@@ -210,6 +211,18 @@ def schur_step(m: list[list[int]], d: int, r: int, c: int) -> list[list[int]]:
     for row in out:
         del row[c]
     return out
+
+
+def tail_step(m: list[list[int]], d: int, k: int) -> list[list[int]]:
+    """The forward step on (k, k) after dropping the rows and columns before k.
+
+    For a symmetric integer A and an index set P, the *tail* of P is its
+    residual over the indices above max P only: m[i][j] = det A_{P+i,P+j},
+    with d = det A_PP (1 and A itself for P empty).  For the index t at
+    position k of the tail, m[k][k] = det A_{P+t,P+t} and the step gives the
+    tail of P + t.
+    """
+    return schur_step([row[k:] for row in m[k:]], d, 0, 0)
 
 
 def diagonal_pivots(m: list[list[int]]) -> tuple[list[int], list[list[int]]]:

@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wrlat import (
@@ -26,7 +27,11 @@ from wrlat import (
     reorder_basis,
     staircase,
 )
-from wrlat import ortho
+from wrlat import minimal_vectors, ortho
+from wrlat.lattice import gram_pivots
+from wrlat.ratlinalg import diagonal_pivots, gram_of_vectors, integer_scaled, schur_step
+
+from conftest import disguise
 
 sympy = pytest.importorskip("sympy")
 
@@ -279,11 +284,58 @@ def test_witness_and_violation_are_the_first_by_definition(lat, thr):
         assert verdict.violation.cos_sq == minor_cos_sq(lat, v, chain)
 
 
-@pytest.mark.parametrize("lat, most", [(staircase(9), 2**9 - 1), (an_dual_frame(9), 501)])
-def test_verdict_makes_one_pivot_per_reachable_subset(lat, most):
-    with mock.patch.object(ortho, "schur_step", wraps=ortho.schur_step) as counted:
+def counting_tail_steps():
+    """Patch the `tail_step` the ortho module calls, counting its calls."""
+    return mock.patch.object(ortho, "tail_step", wraps=ortho.tail_step)
+
+
+@pytest.mark.parametrize("lat, steps", [(staircase(9), 255), (an_dual_frame(9), 254)])
+def test_verdict_makes_one_tail_step_per_subset_below_the_last_index(lat, steps):
+    # d_{S+v} is read from the tail of S + v less its largest index, which
+    # never holds n - 1: at most 2^(n-1) - 1 steps
+    with counting_tail_steps() as counted:
         is_theta_orthogonal(lat)
-    assert counted.call_count <= most
+    assert counted.call_count == steps <= 2 ** (lat.rank - 1) - 1
+
+
+def reference_verdict(a, thr):
+    """Reference level pass: each reachable mask S keeps its full residual
+    M_S, and reaching S + v is one `schur_step`."""
+    n = len(a)
+    p, q = thr.numerator, thr.denominator
+    violation = None
+    level = {0: ((), 1, a)}
+    for size in range(n):
+        nxt = {}
+        for mask, (chain, d, m) in level.items():
+            outside = [w for w in range(n) if not mask >> w & 1]
+            for pos, v in enumerate(outside):
+                if (q - p) * d * a[v][v] > q * m[pos][pos]:
+                    if violation is None:
+                        ordering = chain + (v,) + tuple(w for w in outside if w != v)
+                        violation = ortho.OrthoViolation(ordering, size, 1 - F(m[pos][pos], d * a[v][v]))
+                elif mask | 1 << v not in nxt:
+                    nxt[mask | 1 << v] = chain + (v,), m[pos][pos], schur_step(m, d, pos, pos)
+        level = nxt
+    full = (1 << n) - 1
+    witness = level[full][0] if full in level else None
+    return ortho.OrthoVerdict(witness is not None, violation is None, witness, violation)
+
+
+RANK_12_LATTICES = {
+    "staircase(12)": staircase(12),
+    "A12*": an_dual_frame(12),
+    "L(12,6)": lnm(12, 6),
+    "hybrid(12,5)~": disguise(hybrid(12, 5), [(i, i + 1, (-1) ** i) for i in range(11)])[0],
+}
+
+
+@pytest.mark.parametrize("thr", [QUARTER, F(1, 2)])
+@pytest.mark.parametrize("name", list(RANK_12_LATTICES))
+def test_rank_12_verdict_matches_the_reference_level_pass(name, thr):
+    # above the public ordering guard of 9, so on the private _verdict
+    a = integer_scaled(RANK_12_LATTICES[name].gram)[1]
+    assert ortho._verdict(a, thr) == reference_verdict(a, thr)
 
 
 def test_verdict_invariant_under_reordering():
@@ -296,8 +348,6 @@ def test_verdict_invariant_under_reordering():
 
 def test_strict_basis_vectors_are_minimal():
     # with unit Gram and a strict verdict, every basis vector attains the norm
-    from wrlat import minimal_vectors
-
     for lat in (lnm(4, 2), lnm(5, 2), hexagonal()):
         assert is_theta_orthogonal(lat).strictly
         pairs = set(minimal_vectors(lat).pairs)
@@ -395,8 +445,6 @@ D4_CARTAN = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
     "lat, dets", [(lattice_from_gram("D4", D4_CARTAN), {1, 2}), (disguised(staircase(4), bidiagonal(4)), {1})]
 )
 def test_minimal_basis_subsets_dets_match_sympy(lat, dets):
-    from wrlat import minimal_vectors
-
     want = []
     for subset in combinations(minimal_vectors(lat).pairs, lat.rank):
         det = abs(int(sympy.Matrix(subset).det()))
@@ -404,6 +452,65 @@ def test_minimal_basis_subsets_dets_match_sympy(lat, dets):
             want.append((subset, det))
     assert list(minimal_basis_subsets(lat)) == want
     assert {d for _, d in want} == dets  # D4 has subsets of index 2
+
+
+def reference_subsets(lat):
+    """Reference search: every n-subset of pairs in `combinations` order,
+    |det| from `diagonal_pivots` on its principal submatrix of the pair Gram."""
+    pairs = minimal_vectors(lat).pairs
+    det_sg = gram_pivots(lat.gram)[1][-1]
+    a = gram_of_vectors(lat.gram, pairs)
+    for idx in combinations(range(len(pairs)), lat.rank):
+        minors, _ = diagonal_pivots([[a[i][j] for j in idx] for i in idx])
+        if minors[-1] > 0:
+            yield tuple(pairs[i] for i in idx), math.isqrt(minors[-1] // det_sg)
+
+
+# rank <= 5, each with n-subsets of minimal pairs that do not span
+DEPENDENT_PAIR_FAMILY = (
+    an_root(3),
+    an_root(4),
+    lattice_from_gram("D4", D4_CARTAN),
+    k3_prime(),
+    lnm(3, 1),
+    lnm(4, 2),
+    lnm(5, 2),
+    hybrid(5, 1),
+    hybrid(5, 2),
+    staircase(4),
+)
+
+
+@st.composite
+def disguised_dependent_pairs(draw):
+    lat = draw(st.sampled_from(DEPENDENT_PAIR_FAMILY))
+    moves = []
+    for _ in range(draw(st.integers(1, 2 * lat.rank))):
+        i, j = draw(st.permutations(range(lat.rank)))[:2]
+        moves.append((i, j, draw(st.sampled_from((1, -1)))))
+    return disguise(lat, moves)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(disguised_dependent_pairs())
+@example(lattice_from_gram("D4", D4_CARTAN))  # subsets of index 2
+@example(disguised(hybrid(5, 2), bidiagonal(5)))
+def test_depth_first_search_matches_the_reference(lat):
+    want = list(reference_subsets(lat))
+    assert list(minimal_basis_subsets(lat)) == want
+    assert len(want) < math.comb(len(minimal_vectors(lat).pairs), lat.rank)
+
+
+def test_search_makes_tail_steps_only_for_what_is_taken():
+    lat = hybrid(8, 2)
+    with counting_tail_steps() as counted:
+        next(minimal_basis_subsets(lat))
+    first = counted.call_count
+    with counting_tail_steps() as counted:
+        everything = list(minimal_basis_subsets(lat))
+    # the first subset costs one step per pair but the last; exhausting the
+    # 432 spanning subsets of C(16, 8) = 12870 costs 1875
+    assert (first, counted.call_count, len(everything)) == (7, 1875, 432)
 
 
 def test_search_stops_at_the_first_weak_witness_when_strict_is_decided(monkeypatch):
@@ -455,7 +562,6 @@ def test_frame3_exclusion_confirmed_by_exhaustive_search():
 
 def test_strict_certificate_forces_minimal_basis_vectors():
     # unit Gram + strict verdict means every basis vector is a shortest one
-    from wrlat import minimal_vectors
     from wrlat.constructions import strict_family_lattices
 
     for lat in strict_family_lattices(7):
