@@ -17,19 +17,21 @@ The LP maximizes t over c = x + t (1, ..., 1) with x, t >= 0, subject to the
 reduced rows of the system (one per pivot of its elimination); the lattice
 is Eutactic iff the optimum t is positive, and then t is the largest
 possible smallest coefficient.  The elimination and the LP run on integers
-only: the integer rows of `row_reduce`, d times the reduced form, reach the
-LP divided by their gcd taken with the sign of d, and Fractions are built
-only for the coefficients reported.
+only, and Fractions are built only for the coefficients reported.  The LP
+starts from the basis the elimination found: the rows of `row_reduce` with
+their own d and no common factor divided out, and their row sums as the
+column of t, so every pivot divides exactly (`simplex`).
 
 Perfection asks whether the rank-one forms u_i u_i^T span the whole space of
-symmetric matrices; conjugation by the basis matrix preserves that rank, so
-the Gram-coordinate test is equivalent to the ambient one.
+symmetric matrices.  Conjugation by the basis matrix preserves that rank, so
+the Gram-coordinate test is equivalent to the ambient one, and so does the
+congruence by A: the report reads perfection from the eutaxy system's rank.
+`is_perfect` keeps its own early-stopping rank count, an independent check.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,7 +46,7 @@ from .lattice import Lattice
 from .minvec import DEFAULT_MAX_DIM, is_well_rounded, minimal_vectors
 from .ortho import PI_THIRD_COS_SQ, membership_report
 from .ratlinalg import format_rational, int_rank, integer_scaled, row_reduce
-from .simplex import OPTIMAL, UNBOUNDED, simplex_max
+from .simplex import OPTIMAL, UNBOUNDED, simplex_from_basis
 
 
 class EutaxyClass(enum.Enum):
@@ -111,13 +113,10 @@ def eutaxy_classify(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> EutaxyResul
         return EutaxyResult(EutaxyClass.WEAKLY_EUTACTIC, coeffs, 0)
 
     # maximize the smallest coefficient t: c = x + t (1, ..., 1) with x, t >= 0
-    # on the reduced rows, whose row sums are the column of t.  Dividing the
-    # rows, sums and right sides by their gcd, taken with the sign of d, gives
-    # the smallest integer multiple of the rational rows / d that keeps their
-    # signs, as one positive factor for the whole LP must.
-    g = math.gcd(*(x for row in rows for x in row), *sums) * (1 if d > 0 else -1)
-    lp_rows = [[x // g for x in row[:-1]] + [s // g] for row, s in zip(rows, sums)]
-    status, value, point = simplex_max([0] * k + [1], lp_rows, [row[-1] // g for row in rows])
+    # on the reduced rows, whose row sums are the column of t, from the basis
+    # of their pivot columns
+    lp_rows = [row[:-1] + [s, row[-1]] for row, s in zip(rows, sums)]
+    status, value, point = simplex_from_basis([0] * k + [1], lp_rows, pivots, d)
     if status == OPTIMAL and value > 0:
         coeffs = tuple(x + value for x in point[:k])
         return EutaxyResult(EutaxyClass.EUTACTIC, coeffs, dim)
@@ -232,13 +231,14 @@ def classification_report(
             if eut.coefficients is not None
             else None
         )
-        fields["eutaxy_solution_dim"] = eut.solution_space_dim
+        fields["eutaxy_solution_dim"] = dim = eut.solution_space_dim
+        # perfect iff the system's rank, k minus the solution dimension, is
+        # n(n+1)/2; a perfect lattice's system is consistent, so -1 means not
+        n = lat.rank
+        fields["perfect"] = dim >= 0 and len(mvs.pairs) - dim == n * (n + 1) // 2
     else:
         fields.update(
-            {"eutaxy_class": None, "eutaxy_coefficients": None, "eutaxy_solution_dim": None}
+            {"eutaxy_class": None, "eutaxy_coefficients": None, "eutaxy_solution_dim": None, "perfect": None}
         )
-
-    perf = attempt("perfect", lambda: is_perfect(lat, max_dim)) if wr else None
-    fields["perfect"] = perf
 
     return ClassificationReport(lattice=lat, fields=fields, warnings=tuple(warnings))

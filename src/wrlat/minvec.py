@@ -126,45 +126,12 @@ def _shortest(gram: RatMatrix, limit: int) -> tuple[Fraction, tuple[tuple[int, .
     w = [p * scale // q for p, q in level]
     # readers[j]: each level k < j whose center reads x_j, with M_jk / g_k
     readers = [[(k, cols[k][j - k] // g[k]) for k in range(j) if cols[k][j - k]] for j in range(n)]
-    # x may hold values left by an earlier branch below the current level; the
-    # centers always agree with x, and each level resets its x before it reads
-    x = [0] * n
-    center = [0] * n
-    bound = a[0][0] * scale // s
     ties: list[tuple[int, ...]] = []
-    overflowed = False
-
-    def walk(k: int, partial: int, higher_zero: bool):
-        # partial <= bound on entry: the caller checked it after its last drop
-        nonlocal bound, ties, overflowed
-        wk, bk, c = w[k], b[k], center[k]
-        r = math.isqrt((bound - partial) // wk)
-        lo = (0 if k else 1) if higher_zero else -((r + c) // bk)
-        for xk in range(lo, (r - c) // bk + 1):
-            y = bk * xk + c
-            p = partial + wk * y * y
-            if p > bound:
-                continue
-            if k:
-                step = xk - x[k]
-                if step:
-                    x[k] = xk
-                    for i, m in readers[k]:
-                        center[i] += m * step
-                walk(k - 1, p, higher_zero and not xk)
-                continue
-            if p < bound:
-                bound, ties, overflowed = p, [], False
-            if len(ties) < limit:
-                x[0] = xk
-                ties.append(tuple(x))
-            else:
-                overflowed = True
-
-    walk(n - 1, 0, True)
+    bound = _walk(n - 1, 0, a[0][0] * scale // s, True, (w, b, [0] * n, [0] * n, readers, ties, limit + 1))
+    overflowed = len(ties) > limit
     nonzero = [[(j, e) for j, e in enumerate(row) if e] for row in t]
     pairs = []
-    for v in ties:  # u = sum_i v_i t_i, over the nonzero v_i and t_ij
+    for v in ties[:limit]:  # u = sum_i v_i t_i, over the nonzero v_i and t_ij
         u = [0] * n
         for vi, ti in zip(v, nonzero):
             if vi:
@@ -172,6 +139,38 @@ def _shortest(gram: RatMatrix, limit: int) -> tuple[Fraction, tuple[tuple[int, .
                     u[j] += vi * e
         pairs.append(_canonical_pair(tuple(u)))
     return Fraction(bound, scale), tuple(sorted(pairs)), overflowed
+
+
+def _walk(k: int, partial: int, bound: int, higher_zero: bool, state) -> int:
+    """Level k of `_shortest`'s walk, entered with partial <= bound; returns the
+    bound.  state is (w, b, center, x, readers, ties, cap): each drop of the
+    bound empties ties in place, and at most cap ties are kept.  x may hold
+    values left by an earlier branch below level k; the centers always agree
+    with x, and each level resets its x before it reads it."""
+    w, b, center, x, readers, ties, cap = state
+    wk, bk, c = w[k], b[k], center[k]
+    r = math.isqrt((bound - partial) // wk)
+    lo = (0 if k else 1) if higher_zero else -((r + c) // bk)
+    for xk in range(lo, (r - c) // bk + 1):
+        y = bk * xk + c
+        p = partial + wk * y * y
+        if p > bound:
+            continue
+        if k:
+            step = xk - x[k]
+            if step:
+                x[k] = xk
+                for i, m in readers[k]:
+                    center[i] += m * step
+            bound = _walk(k - 1, p, bound, higher_zero and not xk, state)
+            continue
+        if p < bound:
+            bound = p
+            ties.clear()
+        if len(ties) < cap:
+            x[0] = xk
+            ties.append(tuple(x))
+    return bound
 
 
 def _check_dim(lat: Lattice, max_dim: int) -> None:

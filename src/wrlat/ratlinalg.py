@@ -14,11 +14,11 @@ enumerator on the pair-reduced Gram it walks and the angle profiles), and in
 `tail_step`, which gives the principal minors of sorted index sets one prefix
 at a time (the all-orderings verdict, and the minimal-basis search on the
 integer Gram of the minimal pairs from `gram_of_vectors`); Gauss-Jordan in
-`row_reduce`, which gives the reduced rows of the integer eutaxy system, and
-in the simplex tableau.  No inverse is formed.  Only
-`int_rank` keeps its own row-by-row reduction, because it stops once the
-rank reaches the column count: the ranks of the minimal pairs behind 44
-well-roundedness tests (ranks 10-12) took it 15 ms, and `row_reduce` 88 ms.
+`row_reduce` (the reduced rows and rank of the integer eutaxy system) and in
+the simplex tableau, which starts from those rows with their own d, so its
+divisions stay exact.  No inverse is formed.  Only `int_rank` has its own
+reduction, as it stops once the rank reaches the column count: on the 44
+well-roundedness tests at ranks 10-12 it took 15 ms, and `row_reduce` 88 ms.
 """
 
 from __future__ import annotations

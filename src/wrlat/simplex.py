@@ -1,19 +1,23 @@
 """Small exact linear-programming solver on integer data.
 
 One LP form, max c.x subject to A x = b and x >= 0 with A, b and c integer,
-solved by a two-phase dense simplex with one artificial variable per row and
-Bland's rule (no cycling); eutaxy uses it to find the largest smallest
-coefficient.  The tableau is integer (Edmonds' integer-preserving pivoting):
-it starts from the rows as given, holds d times the rational tableau, with d
-the last pivot, and every pivot is one `ratlinalg.sylvester_step`.  The
-reduced costs, times d, are one more tableau row, set once per phase and
-updated by the same step.  Ratios are compared by cross-multiplying.
+started from a canonical basis as `ratlinalg.row_reduce` returns it: rows
+holding d in their own basis column and 0 in the other basis columns, so
+that the rational rows are rows / d.  Eutaxy uses it to find the largest
+smallest coefficient.  The tableau is integer (Edmonds' integer-preserving
+pivoting): d times the rational tableau, with d the last pivot, each pivot
+one `ratlinalg.sylvester_step`, and the reduced costs, times d, one more row
+set once per phase.  Ratios are compared by cross-multiplying, and Bland's
+rule prevents cycling.
 
-A rational LP is scaled to integers by the caller: [A | b] by one positive
-factor, since scaling rows apart reweights the phase-1 artificials and
-leads Bland's rule to another vertex, and c by any positive factor, since
-the pivots read only the signs of the reduced costs; the optimum is then
-that factor times the rational one.
+A negative right side makes the start infeasible; phase 1 then solves the
+auxiliary problem with one artificial column of -d (Vanderbei, *Linear
+Programming: Foundations and Extensions*, ch. 2), which enters on the most
+negative row (the lowest on a tie) and is minimized.  The rows keep their
+own d, negated as a whole when d < 0: when they come from a fraction-free
+elimination of [A | b], every entry is a minor of that matrix, the
+artificial column (minus the sum of the basis columns) keeps that true, and
+so every later `// d` is exact (Sylvester's identity).
 """
 
 from __future__ import annotations
@@ -67,42 +71,39 @@ def _optimize(tab: list[list[int]], d: int, basis: list[int], cost: list[int], a
         tab, d = _pivot(tab, d, basis, leaving, entering)
 
 
-def simplex_max(c: Sequence[int], a_rows: Sequence[Sequence[int]], b: Sequence[int]):
-    """Maximize c.x subject to A x = b, x >= 0, exactly, on integer data.
+def simplex_from_basis(c: Sequence[int], rows: Sequence[Sequence[int]], basis: Sequence[int], d: int):
+    """Maximize c.x subject to A x = b, x >= 0, exactly, from a canonical basis.
 
-    Returns (status, optimum, x) with status one of "optimal", "unbounded",
+    rows, basis and d (nonzero, of either sign) as `row_reduce` returns them
+    for [A | b], or extended by integer combinations of its columns.  Returns
+    (status, optimum, x) with status one of "optimal", "unbounded",
     "infeasible"; optimum and x (Fractions) are None unless optimal.
     """
-    m = len(a_rows)
     n = len(c)
     # integer data only: operator.index raises TypeError on a Fraction
     cost = list(map(operator.index, c))
-    # a row with b_i < 0 is negated, so that its artificial n + i starts basic at b_i >= 0
-    basis = list(range(n, n + m))
-    tab = []
-    for i, (row, b_i) in enumerate(zip(a_rows, map(operator.index, b))):
-        sign = -1 if b_i < 0 else 1
-        tab.append([sign * x for x in map(operator.index, row)] + [int(i == j) for j in range(m)] + [sign * b_i])
-    d = 1
+    sign = 1 if d > 0 else -1
+    # column n is the artificial, -d in every row
+    tab = [[sign * x for x in map(operator.index, row[:-1])] + [-sign * d, sign * operator.index(row[-1])] for row in rows]
+    d *= sign
+    basis = list(basis)
+    low = min(range(len(tab)), key=lambda i: tab[i][-1], default=None)
+    if low is not None and tab[low][-1] < 0:
+        tab, d = _pivot(tab, d, basis, low, n)
+        status, tab, d = _optimize(tab, d, basis, [0] * n + [-1], range(n + 1))
+        assert status == OPTIMAL  # phase-1 objective is bounded above by 0
+        if n in basis:
+            i = basis.index(n)
+            if tab[i][-1]:
+                return INFEASIBLE, None, None
+            # the rows are independent, so the artificial's row is nonzero on A
+            tab, d = _pivot(tab, d, basis, i, next(j for j in range(n) if tab[i][j]))
 
-    status, tab, d = _optimize(tab, d, basis, [0] * n + [-1] * m, range(n + m))
-    assert status == OPTIMAL  # phase-1 objective is bounded above by 0
-    if any(tab[i][-1] for i in range(m) if basis[i] >= n):
-        return INFEASIBLE, None, None
-    # drive leftover artificials out of the basis
-    for i in range(m):
-        if basis[i] >= n:
-            col = next((j for j in range(n) if tab[i][j] != 0), None)
-            if col is not None:
-                tab, d = _pivot(tab, d, basis, i, col)
-    # rows still basic in an artificial are identically zero; harmless
-
-    status, tab, d = _optimize(tab, d, basis, cost + [0] * m, range(n))
+    status, tab, d = _optimize(tab, d, basis, cost + [0], range(n))
     if status != OPTIMAL:
         return status, None, None
     x = [Fraction(0)] * n
     for i, bcol in enumerate(basis):
-        if bcol < n:
-            x[bcol] = Fraction(tab[i][-1], d)
+        x[bcol] = Fraction(tab[i][-1], d)
     value = sum(cj * xj for cj, xj in zip(cost, x))
     return OPTIMAL, value, x

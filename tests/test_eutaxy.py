@@ -16,6 +16,7 @@ from wrlat import (
     direct_sum,
     eutaxy_classify,
     hexagonal,
+    hybrid,
     integer_lattice,
     is_perfect,
     k3_prime,
@@ -25,9 +26,10 @@ from wrlat import (
     staircase,
 )
 import wrlat.eutaxy
-from wrlat.constructions import weak_family_lattices
+from wrlat.constructions import strict_family_lattices, weak_family_lattices
 from wrlat.ratlinalg import RatMatrix, integer_scaled, row_reduce
-from wrlat.simplex import OPTIMAL, UNBOUNDED, INFEASIBLE, simplex_max
+import wrlat.simplex
+from wrlat.simplex import OPTIMAL, UNBOUNDED, INFEASIBLE, simplex_from_basis
 
 from conftest import disguise, root_plus_hexagonal
 
@@ -146,11 +148,11 @@ def test_weakly_eutactic_sum_where_the_lp_optimum_is_zero(monkeypatch):
     optima = []
 
     def recorded(*args):
-        result = simplex_max(*args)
+        result = simplex_from_basis(*args)
         optima.append(result[:2])
         return result
 
-    monkeypatch.setattr(wrlat.eutaxy, "simplex_max", recorded)
+    monkeypatch.setattr(wrlat.eutaxy, "simplex_from_basis", recorded)
     res = eutaxy_classify(lat)
     assert lat.rank == 8 and len(minimal_vectors(lat).pairs) == 19
     assert res.klass is EutaxyClass.WEAKLY_EUTACTIC and res.solution_space_dim == 2
@@ -169,9 +171,9 @@ W_D4_MOVES = [(6, 7, -1), (0, 2, -1), (6, 7, -1), (7, 2, 1), (2, 7, 1), (1, 4, -
 )
 def test_lp_gets_the_integer_form_of_the_rational_rows(lat, d_negative, monkeypatch):
     # The LP's rational rows are the reduced rows / d, with the row sums / d
-    # as the column of t.  integer_scaled of those rows and c together
-    # scales them by one positive factor, which keeps every sign and so every
-    # pivot; dividing by an unsigned gcd would negate them all when d < 0.
+    # as the column of t.  It gets them as row_reduce left them, on the basis
+    # of their pivot columns and with their own d, negative or not: no common
+    # factor is divided out, so every later pivot divides exactly.
     seen = {}
 
     def reduce(*args):
@@ -180,19 +182,45 @@ def test_lp_gets_the_integer_form_of_the_rational_rows(lat, d_negative, monkeypa
 
     def solve(*args):
         seen["lp"] = args
-        return simplex_max(*args)
+        return simplex_from_basis(*args)
 
     monkeypatch.setattr(wrlat.eutaxy, "row_reduce", reduce)
-    monkeypatch.setattr(wrlat.eutaxy, "simplex_max", solve)
+    monkeypatch.setattr(wrlat.eutaxy, "simplex_from_basis", solve)
     eutaxy_classify(lat)
-    (rows, _, d), (c, a_rows, b) = seen["reduced"], seen["lp"]
+    (rows, pivots, d), (c, lp_rows, basis, lp_d) = seen["reduced"], seen["lp"]
     assert (d < 0) == d_negative
     k = len(rows[0]) - 1
-    rational = [[F(x, d) for x in row[:-1]] + [F(sum(row[:-1]), d), F(row[-1], d)] for row in rows]
-    _, scaled = integer_scaled(RatMatrix.from_rows(rational + [[0] * k + [1, 0]]))
-    scaled.pop()
     assert c == [0] * k + [1]
-    assert [[*row, v] for row, v in zip(a_rows, b)] == scaled
+    assert (basis, lp_d) == (pivots, d)
+    assert lp_rows == [[*row[:-1], sum(row[:-1]), row[-1]] for row in rows]
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [CERTIFIED[-2], w_plus_d4(), disguise(w_plus_d4(), W_D4_MOVES)[0]],
+    ids=["E6+2A2", "w+D4", "w+D4-disguised"],
+)
+def test_every_lp_step_divides_exactly(lat, monkeypatch):
+    # The t column is the sum of the coefficient columns and the artificial
+    # column minus the sum of the basis columns, so every tableau entry stays
+    # a minor of one integer matrix and Sylvester's identity divides exactly.
+    # The tableau has k + 2 variable columns (x, t and the one artificial)
+    # and the right sides, not one artificial per row.
+    step = wrlat.simplex.sylvester_step
+    widths = set()
+
+    def exact(m, d, r, c):
+        top = m[r]
+        p = top[c]
+        for i, row in enumerate(m):
+            if i != r:
+                assert all((p * x - row[c] * y) % d == 0 for x, y in zip(row, top)), (i, r, c)
+        widths.update(map(len, m))
+        return step(m, d, r, c)
+
+    monkeypatch.setattr(wrlat.simplex, "sylvester_step", exact)
+    eutaxy_classify(lat)
+    assert widths == {len(minimal_vectors(lat).pairs) + 3}
 
 
 def test_eutaxy_requires_well_rounded():
@@ -246,7 +274,7 @@ def test_a3_root_perfect():
 
 
 def test_weak_family_never_perfect_in_rank_3_plus():
-    from wrlat.constructions import weak_family_lattices
+    from wrlat.constructions import strict_family_lattices, weak_family_lattices
 
     for lat in weak_family_lattices(6):
         if lat.rank >= 3:
@@ -269,6 +297,32 @@ def test_coxeter_barnes_7_4():
     assert res.klass is EutaxyClass.STRONGLY_EUTACTIC
     assert res.coefficients == (F(1, 6),) * 28
     assert coherence(lat).value == F(1, 3) < F(1, 2)
+
+
+PANEL = [
+    staircase(9),
+    an_dual_frame(9),
+    lnm(9, 4),
+    hybrid(8, 2),
+    coxeter_barnes(7, 4),
+    k3_prime(),
+    CERTIFIED[-2],
+]
+
+
+@pytest.mark.parametrize(
+    "lat", PANEL + weak_family_lattices(6) + strict_family_lattices(6), ids=lambda lat: lat.name
+)
+def test_report_perfection_matches_is_perfect_in_any_basis(lat):
+    # the report reads perfection from the eutaxy elimination's rank, and
+    # is_perfect from its own; both must agree, and not change with the basis
+    rng = random.Random(lat.name)
+    n = lat.rank
+    moves = [(*rng.sample(range(n), 2), rng.choice((1, -1))) for _ in range(n)] if n > 1 else []
+    want = is_perfect(lat)
+    for case in (lat, disguise(lat, moves)[0]):
+        assert classification_report(case, search_minimal_bases=False).fields["perfect"] is want
+        assert is_perfect(case) is want
 
 
 # --- aggregate report ----------------------------------------------------------
@@ -322,10 +376,19 @@ def test_report_non_well_rounded():
 # --- exact simplex -------------------------------------------------------------
 
 
+def simplex_eq(c, a, b):
+    """max c.x s.t. A x = b, x >= 0 on integer data: `row_reduce` gives the
+    canonical start, and an inconsistent system is infeasible."""
+    reduced = row_reduce(a, b)
+    if reduced is None:
+        return INFEASIBLE, None, None
+    return simplex_from_basis(c, *reduced)
+
+
 def simplex_ineq(c, a, b, free=False):
-    """max c.x s.t. A x <= b, with x >= 0 or free, through the equality-form
-    `simplex_max`: a free x is split as x+ - x- into two nonnegative columns,
-    and row i gains the slack column s_i >= 0 with A_i x + s_i = b_i."""
+    """max c.x s.t. A x <= b, with x >= 0 or free, through `simplex_eq`: a
+    free x is split as x+ - x- into two nonnegative columns, and row i gains
+    the slack column s_i >= 0 with A_i x + s_i = b_i."""
     n, m = len(c), len(a)
     if free:
         c, a = list(c) + [-e for e in c], [list(r) + [-e for e in r] for r in a]
@@ -334,7 +397,7 @@ def simplex_ineq(c, a, b, free=False):
     # positive factor and c times another, which scales the optimum
     _, rows = integer_scaled(RatMatrix.from_rows(rows))
     c_scale, (cost,) = integer_scaled(RatMatrix.from_rows([list(c) + [0] * m]))
-    status, value, x = simplex_max(cost, [r[:-1] for r in rows], [r[-1] for r in rows])
+    status, value, x = simplex_eq(cost, [r[:-1] for r in rows], [r[-1] for r in rows])
     if value is not None:
         value /= c_scale
     if x is not None:
@@ -385,30 +448,32 @@ def test_simplex_degenerate_no_cycling():
 
 
 def test_simplex_redundant_equality_row():
-    # the second row is twice the first: its artificial stays basic on a
-    # zero row after phase 1; with an inconsistent right side, infeasible
-    assert simplex_max([1, 2], [[1, 1], [2, 2]], [1, 2]) == (OPTIMAL, 2, [0, 1])
-    assert simplex_max([1, 2], [[1, 1], [2, 2]], [1, 3])[0] == INFEASIBLE
+    # the second row is twice the first: row_reduce drops it, and with an
+    # inconsistent right side it returns None, which means infeasible
+    assert simplex_eq([1, 2], [[1, 1], [2, 2]], [1, 2]) == (OPTIMAL, 2, [0, 1])
+    assert simplex_eq([1, 2], [[1, 1], [2, 2]], [1, 3])[0] == INFEASIBLE
 
 
 def test_simplex_rejects_fractions():
-    for args in (([F(1, 3), 1], [[1, 1]], [1]), ([1, 1], [[F(1, 2), 1]], [1]), ([1, 1], [[1, 1]], [F(1, 2)])):
+    for args in (([F(1, 3), 1], [[1, 0, 1]], [0], 1), ([1, 1], [[1, F(1, 2), 1]], [0], 1), ([1, 1], [[1, 0, F(1, 2)]], [0], 1)):
         with pytest.raises(TypeError):
-            simplex_max(*args)
+            simplex_from_basis(*args)
 
 
 PINNED_LPS = {
     # max c.x s.t. A x <= b, x >= 0 or free, as (c, A, b, free, result).
-    # Scaling each row to integers by its own lcm reweights the phase-1
-    # artificials, and Bland's rule then ends at the other optimal vertex (2/3, 0)
+    # The vertex must not depend on how each row is scaled to integers; the
+    # reduced rows do not, but phase-1 artificials weighted by a per-row
+    # scale lead Bland's rule to the other optimal vertex (2/3, 0)
     "one-common-scale": (
         [-2, -2], [[-1, F(-3, 4)], [-1, -1]], [1, F(-2, 3)], False, (OPTIMAL, F(-4, 3), [0, F(2, 3)])
     ),
-    # driving the artificial out takes a negative pivot; without negating the
-    # tableau after it, the LP ends at x = 0 with optimum 0
+    # a negative right side that the reduced rows make feasible, so phase 1
+    # is skipped; from a start with an artificial per row, driving one out
+    # takes a negative pivot, and without negating after it, x = 0 with 0
     "negative-cleanup-pivot": ([F(-4, 3)], [[2], [F(-1, 3)]], [3, F(-1, 2)], False, (OPTIMAL, -2, [F(3, 2)])),
-    # phase 1 ends with an artificial basic at zero; left in the basis, it can
-    # grow in phase 2, which drops its row, and the LP reads as unbounded
+    # phase 1 ends with the artificial basic at zero; left in the basis, it
+    # can grow in phase 2, which drops its row, and the LP reads as unbounded
     "artificial-at-zero": (
         [2, 0], [[-1, 0], [2, F(1, 2)], [0, F(-3, 2)]], [F(3, 2), -2, -3], True, (OPTIMAL, -3, [F(-3, 2), 2])
     ),
@@ -428,6 +493,35 @@ PINNED_LPS = {
 def test_simplex_pinned_vertices(name):
     c, a, b, free, want = PINNED_LPS[name]
     assert simplex_ineq(c, a, b, free) == want
+
+
+PINNED_STARTS = {
+    # max c.x s.t. A x = b, x >= 0 from row_reduce's basis, as (c, A, b, result).
+    # The reduced right sides are -3 and -11: the artificial enters on the
+    # most negative row; entering on the first negative row leaves row 1 at
+    # -8 and ends at (0, -5, 3) with c.x = -6
+    "most-negative-row": ([0, 0, -2], [[3, -1, -1], [1, 0, -1]], [2, -3], (OPTIMAL, -11, [F(5, 2), 0, F(11, 2)])),
+    # the reduced right sides tie at -1: the artificial enters on the lower
+    # row; entering on the higher ends at the other vertex (0, 2, 0, 1/2)
+    "tie-lowest-index": (
+        [-1, 0, 0, 0], [[-1, 0, 1, 2], [2, -1, -2, 2]], [1, -1], (OPTIMAL, 0, [0, 0, F(2, 3), F(1, 6)])
+    ),
+    # phase 1 ends with the artificial basic at zero; left in the basis, it
+    # can grow in phase 2, and the LP reads as unbounded
+    "artificial-basic-at-zero": ([1, 2, 0], [[-2, -1, 0], [-1, -1, 1]], [0, 2], (OPTIMAL, 0, [0, 0, 2])),
+    # driving the artificial out takes a negative pivot; without negating the
+    # tableau after it, the LP ends at (0, -1, 0), which breaks x >= 0
+    "negative-drive-out-pivot": ([0, 0, -1], [[1, 1, -2], [-1, 0, 0]], [-1, 0], (OPTIMAL, F(-1, 2), [0, 0, F(1, 2)])),
+    # row_reduce ends on d = -1 with a feasible start; without negating the
+    # rows first, the ratio test misreads every sign and finds it unbounded
+    "negative-d-start": ([-1, 0], [[0, -1]], [0], (OPTIMAL, 0, [0, 0])),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_STARTS)
+def test_simplex_pinned_starts(name):
+    c, a, b, want = PINNED_STARTS[name]
+    assert simplex_eq(c, a, b) == want
 
 
 @st.composite
