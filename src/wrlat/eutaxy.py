@@ -46,7 +46,7 @@ from .lattice import Lattice
 from .minvec import DEFAULT_MAX_DIM, is_well_rounded, minimal_vectors
 from .ortho import PI_THIRD_COS_SQ, membership_report
 from .ratlinalg import format_rational, int_rank, integer_scaled, row_reduce
-from .simplex import OPTIMAL, UNBOUNDED, simplex_from_basis
+from .simplex import OPTIMAL, UNBOUNDED, _simplex_from_basis
 
 
 class EutaxyClass(enum.Enum):
@@ -116,7 +116,7 @@ def eutaxy_classify(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> EutaxyResul
     # on the reduced rows, whose row sums are the column of t, from the basis
     # of their pivot columns
     lp_rows = [row[:-1] + [s, row[-1]] for row, s in zip(rows, sums)]
-    status, value, point = simplex_from_basis([0] * k + [1], lp_rows, pivots, d)
+    status, value, point = _simplex_from_basis([0] * k + [1], lp_rows, pivots, d)
     if status == OPTIMAL and value > 0:
         coeffs = tuple(x + value for x in point[:k])
         return EutaxyResult(EutaxyClass.EUTACTIC, coeffs, dim)

@@ -13,7 +13,8 @@ Results are cached on the Gram matrix alone.  Well-roundedness is the integer
 rank of the pair matrix (`int_rank`, which stops at n independent pairs),
 cached on the pairs.  Every helper that needs the minimal vectors, here and
 in invariants, ortho and eutaxy, takes the rank guard `max_dim` and passes it
-on, so one setting holds for a whole report.  A box-scan brute-force oracle
+on, so one setting holds for a whole report (the all-orderings verdict
+keeps its fixed guard of 12).  A box-scan brute-force oracle
 cross-validates the enumerator on the Gram as given, with no reduction: an
 integer odometer over every coordinate but the last, which is swept row by
 row.

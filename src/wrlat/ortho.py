@@ -16,7 +16,8 @@ fraction-free Schur residual over the indices above its largest
 It carries each reached subset's first in-threshold ordering along (the
 witness and the violation are read from these), and compares cross-multiplied
 integers with the threshold p/q; a Fraction is built only for the reported
-violation.
+violation.  It refuses ranks above 12, the enumeration guard, so it runs
+wherever the minimal vectors can be enumerated by default.
 
 Verdicts are relative to the stored basis.  For the strict class the
 optional search over bases of minimal vectors is complete (a basis that is
@@ -42,7 +43,6 @@ from .minvec import DEFAULT_MAX_DIM, is_well_rounded, minimal_vectors
 from .ratlinalg import diagonal_pivots, format_rational, gram_of_vectors, integer_scaled, tail_step
 
 PI_THIRD_COS_SQ = Fraction(1, 4)
-DEFAULT_ORDERING_DIM_GUARD = 9
 DEFAULT_SUBSET_GUARD = 50_000
 
 
@@ -118,13 +118,14 @@ def is_theta_orthogonal(
     least by (size, sorted prefix set, vector): the prefix set in ascending
     order, then the vector, then the rest ascending.  Both replay under
     angle_profile.
+    Refuses ranks above `DEFAULT_MAX_DIM` (12) and takes no `max_dim`, as
+    the tail table grows as 2^(n-1).
     """
     thr = Fraction(cos_sq_threshold)
     if not 0 <= thr <= 1:
         raise ValueError("threshold must be a squared cosine in [0, 1]")
-    n = lat.rank
-    if n > DEFAULT_ORDERING_DIM_GUARD:
-        raise DimensionGuardExceeded(f"rank {n} exceeds the orderings guard {DEFAULT_ORDERING_DIM_GUARD}")
+    if lat.rank > DEFAULT_MAX_DIM:
+        raise DimensionGuardExceeded(f"rank {lat.rank} exceeds the orderings guard {DEFAULT_MAX_DIM}")
     return _verdict(integer_scaled(lat.gram)[1], thr)
 
 

@@ -7,6 +7,9 @@ because only that pair's 2x2 determinant factor moves.  The general float
 path rotates one vector inside one coordinate plane, rationalizes, and then
 re-verifies: the target value, the density ratio law, and strict
 near-orthogonality of the result.  It never returns an unverified lattice.
+Strict near-orthogonality, of the input and of each result, is the exact
+all-orderings verdict `is_theta_orthogonal`, which shares the enumeration
+guard of rank 12.
 """
 
 from __future__ import annotations
@@ -57,27 +60,6 @@ def _require_unit_diagonal(lat: Lattice) -> None:
         raise ValueError("perturbation requires a unit-diagonal Gram matrix")
 
 
-def certified_by_block_structure(gram: RatMatrix) -> bool:
-    """True when every unit vector couples to at most one partner with
-    |cos| <= 1/2; such a basis is nearly orthogonal under every ordering
-    (the partner is orthogonal to the rest of any sub-span, so the
-    projection of a vector onto any span of others has norm <= 1/2)."""
-    n = gram.rows
-    if any(gram[i, i] != 1 for i in range(n)):
-        return False
-    partner: dict[int, int] = {}
-    for i in range(n):
-        others = [j for j in range(n) if j != i and gram[i, j] != 0]
-        if len(others) > 1:
-            return False
-        if others:
-            j = others[0]
-            if abs(gram[i, j]) > Fraction(1, 2):
-                return False
-            partner[i] = j
-    return all(partner.get(j) == i for i, j in partner.items())
-
-
 def _density_ratio_sq(before: Lattice, after: Lattice) -> Fraction:
     return (
         packing_density(after).delta_sq_over_omega_sq
@@ -87,12 +69,6 @@ def _density_ratio_sq(before: Lattice, after: Lattice) -> Fraction:
 
 def _gram_distance(a: RatMatrix, b: RatMatrix) -> Fraction:
     return max(abs(x - y) for x, y in zip(a.entries, b.entries))
-
-
-def _certify_strict(lat: Lattice) -> bool:
-    if certified_by_block_structure(lat.gram):
-        return True
-    return is_theta_orthogonal(lat).strictly
 
 
 def _replace_pair(
@@ -113,7 +89,7 @@ def _replace_pair(
         value_before=abs(old),
         value_after=abs(new_cos),
         density_ratio_sq=_density_ratio_sq(lat, after),
-        still_nearly_orthogonal=_certify_strict(after),
+        still_nearly_orthogonal=is_theta_orthogonal(after).strictly,
         gram_distance=_gram_distance(lat.gram, after.gram),
     )
 
@@ -182,7 +158,7 @@ def perturb_general(
         assert nu_cos is not None  # unit diagonal
         if not 0 <= target <= nu_cos:
             raise ValueError("nu-mode target must lie in [0, current nu]")
-    if not _certify_strict(lat):
+    if not is_theta_orthogonal(lat).strictly:
         raise NotNearlyOrthogonal(
             f"{lat.name!r} is not certified nearly orthogonal; refusing to perturb"
         )
@@ -243,7 +219,7 @@ def perturb_general(
     diagnostics["density_ratio_sq"] = str(ratio_sq)
     if abs(math.sqrt(float(ratio_sq)) - math.sqrt(law)) > tol:
         raise VerificationFailed("density ratio law violated beyond tolerance", diagnostics)
-    if not _certify_strict(after):
+    if not is_theta_orthogonal(after).strictly:
         raise VerificationFailed("perturbed lattice left the nearly orthogonal class", diagnostics)
 
     return PerturbationOutcome(

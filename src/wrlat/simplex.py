@@ -71,13 +71,19 @@ def _optimize(tab: list[list[int]], d: int, basis: list[int], cost: list[int], a
         tab, d = _pivot(tab, d, basis, leaving, entering)
 
 
-def simplex_from_basis(c: Sequence[int], rows: Sequence[Sequence[int]], basis: Sequence[int], d: int):
+def _simplex_from_basis(c: Sequence[int], rows: Sequence[Sequence[int]], basis: Sequence[int], d: int):
     """Maximize c.x subject to A x = b, x >= 0, exactly, from a canonical basis.
 
     rows, basis and d (nonzero, of either sign) as `row_reduce` returns them
     for [A | b], or extended by integer combinations of its columns.  Returns
     (status, optimum, x) with status one of "optimal", "unbounded",
     "infeasible"; optimum and x (Fractions) are None unless optimal.
+
+    Precondition, not checked: the rows come from a fraction-free elimination,
+    so every `// d` is exact.  Other canonical integer rows floor silently and
+    give a wrong vertex: ([0, 0, 0], [[2, 0, -1, -1], [0, 2, -2, -1]], [0, 1], 2)
+    returns x = (0, 0, 1), which breaks the second row, as phase 1 divides -1
+    by 2.  Hence private; its one caller passes `row_reduce`'s rows.
     """
     n = len(c)
     # integer data only: operator.index raises TypeError on a Fraction

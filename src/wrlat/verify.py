@@ -26,7 +26,6 @@ from .constructions import (
     strict_family_lattices,
     weak_family_lattices,
 )
-from .errors import NotPositiveDefinite
 from .eutaxy import EutaxyClass, eutaxy_classify, is_perfect
 from .invariants import cn_test, cn_value, coherence, packing_density
 from .lattice import Lattice, lattice_from_gram
@@ -315,21 +314,21 @@ def _check_cn_values(max_n: int) -> str:
 
 
 def random_subthreshold_lattice(rng: random.Random, n: int, denominator: int = 64) -> Lattice:
-    """Random unit-diagonal Gram whose off-diagonals pass the exact c_n test."""
+    """Random unit-diagonal Gram whose off-diagonals pass the exact c_n test.
+
+    Such a Gram is positive definite for every n >= 2: each |off-diagonal| is
+    at most c_n < 1/(n - 1), so it is strictly diagonally dominant.
+    """
     limit = int(cn_value(n) * denominator)  # float seed; candidates re-checked exactly
-    while True:
-        g = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                while True:
-                    c = Fraction(rng.randint(-limit, limit), denominator)
-                    if cn_test(abs(c), n):
-                        break
-                g[i][j] = g[j][i] = c
-        try:
-            return lattice_from_gram(f"random{n}", g)
-        except NotPositiveDefinite:  # Gershgorin makes this unreachable for n <= 5
-            continue
+    g = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            while True:
+                c = Fraction(rng.randint(-limit, limit), denominator)
+                if cn_test(abs(c), n):
+                    break
+            g[i][j] = g[j][i] = c
+    return lattice_from_gram(f"random{n}", g)
 
 
 def _check_cn_random_certification(max_n: int) -> str:

@@ -29,7 +29,7 @@ import wrlat.eutaxy
 from wrlat.constructions import strict_family_lattices, weak_family_lattices
 from wrlat.ratlinalg import RatMatrix, integer_scaled, row_reduce
 import wrlat.simplex
-from wrlat.simplex import OPTIMAL, UNBOUNDED, INFEASIBLE, simplex_from_basis
+from wrlat.simplex import OPTIMAL, UNBOUNDED, INFEASIBLE, _simplex_from_basis
 
 from conftest import disguise, root_plus_hexagonal
 
@@ -148,11 +148,11 @@ def test_weakly_eutactic_sum_where_the_lp_optimum_is_zero(monkeypatch):
     optima = []
 
     def recorded(*args):
-        result = simplex_from_basis(*args)
+        result = _simplex_from_basis(*args)
         optima.append(result[:2])
         return result
 
-    monkeypatch.setattr(wrlat.eutaxy, "simplex_from_basis", recorded)
+    monkeypatch.setattr(wrlat.eutaxy, "_simplex_from_basis", recorded)
     res = eutaxy_classify(lat)
     assert lat.rank == 8 and len(minimal_vectors(lat).pairs) == 19
     assert res.klass is EutaxyClass.WEAKLY_EUTACTIC and res.solution_space_dim == 2
@@ -182,10 +182,10 @@ def test_lp_gets_the_integer_form_of_the_rational_rows(lat, d_negative, monkeypa
 
     def solve(*args):
         seen["lp"] = args
-        return simplex_from_basis(*args)
+        return _simplex_from_basis(*args)
 
     monkeypatch.setattr(wrlat.eutaxy, "row_reduce", reduce)
-    monkeypatch.setattr(wrlat.eutaxy, "simplex_from_basis", solve)
+    monkeypatch.setattr(wrlat.eutaxy, "_simplex_from_basis", solve)
     eutaxy_classify(lat)
     (rows, pivots, d), (c, lp_rows, basis, lp_d) = seen["reduced"], seen["lp"]
     assert (d < 0) == d_negative
@@ -382,7 +382,7 @@ def simplex_eq(c, a, b):
     reduced = row_reduce(a, b)
     if reduced is None:
         return INFEASIBLE, None, None
-    return simplex_from_basis(c, *reduced)
+    return _simplex_from_basis(c, *reduced)
 
 
 def simplex_ineq(c, a, b, free=False):
@@ -457,7 +457,7 @@ def test_simplex_redundant_equality_row():
 def test_simplex_rejects_fractions():
     for args in (([F(1, 3), 1], [[1, 0, 1]], [0], 1), ([1, 1], [[1, F(1, 2), 1]], [0], 1), ([1, 1], [[1, 0, F(1, 2)]], [0], 1)):
         with pytest.raises(TypeError):
-            simplex_from_basis(*args)
+            _simplex_from_basis(*args)
 
 
 PINNED_LPS = {

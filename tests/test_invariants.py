@@ -279,6 +279,14 @@ def test_cn_rejects_bad_input():
         cn_test(F(-1, 2), 3)
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_sub_threshold_grams_are_diagonally_dominant(n):
+    # so every |off-diagonal| <= c_n < 1/(n - 1), each row's n - 1 of them sum
+    # below its unit diagonal, and random_subthreshold_lattice's Grams are
+    # positive definite with no retry
+    assert not cn_test(F(1, n - 1), n)
+
+
 def test_sub_threshold_basis_certifies():
     # a deterministic instance of the random certification property
     from wrlat.verify import random_subthreshold_lattice

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wrlat import (
+    DimensionGuardExceeded,
     RatMatrix,
     NotWellRounded,
     SubsetGuardExceeded,
@@ -333,9 +334,13 @@ RANK_12_LATTICES = {
 @pytest.mark.parametrize("thr", [QUARTER, F(1, 2)])
 @pytest.mark.parametrize("name", list(RANK_12_LATTICES))
 def test_rank_12_verdict_matches_the_reference_level_pass(name, thr):
-    # above the public ordering guard of 9, so on the private _verdict
-    a = integer_scaled(RANK_12_LATTICES[name].gram)[1]
-    assert ortho._verdict(a, thr) == reference_verdict(a, thr)
+    lat = RANK_12_LATTICES[name]
+    assert is_theta_orthogonal(lat, thr) == reference_verdict(integer_scaled(lat.gram)[1], thr)
+
+
+def test_verdict_refuses_ranks_above_the_enumeration_guard():
+    with pytest.raises(DimensionGuardExceeded, match=r"^rank 13 exceeds the orderings guard 12$"):
+        is_theta_orthogonal(integer_lattice(13))
 
 
 def test_verdict_invariant_under_reordering():

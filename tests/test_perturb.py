@@ -1,12 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wrlat import (
     NotNearlyOrthogonal,
     VerificationFailed,
+    an_dual_frame,
     hexagonal,
     integer_lattice,
+    is_theta_orthogonal,
     lattice_from_gram,
     lnm,
     minimal_vectors,
@@ -16,7 +20,6 @@ from wrlat import (
     perturb_general,
     staircase,
 )
-from wrlat.perturb import certified_by_block_structure
 
 F = Fraction
 HALF = F(1, 2)
@@ -124,10 +127,29 @@ def test_block_rejects_missing_block():
         perturb_block(lnm(3, 1), 1, F(1, 4))
 
 
-def test_block_structure_certificate():
-    assert certified_by_block_structure(lnm(6, 2).gram)
-    assert certified_by_block_structure(integer_lattice(4).gram)
-    assert not certified_by_block_structure(staircase(3).gram)
+@st.composite
+def block_structured_lattices(draw):
+    """A unit Gram of rank 2-12 whose vectors couple in disjoint pairs at
+    |cos| <= 1/2, on shuffled indices."""
+    n = draw(st.integers(2, 12))
+    order = draw(st.permutations(range(n)))
+    rows = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(draw(st.integers(0, n // 2))):
+        i, j = order[2 * k], order[2 * k + 1]
+        rows[i][j] = rows[j][i] = draw(st.fractions(-HALF, HALF, max_denominator=16))
+    return lattice_from_gram("blocks", rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_structured_lattices())
+@example(lnm(6, 2))
+@example(lnm(12, 6))
+@example(integer_lattice(4))
+def test_block_structured_unit_grams_are_strict(lat):
+    # a unit vector coupled to at most one partner at |cos| <= 1/2 projects
+    # onto any span of the others with norm <= 1/2, since the partner is
+    # orthogonal to the rest: so every ordering stays within pi/3
+    assert is_theta_orthogonal(lat).strictly
 
 
 # --- general float mode ----------------------------------------------------------
@@ -160,6 +182,13 @@ def test_general_rejects_wide_basis():
     # the rotated-ordering violation keeps this lattice out of the strict class
     with pytest.raises(NotNearlyOrthogonal):
         perturb_general(staircase(3), "nu", F(1, 4))
+
+
+def test_general_decides_strictness_at_rank_10():
+    # the verdict runs up to the enumeration guard of 12, so A10* is refused
+    # for what it is, not for its rank
+    with pytest.raises(NotNearlyOrthogonal):
+        perturb_general(an_dual_frame(10), "nu", F(1, 20))
 
 
 def test_general_mu_fails_verification_when_other_pairs_stay_low():

@@ -326,12 +326,21 @@ def test_cli_analyze_rank_1_warnings(tmp_path, capsys):
     ]
 
 
+def test_cli_analyze_decides_membership_at_rank_12(tmp_path, capsys):
+    f = tmp_path / "st12.json"
+    run_cli("construct", "staircase", "--n", "12", "--out", str(f))
+    assert run_cli("analyze", str(f)) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["in_weak"] is True and report["in_strict"] is False
+    assert report["warnings"] == []
+
+
 def test_cli_analyze_honours_max_dim_above_default(tmp_path, capsys):
     f = tmp_path / "st14.json"
     run_cli("construct", "staircase", "--n", "14", "--out", str(f))
     assert run_cli("analyze", str(f), "--max-dim", "14") == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["warnings"] == ["membership: rank 14 exceeds the orderings guard 9"]
+    assert report["warnings"] == ["membership: rank 14 exceeds the orderings guard 12"]
     assert report["kissing_number"] == 54
     assert report["well_rounded"] is True
     assert report["coherence"] == "1/2"
