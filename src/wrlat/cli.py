@@ -32,18 +32,18 @@ from .perturb import perturb_block, perturb_general
 from .ratlinalg import parse_rational
 from .verify import available_suites, run_suite
 
-FAMILIES = (
-    "z",
-    "hex",
-    "lnm",
-    "staircase",
-    "hybrid",
-    "k3prime",
-    "an",
-    "anstar",
-    "coxeter-barnes",
-    "planar",
-)
+# family -> (constructor, the options it requires, in argument order)
+FAMILIES = {
+    "z": (integer_lattice, ("n",)),
+    "hex": (hexagonal, ()),
+    "lnm": (lnm, ("n", "m")),
+    "staircase": (staircase, ("n",)),
+    "hybrid": (hybrid, ("n", "m")),
+    "k3prime": (k3_prime, ()),
+    "an": (an_root, ("n",)),
+    "anstar": (an_dual_frame, ("n",)),
+    "coxeter-barnes": (coxeter_barnes, ("n", "r")),
+}
 
 
 def parse_cos_sq_threshold(text: str) -> Fraction:
@@ -69,33 +69,9 @@ def _need(args, *names):
 
 
 def _build_family(args):
-    fam = args.family
-    if fam == "z":
-        _need(args, "n")
-        return integer_lattice(args.n)
-    if fam == "hex":
-        return hexagonal()
-    if fam == "lnm":
-        _need(args, "n", "m")
-        return lnm(args.n, args.m)
-    if fam == "staircase":
-        _need(args, "n")
-        return staircase(args.n)
-    if fam == "hybrid":
-        _need(args, "n", "m")
-        return hybrid(args.n, args.m)
-    if fam == "k3prime":
-        return k3_prime()
-    if fam == "an":
-        _need(args, "n")
-        return an_root(args.n)
-    if fam == "anstar":
-        _need(args, "n")
-        return an_dual_frame(args.n)
-    if fam == "coxeter-barnes":
-        _need(args, "n", "r")
-        return coxeter_barnes(args.n, args.r)
-    raise ValueError(f"unknown family {fam!r}")
+    make, options = FAMILIES[args.family]
+    _need(args, *options)
+    return make(*(getattr(args, name) for name in options))
 
 
 def cmd_construct(args) -> int:
@@ -162,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="emit a lattice (or planar result) as JSON")
-    p.add_argument("family", choices=FAMILIES)
+    p.add_argument("family", choices=(*FAMILIES, "planar"))
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--r", type=int)

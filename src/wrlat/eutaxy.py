@@ -45,7 +45,7 @@ from .invariants import (
 from .lattice import Lattice
 from .minvec import DEFAULT_MAX_DIM, is_well_rounded, minimal_vectors
 from .ortho import PI_THIRD_COS_SQ, membership_report
-from .ratlinalg import format_rational, int_rank, integer_scaled, row_reduce
+from .ratlinalg import format_rational, int_rank, row_reduce
 from .simplex import OPTIMAL, UNBOUNDED, _simplex_from_basis
 
 
@@ -83,7 +83,7 @@ def eutaxy_classify(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> EutaxyResul
     n = lat.rank
     pairs = minimal_vectors(lat, max_dim).pairs
     k = len(pairs)
-    scale, a = integer_scaled(lat.gram)
+    scale, a = lat.scale, lat.int_gram
     w = [[sum(x * y for x, y in zip(row, u)) for row in a] for u in pairs]
 
     # one equation per entry (p, q), p <= q, of sum_i c_i w_i w_i^T = s A

@@ -3,6 +3,8 @@
 A lattice is stored as its rational Gram matrix, never as a basis matrix.
 Families whose printed bases contain square roots still have exact rational
 Grams, so this representation keeps every invariant computation exact.
+Each Lattice also keeps the integer Gram s G that its validation computes,
+and every layer and cache reads that form, so G becomes integers once.
 Float bases are an ingestion convenience only; see lattice_from_float_basis.
 """
 
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -32,12 +34,20 @@ class Lattice:
     """Rank-n lattice given by a symmetric positive-definite rational Gram matrix.
 
     Construction checks the shape, the symmetry and then positive
-    definiteness (`gram_pivots`), so every Lattice has a positive-definite Gram."""
+    definiteness, by one elimination of the integer Gram A = s G, s the lcm
+    of G's denominators (`integer_scaled`, `diagonal_pivots`), so every
+    Lattice has a positive-definite Gram.  It keeps what that elimination
+    computed, read-only and outside equality, hashing and repr: `scale` s,
+    `int_gram` A as a tuple of tuples, and `leading_minors` P_0 = 1, ...,
+    P_n of A."""
 
     name: str
     rank: int
     gram: RatMatrix
     provenance: str = ""
+    scale: int = field(init=False, repr=False, compare=False)
+    int_gram: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    leading_minors: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.gram
@@ -47,26 +57,21 @@ class Lattice:
             raise ValueError(f"rank {self.rank} does not match the {g.rows}x{g.rows} Gram")
         if not g.is_symmetric():
             raise NotSymmetric(f"Gram of {self.name!r} is not symmetric")
-        gram_pivots(g)
+        scale, a = integer_scaled(g)
+        pivots, _ = diagonal_pivots(a)
+        if pivots[-1] <= 0:  # D_k = P_{k+1} / (s P_k) at the first P_{k+1} <= 0
+            k = len(pivots) - 2
+            raise NotPositiveDefinite(f"pivot {k} is {Fraction(pivots[-1], scale * pivots[-2])}")
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "int_gram", tuple(map(tuple, a)))
+        object.__setattr__(self, "leading_minors", tuple(pivots))
 
     def det_gram(self) -> Fraction:
-        """det G = P_n / s^n, the last leading minor of s G (`gram_pivots`)."""
-        scale, pivots, _ = gram_pivots(self.gram)
-        return Fraction(pivots[-1], scale**self.rank)
+        """det G = P_n / s^n, the last leading minor of s G."""
+        return Fraction(self.leading_minors[-1], self.scale**self.rank)
 
     def __repr__(self) -> str:
         return f"Lattice({self.name!r}, rank={self.rank})"
-
-
-def gram_pivots(gram: RatMatrix) -> tuple[int, list[int], list[list[int]]]:
-    """(s, P, columns) of `diagonal_pivots` on s G; raises NotPositiveDefinite
-    at the first P_{k+1} <= 0, reporting D_k = P_{k+1} / (s P_k)."""
-    scale, m = integer_scaled(gram)
-    pivots, cols = diagonal_pivots(m)
-    if pivots[-1] <= 0:
-        k = len(pivots) - 2
-        raise NotPositiveDefinite(f"pivot {k} is {Fraction(pivots[-1], scale * pivots[-2])}")
-    return scale, pivots, cols
 
 
 def lattice_from_gram(name: str, gram, provenance: str = "") -> Lattice:

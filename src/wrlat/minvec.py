@@ -9,9 +9,10 @@ so the ties left at the end are the complete minimal set, which is mapped
 back to the input basis.  Its levels are read from one diagonal elimination
 (`ratlinalg.diagonal_pivots`) and scaled to integers, and each level's center
 is a running sum, so the walk uses no floating point and no Fraction.
-Results are cached on the Gram matrix alone.  Well-roundedness is the integer
-rank of the pair matrix (`int_rank`, which stops at n independent pairs),
-cached on the pairs.  Every helper that needs the minimal vectors, here and
+Results are cached on the integer Gram s G (`Lattice.int_gram`) and s alone:
+lattices that differ only in scale can share s G.  Well-roundedness is the
+integer rank of the pair matrix (`int_rank`, which stops at n independent
+pairs), cached on the pairs.  Every helper that needs the minimal vectors, here and
 in invariants, ortho and eutaxy, takes the rank guard `max_dim` and passes it
 on, so one setting holds for a whole report (the all-orderings verdict
 keeps its fixed guard of 12).  A box-scan brute-force oracle
@@ -29,7 +30,7 @@ from functools import lru_cache
 
 from .errors import DimensionGuardExceeded, PairCountGuardExceeded
 from .lattice import Lattice
-from .ratlinalg import RatMatrix, diagonal_pivots, format_rational, int_rank, integer_scaled
+from .ratlinalg import diagonal_pivots, format_rational, int_rank
 
 DEFAULT_MAX_DIM = 12
 DEFAULT_PAIR_GUARD_FACTOR = 10
@@ -98,14 +99,14 @@ def _pair_reduce(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
 
 
 @lru_cache(maxsize=4096)
-def _shortest(gram: RatMatrix, limit: int) -> tuple[Fraction, tuple[tuple[int, ...], ...], bool]:
+def _shortest(s: int, gram: tuple[tuple[int, ...], ...], limit: int) -> tuple[Fraction, tuple[tuple[int, ...], ...], bool]:
     """Core exact enumerator: (minimal norm, canonical minimal pairs, overflowed).
 
-    Walks A = T (s G) T^T from `_pair_reduce`, over the half-space where the
-    highest-index nonzero coordinate is positive.  The bound starts at A's
-    smallest diagonal entry and tightens whenever a strictly shorter nonzero
-    vector is found, which empties the tie list; every vector at the current
-    bound is kept, up to `limit` pairs, and the ties at the final bound are
+    gram is the integer Gram s G.  Walks A = T (s G) T^T from `_pair_reduce`,
+    over the half-space where the highest-index nonzero coordinate is
+    positive.  The bound starts at A's smallest diagonal entry and tightens
+    whenever a strictly shorter nonzero vector is found, which empties the
+    tie list; every vector at the current bound is kept, up to `limit` pairs, and the ties at the final bound are
     mapped back through T.  `overflowed` is True when a further tie at the
     final norm was dropped; that set does not depend on the basis.  With the
     leading minors P and the column minors M_jk of A (`diagonal_pivots`),
@@ -116,9 +117,8 @@ def _shortest(gram: RatMatrix, limit: int) -> tuple[Fraction, tuple[tuple[int, .
     reads it gains d M_jk / g_k.  Level 0 is swept in one loop, with no call
     per leaf.
     """
-    n = gram.rows
-    s, a = integer_scaled(gram)
-    a, t = _pair_reduce(a)
+    n = len(gram)
+    a, t = _pair_reduce(gram)
     pivots, cols = diagonal_pivots(a)
     g = [math.gcd(*col) for col in cols]
     b = [col[0] // gk for col, gk in zip(cols, g)]
@@ -184,7 +184,7 @@ def _check_dim(lat: Lattice, max_dim: int) -> None:
 def minimal_norm_sq(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> Fraction:
     """Exact squared minimal norm, min over nonzero integer u of u^T G u."""
     _check_dim(lat, max_dim)
-    return _shortest(lat.gram, DEFAULT_PAIR_GUARD_FACTOR * lat.rank * lat.rank)[0]
+    return _shortest(lat.scale, lat.int_gram, DEFAULT_PAIR_GUARD_FACTOR * lat.rank * lat.rank)[0]
 
 
 def minimal_vectors(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> MinimalVectorSet:
@@ -196,7 +196,7 @@ def minimal_vectors(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> MinimalVect
     """
     _check_dim(lat, max_dim)
     limit = DEFAULT_PAIR_GUARD_FACTOR * lat.rank * lat.rank
-    norm, pairs, overflowed = _shortest(lat.gram, limit)
+    norm, pairs, overflowed = _shortest(lat.scale, lat.int_gram, limit)
     if overflowed:
         raise PairCountGuardExceeded(f"more than {limit} minimal pairs for {lat.name!r}")
     return MinimalVectorSet(norm_sq=norm, pairs=pairs)
@@ -229,7 +229,7 @@ def brute_force_min_vectors(lat: Lattice, box: int) -> MinimalVectorSet:
     points = (2 * box + 1) ** n
     if points > BRUTE_FORCE_POINT_GUARD:
         raise DimensionGuardExceeded(f"box {box} at rank {n} scans {points} points > {BRUTE_FORCE_POINT_GUARD}")
-    scale, gi = integer_scaled(lat.gram)
+    scale, gi = lat.scale, lat.int_gram
     m = n - 1
     a = gi[m][m]
     xs = range(-box, box + 1)

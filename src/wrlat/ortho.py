@@ -38,9 +38,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionGuardExceeded, NotWellRounded, SubsetGuardExceeded
-from .lattice import Lattice, gram_pivots
+from .lattice import Lattice
 from .minvec import DEFAULT_MAX_DIM, is_well_rounded, minimal_vectors
-from .ratlinalg import diagonal_pivots, format_rational, gram_of_vectors, integer_scaled, tail_step
+from .ratlinalg import diagonal_pivots, format_rational, gram_of_vectors, tail_step
 
 PI_THIRD_COS_SQ = Fraction(1, 4)
 DEFAULT_SUBSET_GUARD = 50_000
@@ -55,15 +55,15 @@ class AngleProfile:
 def angle_profile(lat: Lattice, ordering: Sequence[int]) -> AngleProfile:
     """Profile of squared cosines along one ordering (a permutation of 0..n-1).
 
-    On the integer Gram A = s G reordered by the ordering, with leading
-    minors P (`diagonal_pivots`), the entry of w = ordering[i], i >= 1, is
-    1 - P_{i+1} / (P_i a_ww).  The minors are positive because a Lattice
-    rejects a Gram that is not positive definite.
+    On the integer Gram A = s G (`Lattice.int_gram`) reordered by the
+    ordering, with leading minors P (`diagonal_pivots`), the entry of
+    w = ordering[i], i >= 1, is 1 - P_{i+1} / (P_i a_ww).  The minors are
+    positive because a Lattice rejects a Gram that is not positive definite.
     """
     perm = tuple(ordering)
     if sorted(perm) != list(range(lat.rank)):
         raise ValueError(f"{ordering!r} is not a permutation of 0..{lat.rank - 1}")
-    _, a = integer_scaled(lat.gram)
+    a = lat.int_gram
     pivots, _ = diagonal_pivots([[a[i][j] for j in perm] for i in perm])
     cos_sq = (1 - Fraction(pivots[i + 1], pivots[i] * a[w][w]) for i, w in enumerate(perm) if i)
     return AngleProfile(perm, tuple(cos_sq))
@@ -126,7 +126,7 @@ def is_theta_orthogonal(
         raise ValueError("threshold must be a squared cosine in [0, 1]")
     if lat.rank > DEFAULT_MAX_DIM:
         raise DimensionGuardExceeded(f"rank {lat.rank} exceeds the orderings guard {DEFAULT_MAX_DIM}")
-    return _verdict(integer_scaled(lat.gram)[1], thr)
+    return _verdict(lat.int_gram, thr)
 
 
 def _tail(tails: dict[int, tuple[int, list[list[int]]]], mask: int) -> tuple[int, list[list[int]]]:
@@ -142,7 +142,7 @@ def _tail(tails: dict[int, tuple[int, list[list[int]]]], mask: int) -> tuple[int
     return got
 
 
-def _verdict(a: list[list[int]], thr: Fraction) -> OrthoVerdict:
+def _verdict(a: Sequence[Sequence[int]], thr: Fraction) -> OrthoVerdict:
     """The all-orderings verdict of `is_theta_orthogonal` on a positive-definite
     integer Gram a, with the threshold thr already checked."""
     n = len(a)
@@ -216,17 +216,18 @@ def minimal_basis_subsets(lat: Lattice):
     One integer Gram A = U^T (s G) U of all k pairs (`gram_of_vectors`)
     serves every subset: its Gram is a principal submatrix of A, of
     determinant det(U_S)^2 det(s G), so the subset spans iff that is > 0, and
-    then |det U_S| = isqrt(det A_SS / det(s G)).  The subsets are walked
-    lazily, depth first in `combinations` order (`_spanning_subsets`).
-    Raises SubsetGuardExceeded before the first subset once C(k, n) exceeds
-    the guard."""
+    then |det U_S| = isqrt(det A_SS / det(s G)), with det(s G) the last of
+    the lattice's `leading_minors`.  The subsets are walked lazily, depth
+    first in `combinations` order (`_spanning_subsets`).  Raises
+    SubsetGuardExceeded before the first subset once C(k, n) exceeds the
+    guard."""
     pairs = minimal_vectors(lat).pairs
     n, k = lat.rank, len(pairs)
     total = math.comb(k, n)
     if total > DEFAULT_SUBSET_GUARD:
         raise SubsetGuardExceeded(f"{total} candidate subsets exceed guard {DEFAULT_SUBSET_GUARD}")
-    det_sg = gram_pivots(lat.gram)[1][-1]
-    for idx, minor in _spanning_subsets(k, n, (), 1, gram_of_vectors(lat.gram, pairs)):
+    det_sg = lat.leading_minors[-1]
+    for idx, minor in _spanning_subsets(k, n, (), 1, gram_of_vectors(lat.int_gram, pairs)):
         yield tuple(pairs[i] for i in idx), math.isqrt(minor // det_sg)
 
 
@@ -302,7 +303,7 @@ def membership_report(
         for subset, det in minimal_basis_subsets(lat):
             if det != 1:
                 continue
-            verdict = _verdict(gram_of_vectors(lat.gram, subset), thr)
+            verdict = _verdict(gram_of_vectors(lat.int_gram, subset), thr)
             if verdict.weakly and weak_witness is None:
                 weak_witness = subset
             if verdict.strictly:

@@ -5,8 +5,9 @@ scalar type is ``fractions.Fraction``, matrices are dense row-major tuples
 of Fractions, and all eliminations are exact.  Matrices are small
 (desk-scale ranks, at most ~12), so dense algorithms are the right tool.
 `integer_scaled` is the one place where Fractions become integers: it gives
-the integer matrix s A, with s the lcm of A's denominators, and every
-elimination runs fraction-free on integers, each row update one
+the integer matrix s A, with s the lcm of A's denominators, and is called
+once per lattice, by `Lattice`, which keeps s G for every layer to read.
+Every elimination runs fraction-free on integers, each row update one
 `sylvester_step`: forward (`schur_step`) in `diagonal_pivots`, the one
 elimination of a Gram down its diagonal (its leading minors decide positive
 definiteness, give the determinant, the levels of the shortest-vector
@@ -61,15 +62,9 @@ def int_sqrt_floor(q: Fraction | int) -> int:
 
 
 class RatMatrix:
-    """Immutable dense matrix of Fractions, stored row-major.
+    """Immutable dense matrix of Fractions, stored row-major."""
 
-    The hash is computed on first use and kept, since Grams key caches.  It
-    reads each entry's (numerator, denominator), which costs less than
-    `Fraction.__hash__`; Fractions are normalized, so equal matrices still
-    hash equal.
-    """
-
-    __slots__ = ("rows", "cols", "entries", "_hash")
+    __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         ent = tuple(e if type(e) is Fraction else Fraction(e) for e in entries)  # Fraction is immutable
@@ -78,7 +73,6 @@ class RatMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", ent)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
@@ -125,10 +119,7 @@ class RatMatrix:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            ratios = map(Fraction.as_integer_ratio, self.entries)
-            object.__setattr__(self, "_hash", hash((self.rows, self.cols, *ratios)))
-        return self._hash
+        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
@@ -161,13 +152,12 @@ def integer_scaled(a: RatMatrix) -> tuple[int, list[list[int]]]:
     return scale, [flat[i * c : (i + 1) * c] for i in range(a.rows)]
 
 
-def gram_of_vectors(g: RatMatrix, vectors: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The integer Gram U^T (s G) U of integer coefficient vectors u_i, the columns of U.
+def gram_of_vectors(a: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The integer Gram U^T A U of integer coefficient vectors u_i, the columns of U.
 
-    s is the scale of `integer_scaled`.  G is symmetric, so only the
-    k(k+1)/2 products u_i^T (s G) u_j with j >= i are computed.
+    A is a symmetric integer Gram, such as a lattice's `int_gram` s G, so
+    only the k(k+1)/2 products u_i^T A u_j with j >= i are computed.
     """
-    _, a = integer_scaled(g)
     gu = [[sum(x * y for x, y in zip(row, u)) for row in a] for u in vectors]
     out = [[0] * len(vectors) for _ in vectors]
     for i, gu_i in enumerate(gu):

@@ -33,6 +33,7 @@ from wrlat import (
     packing_density,
     planar_wr,
     principal_sublattice,
+    scale_gram,
     staircase,
     hybrid,
 )
@@ -372,6 +373,17 @@ def test_renamed_copy_hits_the_cache():
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
 
 
+def test_shortest_keys_on_the_scale_as_well_as_the_integer_gram():
+    # hex and 2 hex share s G = [[2, 1], [1, 2]], with s = 2 and s = 1
+    hex1 = hexagonal()
+    hex2 = scale_gram(hex1, 2)
+    assert hex1.int_gram == hex2.int_gram and (hex1.scale, hex2.scale) == (2, 1)
+    assert minimal_norm_sq(hex1) == 1
+    assert minimal_norm_sq(hex2) == 2
+    assert minimal_vectors(hex1).pairs == minimal_vectors(hex2).pairs
+    assert coherence(hex1).value == coherence(hex2).value == F(1, 2)
+
+
 def test_norm_then_vectors_enumerate_once():
     lat = lattice_from_gram("fresh", [[97, 13, 5], [13, 89, 7], [5, 7, 83]])
     before = _shortest.cache_info()
@@ -391,7 +403,7 @@ def test_shortest_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        _shortest(lat.gram, 10 * 12 * 12)
+        _shortest(lat.scale, lat.int_gram, 10 * 12 * 12)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -29,7 +29,6 @@ from wrlat import (
     staircase,
 )
 from wrlat import minimal_vectors, ortho
-from wrlat.lattice import gram_pivots
 from wrlat.ratlinalg import diagonal_pivots, gram_of_vectors, integer_scaled, schur_step
 
 from conftest import disguise
@@ -463,8 +462,9 @@ def reference_subsets(lat):
     """Reference search: every n-subset of pairs in `combinations` order,
     |det| from `diagonal_pivots` on its principal submatrix of the pair Gram."""
     pairs = minimal_vectors(lat).pairs
-    det_sg = gram_pivots(lat.gram)[1][-1]
-    a = gram_of_vectors(lat.gram, pairs)
+    sg = integer_scaled(lat.gram)[1]
+    det_sg = diagonal_pivots(sg)[0][-1]
+    a = gram_of_vectors(sg, pairs)
     for idx in combinations(range(len(pairs)), lat.rank):
         minors, _ = diagonal_pivots([[a[i][j] for j in idx] for i in idx])
         if minors[-1] > 0:
@@ -525,7 +525,7 @@ def test_search_stops_at_the_first_weak_witness_when_strict_is_decided(monkeypat
     everything = list(minimal_basis_subsets(lat))
     first = next(
         i for i, (subset, det) in enumerate(everything)
-        if det == 1 and is_theta_orthogonal(lattice_from_gram("b", ortho.gram_of_vectors(lat.gram, subset))).weakly
+        if det == 1 and is_theta_orthogonal(lattice_from_gram("b", ortho.gram_of_vectors(lat.int_gram, subset))).weakly
     )
     consumed, real = [], ortho.minimal_basis_subsets
 
@@ -559,7 +559,7 @@ def test_frame3_exclusion_confirmed_by_exhaustive_search():
     for subset, det in minimal_basis_subsets(lat):
         if abs(det) != 1:
             continue
-        cand = lattice_from_gram("b", gram_of_vectors(lat.gram, subset))
+        cand = lattice_from_gram("b", gram_of_vectors(lat.int_gram, subset))
         assert not is_theta_orthogonal(cand).weakly
         bases += 1
     assert bases == 4  # any 3 of the 4 frame pairs span

@@ -228,7 +228,7 @@ def test_no_strict_basis_attains_mu_half_beyond_rank_2():
             for subset, det in minimal_basis_subsets(lat):
                 if abs(det) != 1:
                     continue
-                cand = lattice_from_gram("b", gram_of_vectors(lat.gram, subset))
+                cand = lattice_from_gram("b", gram_of_vectors(lat.int_gram, subset))
                 assert mu_nu(cand)[0].cos_sq < F(1, 4), (lat.name, subset)
     hex_mu, _ = mu_nu(hexagonal())
     assert hex_mu.exact_cos == HALF

@@ -1,5 +1,6 @@
 """Exact linear algebra checked against sympy as an independent oracle."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,26 @@ def spd_grams(draw):
 @given(spd_grams())
 def test_det_matches_sympy(rows):
     assert lattice_from_gram("spd", rows).det_gram() == from_sympy(to_sympy(rows).det())
+
+
+@settings(max_examples=80, deadline=None)
+@given(spd_grams())
+def test_lattice_keeps_its_integer_gram_and_leading_minors(rows):
+    lat = lattice_from_gram("spd", rows)
+    s = math.lcm(*(x.denominator for row in rows for x in row))
+    assert lat.scale == s
+    assert type(lat.int_gram) is tuple and all(type(row) is tuple for row in lat.int_gram)
+    assert all(type(e) is int for row in lat.int_gram for e in row)
+    assert lat.int_gram == tuple(tuple(s * x for x in row) for row in rows)
+    # P_k = s^k times the leading k x k determinant of G, with P_0 = 1
+    g = to_sympy(rows)
+    assert lat.leading_minors == (1, *(from_sympy(g[:k, :k].det()) * s**k for k in range(1, lat.rank + 1)))
+    # the kept fields take no part in equality or hashing
+    twin = lattice_from_gram("spd", rows)
+    for name in ("scale", "int_gram", "leading_minors"):
+        object.__setattr__(twin, name, None)
+    assert lat == twin and hash(lat) == hash(twin) == hash((lat.name, lat.rank, lat.gram, lat.provenance))
+    assert repr(lat) == f"Lattice('spd', rank={lat.rank})"
 
 
 @settings(max_examples=80, deadline=None)
