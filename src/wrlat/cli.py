@@ -119,9 +119,7 @@ def cmd_perturb(args) -> int:
         else:
             if args.mode is None or args.target is None:
                 raise ValueError("general mode needs both --mode and --target")
-            outcome = perturb_general(
-                lat, args.mode, parse_rational(args.target), tol=args.tol
-            )
+            outcome = perturb_general(lat, args.mode, parse_rational(args.target))
     except (VerificationFailed, NotNearlyOrthogonal) as exc:
         diag = getattr(exc, "diagnostics", {})
         _emit({"error": str(exc), "diagnostics": {k: str(v) for k, v in diag.items()}}, args.out)
@@ -168,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cos")
     p.add_argument("--mode", choices=("mu", "nu"))
     p.add_argument("--target")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_perturb)
 

@@ -62,15 +62,6 @@ class EutaxyResult:
     coefficients: tuple[Fraction, ...] | None
     solution_space_dim: int  # -1 when the system is inconsistent
 
-    def to_json_dict(self) -> dict:
-        return {
-            "class": self.klass.value,
-            "coefficients": [format_rational(c) for c in self.coefficients]
-            if self.coefficients is not None
-            else None,
-            "solution_space_dim": self.solution_space_dim,
-        }
-
 
 def _rank_one_rows(pairs, n):
     return [[u[a] * u[b] for a in range(n) for b in range(a, n)] for u in pairs]
@@ -160,14 +151,10 @@ def classification_report(
 ) -> ClassificationReport:
     """Bundle all invariants; individual guard trips null the field and warn."""
     warnings: list[str] = []
-    fields: dict = {
-        "name": lat.name,
-        "rank": lat.rank,
-        "provenance": lat.provenance,
-        "det_gram": format_rational(lat.det_gram()),
-    }
 
-    def attempt(label, fn):
+    def attempt(label, fn, ready=True):
+        if not ready:
+            return None
         try:
             return fn()
         except LatticeError as exc:
@@ -175,70 +162,54 @@ def classification_report(
             return None
 
     mvs = attempt("minimal_vectors", lambda: minimal_vectors(lat, max_dim=max_dim))
-    if mvs is not None:
-        fields["norm_sq"] = format_rational(mvs.norm_sq)
-        fields["kissing_number"] = mvs.count
-        fields["minimal_pairs"] = [list(u) for u in mvs.pairs]
-    else:
-        fields.update({"norm_sq": None, "kissing_number": None, "minimal_pairs": None})
-
-    wr = attempt("well_rounded", lambda: is_well_rounded(lat, max_dim)) if mvs is not None else None
-    fields["well_rounded"] = wr
-
-    coh = attempt("coherence", lambda: coherence(lat, max_dim)) if mvs is not None else None
-    fields["coherence"] = format_rational(coh.value) if coh is not None else None
-    avg = attempt("avg_coherence", lambda: average_coherence(lat, max_dim)) if mvs is not None else None
-    fields["avg_coherence"] = format_rational(avg) if avg is not None else None
-
-    mn = attempt("mu_nu", lambda: mu_nu(lat))
-    fields["mu"] = str(mn[0]) if mn is not None else None
-    fields["nu"] = str(mn[1]) if mn is not None else None
-
-    dens = attempt("packing_density", lambda: packing_density(lat, max_dim)) if mvs is not None else None
-    if dens is not None:
-        fields.update(dens.to_json_dict())
-    else:
-        fields.update({"delta": None, "delta_sq_exact": None})
-
-    member = None
-    if wr:
-        member = attempt(
-            "membership",
-            lambda: membership_report(
-                lat,
-                search_minimal_bases=search_minimal_bases,
-                cos_sq_threshold=cos_sq_threshold,
-                max_dim=max_dim,
-            ),
-        )
-    if member is not None:
-        fields["basis_verdict"] = member.stored_basis.to_json_dict()
-        fields["in_weak"] = member.in_weak
-        fields["in_strict"] = member.in_strict
-        fields["membership_reasons"] = list(member.reasons)
-    else:
-        fields.update(
-            {"basis_verdict": None, "in_weak": None, "in_strict": None, "membership_reasons": []}
-        )
-        if wr is False:
-            warnings.append("membership: lattice is not well-rounded")
-
-    eut = attempt("eutaxy", lambda: eutaxy_classify(lat, max_dim)) if wr else None
-    if eut is not None:
-        fields["eutaxy_class"] = eut.klass.value
-        fields["eutaxy_coefficients"] = (
-            [format_rational(c) for c in eut.coefficients]
-            if eut.coefficients is not None
-            else None
-        )
-        fields["eutaxy_solution_dim"] = dim = eut.solution_space_dim
+    found = mvs is not None
+    wr = attempt("well_rounded", lambda: is_well_rounded(lat, max_dim), found)
+    coh = attempt("coherence", lambda: format_rational(coherence(lat, max_dim).value), found)
+    avg = attempt("avg_coherence", lambda: format_rational(average_coherence(lat, max_dim)), found)
+    mu, nu = attempt("mu_nu", lambda: [str(v) for v in mu_nu(lat)]) or (None, None)
+    dens = attempt("packing_density", lambda: packing_density(lat, max_dim), found)
+    member = attempt(
+        "membership",
+        lambda: membership_report(
+            lat,
+            search_minimal_bases=search_minimal_bases,
+            cos_sq_threshold=cos_sq_threshold,
+            max_dim=max_dim,
+        ),
+        wr,
+    )
+    if wr is False:
+        warnings.append("membership: lattice is not well-rounded")
+    eut = attempt("eutaxy", lambda: eutaxy_classify(lat, max_dim), wr)
+    n = lat.rank
+    fields = {
+        "name": lat.name,
+        "rank": n,
+        "provenance": lat.provenance,
+        "det_gram": format_rational(lat.det_gram()),
+        "norm_sq": format_rational(mvs.norm_sq) if found else None,
+        "kissing_number": mvs.count if found else None,
+        "minimal_pairs": [list(u) for u in mvs.pairs] if found else None,
+        "well_rounded": wr,
+        "coherence": coh,
+        "avg_coherence": avg,
+        "mu": mu,
+        "nu": nu,
+        "delta": dens.delta_float if dens else None,
+        "delta_sq_exact": format_rational(dens.delta_sq_over_omega_sq) if dens else None,
+        "basis_verdict": member.stored_basis.to_json_dict() if member else None,
+        "in_weak": member.in_weak if member else None,
+        "in_strict": member.in_strict if member else None,
+        "membership_reasons": list(member.reasons) if member else [],
+        "eutaxy_class": eut.klass.value if eut else None,
+        "eutaxy_coefficients": [format_rational(c) for c in eut.coefficients]
+        if eut and eut.coefficients is not None
+        else None,
+        "eutaxy_solution_dim": eut.solution_space_dim if eut else None,
         # perfect iff the system's rank, k minus the solution dimension, is
         # n(n+1)/2; a perfect lattice's system is consistent, so -1 means not
-        n = lat.rank
-        fields["perfect"] = dim >= 0 and len(mvs.pairs) - dim == n * (n + 1) // 2
-    else:
-        fields.update(
-            {"eutaxy_class": None, "eutaxy_coefficients": None, "eutaxy_solution_dim": None, "perfect": None}
-        )
-
+        "perfect": 0 <= eut.solution_space_dim == len(mvs.pairs) - n * (n + 1) // 2
+        if eut
+        else None,
+    }
     return ClassificationReport(lattice=lat, fields=fields, warnings=tuple(warnings))

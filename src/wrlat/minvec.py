@@ -12,10 +12,12 @@ is a running sum, so the walk uses no floating point and no Fraction.
 Results are cached on the integer Gram s G (`Lattice.int_gram`) and s alone:
 lattices that differ only in scale can share s G.  Well-roundedness is the
 integer rank of the pair matrix (`int_rank`, which stops at n independent
-pairs), cached on the pairs.  Every helper that needs the minimal vectors, here and
-in invariants, ortho and eutaxy, takes the rank guard `max_dim` and passes it
-on, so one setting holds for a whole report (the all-orderings verdict
-keeps its fixed guard of 12).  A box-scan brute-force oracle
+pairs), cached on the pairs.  Every report-level helper that needs the
+minimal vectors, here and in invariants, ortho and eutaxy, takes the rank
+guard `max_dim` and passes it on, so one setting holds for a whole report.
+Two take none and keep the fixed guard of 12: the all-orderings verdict,
+and `ortho.minimal_basis_subsets`, which the membership report reaches only
+after the verdict has passed that guard.  A box-scan brute-force oracle
 cross-validates the enumerator on the Gram as given, with no reduction: an
 integer odometer over every coordinate but the last, which is swept row by
 row.

@@ -38,6 +38,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionGuardExceeded, NotWellRounded, SubsetGuardExceeded
+from .invariants import coherence
 from .lattice import Lattice
 from .minvec import DEFAULT_MAX_DIM, is_well_rounded, minimal_vectors
 from .ratlinalg import diagonal_pivots, format_rational, gram_of_vectors, tail_step
@@ -265,8 +266,6 @@ def membership_report(
     kissing number exceeds 3n, where no strict basis exists, so each witness
     reported is the first basis of its class.
     """
-    from .invariants import coherence  # deferred: invariants does not import this module
-
     if not is_well_rounded(lat, max_dim):
         raise NotWellRounded(f"{lat.name!r} is not well-rounded")
     n = lat.rank

@@ -1,12 +1,14 @@
 """Local density modification: exact on planar and block-coupled lattices,
-float-mode (with post-hoc verification) in general position.
+rationalized (with post-hoc verification) in general position.
 
 Changing the cosine between one decoupled pair of unit basis vectors from c
 to c' scales the squared packing density by exactly (1 - c^2) / (1 - c'^2),
-because only that pair's 2x2 determinant factor moves.  The general float
-path rotates one vector inside one coordinate plane, rationalizes, and then
-re-verifies: the target value, the density ratio law, and strict
-near-orthogonality of the result.  It never returns an unverified lattice.
+because only that pair's 2x2 determinant factor moves.  The general path
+rotates one vector inside one coordinate plane, rationalizing the new row
+when the rotation's scale is irrational, and then re-verifies in exact
+arithmetic: the target value and the squared density ratio law, each within
+a fixed 10^-9, and strict near-orthogonality of the result.  It never
+returns an unverified lattice.
 Strict near-orthogonality, of the input and of each result, is the exact
 all-orderings verdict `is_theta_orthogonal`, which shares the enumeration
 guard of rank 12.
@@ -20,13 +22,14 @@ from fractions import Fraction
 
 from .errors import NotNearlyOrthogonal, NotPositiveDefinite, VerificationFailed
 from .invariants import mu_nu, packing_density
-from .lattice import Lattice, lattice_from_gram
+from .lattice import Lattice, lattice_from_gram, lattice_to_json_dict
 from .minvec import minimal_norm_sq
 from .ortho import is_theta_orthogonal
 from .ratlinalg import RatMatrix, format_rational, rational_sqrt_exact
 
 MU = "mu"
 NU = "nu"
+TOL = Fraction(1, 10**9)  # how far perturb_general's result may miss the target and the law
 
 
 @dataclass(frozen=True)
@@ -41,8 +44,6 @@ class PerturbationOutcome:
     gram_distance: Fraction  # max |entry change|; the similarity-class proxy
 
     def to_json_dict(self) -> dict:
-        from .lattice import lattice_to_json_dict
-
         return {
             "mode": self.mode,
             "value_before": format_rational(self.value_before),
@@ -125,13 +126,7 @@ def perturb_block(lat: Lattice, block_index: int, new_cos: Fraction) -> Perturba
     return _replace_pair(lat, i, j, new_cos, name, f"block {block_index}")
 
 
-def perturb_general(
-    lat: Lattice,
-    mode: str,
-    target: Fraction,
-    tol: float = 1e-9,
-    max_denominator: int = 10**6,
-) -> PerturbationOutcome:
+def perturb_general(lat: Lattice, mode: str, target: Fraction) -> PerturbationOutcome:
     """Move mu (the smallest pairwise |cos|) or nu (the largest) to `target`.
 
     Rotates the second vector of the extreme pair inside that pair's plane
@@ -139,8 +134,9 @@ def perturb_general(
     changes).  The new row is exact when the rotation's scale factor is a
     rational square root; otherwise it is computed with one float square
     root and rationalized.  Succeeds only if the resulting lattice
-    verifies: extreme value equals the target within tol, the density ratio
-    law holds within tol, and the result is still nearly orthogonal.
+    verifies, in exact arithmetic: the extreme value is within TOL = 10^-9
+    of the target, the squared density ratio is within TOL of the law
+    (1 - c^2) / (1 - c'^2), and the result is still nearly orthogonal.
     """
     if mode not in (MU, NU):
         raise ValueError(f"mode must be 'mu' or 'nu', got {mode!r}")
@@ -191,9 +187,7 @@ def perturb_general(
         if root is not None:
             val = along + root * across
         elif across:
-            val = Fraction(float(along) + root_float * float(across)).limit_denominator(
-                max_denominator
-            )
+            val = Fraction(float(along) + root_float * float(across)).limit_denominator(10**6)
         else:
             val = along
         rows[j][k] = rows[k][j] = val
@@ -210,14 +204,14 @@ def perturb_general(
     mu_after, nu_after = mu_nu(after)
     achieved = (mu_after if mode == MU else nu_after).exact_cos
     diagnostics["achieved"] = str(achieved)
-    if achieved is None or abs(float(achieved - target)) > tol:
+    if achieved is None or abs(achieved - target) > TOL:
         raise VerificationFailed(
             f"{mode} after perturbation is {achieved}, wanted {target}", diagnostics
         )
     ratio_sq = _density_ratio_sq(lat, after)
-    law = (1 - float(value_before) ** 2) / (1 - float(achieved) ** 2)
+    law_sq = (1 - value_before**2) / (1 - achieved**2)
     diagnostics["density_ratio_sq"] = str(ratio_sq)
-    if abs(math.sqrt(float(ratio_sq)) - math.sqrt(law)) > tol:
+    if abs(ratio_sq - law_sq) > TOL:
         raise VerificationFailed("density ratio law violated beyond tolerance", diagnostics)
     if not is_theta_orthogonal(after).strictly:
         raise VerificationFailed("perturbed lattice left the nearly orthogonal class", diagnostics)

@@ -2,7 +2,9 @@
 implements: kissing-number formulas and bounds, density ratio laws,
 eutaxy/perfection classifications, coherence values, and the threshold
 criterion.  Each check cites the claim it verifies so a failure is readable
-on its own.
+on its own.  A check registers with `@check(check_id, claim)` written on it;
+its group (the `suite` that selects it) is the prefix of its id before the
+first dot, and a suite runs its checks in the order of their ids.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .constructions import (
     an_dual_frame,
@@ -30,7 +33,7 @@ from .eutaxy import EutaxyClass, eutaxy_classify, is_perfect
 from .invariants import cn_test, cn_value, coherence, packing_density
 from .lattice import Lattice, lattice_from_gram
 from .minvec import DEFAULT_MAX_DIM, brute_force_min_vectors, is_well_rounded, minimal_vectors
-from .ortho import is_theta_orthogonal, minimal_basis_subsets
+from .ortho import angle_profile, is_theta_orthogonal, minimal_basis_subsets
 from .perturb import perturb_2d, perturb_block
 
 HALF = Fraction(1, 2)
@@ -78,7 +81,20 @@ class SuiteReport:
 
 # --- individual checks ------------------------------------------------------
 
+_REGISTRY: dict[str, tuple[str, Callable[[int], str]]] = {}  # check id -> (claim, check)
 
+
+def check(check_id: str, claim: str):
+    """Register the decorated function as the suite check `check_id`."""
+    def register(fn):
+        if check_id in _REGISTRY:
+            raise ValueError(f"duplicate check id {check_id!r}")
+        _REGISTRY[check_id] = (claim, fn)
+        return fn
+    return register
+
+
+@check("constructions.lnm_counts", "kissing number of L(n,m) is exactly 2(n+m)")
 def _check_lnm_counts(max_n: int) -> str:
     cases = 0
     for n in range(2, max_n + 1):
@@ -89,6 +105,7 @@ def _check_lnm_counts(max_n: int) -> str:
     return f"{cases} cases"
 
 
+@check("constructions.staircase_counts", "kissing number of staircase(n) is exactly 4n-2")
 def _check_staircase_counts(max_n: int) -> str:
     top = min(max_n, 7)
     for n in range(2, top + 1):
@@ -97,6 +114,7 @@ def _check_staircase_counts(max_n: int) -> str:
     return f"n up to {top}"
 
 
+@check("constructions.hybrid_counts", "kissing number of hybrid(n,m) is 3n+2m (n even) or 3n-1+2m (n odd)")
 def _check_hybrid_counts(max_n: int) -> str:
     cases = 0
     for n in range(3, max_n + 1):
@@ -108,6 +126,7 @@ def _check_hybrid_counts(max_n: int) -> str:
     return f"{cases} cases"
 
 
+@check("constructions.generator_validity", "every generator emits a valid SPD Gram with minimal norm 1")
 def _check_generator_validity(max_n: int) -> str:
     lats = weak_family_lattices(min(max_n, 7)) + [
         an_root(n) for n in range(2, min(max_n, 6) + 1)
@@ -119,6 +138,7 @@ def _check_generator_validity(max_n: int) -> str:
     return f"{len(lats)} lattices"
 
 
+@check("constructions.staircase_unit_chain", "staircase difference chains b0-b1-...-bk are unit vectors")
 def _check_staircase_unit_chain(max_n: int) -> str:
     for n in range(2, min(max_n, 8) + 1):
         lat = staircase(n)
@@ -131,19 +151,19 @@ def _check_staircase_unit_chain(max_n: int) -> str:
     return "all difference chains are unit vectors"
 
 
-def _planar_cases():
-    return [
-        (Fraction(1, 10), 2),
-        (Fraction(1, 20), 3),
-        (Fraction(1, 100), 2),
-        (HALF, 1),
-        (Fraction(1, 4), 19),  # exercises the closed-form path
-    ]
+_PLANAR_CASES = (
+    (Fraction(1, 10), 2),
+    (Fraction(1, 20), 3),
+    (Fraction(1, 100), 2),
+    (HALF, 1),
+    (Fraction(1, 4), 19),  # exercises the closed-form path
+)
 
 
+@check("constructions.planar_family", "planar lattices are integral, WR, with p^2+r^2D=q^2 and C=p/q<epsilon")
 def _check_planar_family(max_n: int) -> str:
     recipe_seen = False
-    for eps, d in _planar_cases():
+    for eps, d in _PLANAR_CASES:
         res = planar_wr(eps, d)
         assert res.p**2 + res.r**2 * d == res.q**2
         assert all(e.denominator == 1 for e in res.lattice.gram.entries), "non-integral Gram"
@@ -155,9 +175,11 @@ def _check_planar_family(max_n: int) -> str:
             recipe_seen = True
             assert res.bound_holds, f"q bound failed on the closed-form path ({eps},{d})"
     assert recipe_seen, "no case exercised the closed-form path"
-    return f"{len(_planar_cases())} (epsilon, D) cases"
+    return f"{len(_PLANAR_CASES)} (epsilon, D) cases"
 
 
+@check("theorems.kissing_upper_bounds",
+       "weakly certified lattices have at most 4n-2 minimal vectors, strict at most 3n")
 def _check_kissing_upper_bounds(max_n: int) -> str:
     weak = strict = 0
     for lat in weak_family_lattices(min(max_n, 7)):
@@ -174,6 +196,8 @@ def _check_kissing_upper_bounds(max_n: int) -> str:
     return f"{weak} weak / {strict} strict certificates checked"
 
 
+@check("theorems.k3_prime_report",
+       "K3' is eutactic, imperfect, weakly-but-not-strictly orthogonal; cos^2 = 2/5 at the bad ordering")
 def _check_k3_prime_report(max_n: int) -> str:
     lat = k3_prime()
     assert minimal_vectors(lat).count == 10
@@ -182,8 +206,6 @@ def _check_k3_prime_report(max_n: int) -> str:
     assert not is_perfect(lat)
     verdict = is_theta_orthogonal(lat)
     assert verdict.weakly and not verdict.strictly
-    from .ortho import angle_profile
-
     prof = angle_profile(staircase(3), (1, 2, 0))
     assert prof.cos_sq[1] == Fraction(2, 5), prof.cos_sq
     prof_k3 = angle_profile(lat, (1, 2, 0))
@@ -191,6 +213,8 @@ def _check_k3_prime_report(max_n: int) -> str:
     return "eutactic, imperfect, weakly-only; violating cos^2 = 2/5"
 
 
+@check("theorems.density_ratio_law",
+       "pair perturbation scales squared density by exactly (1-c^2)/(1-c'^2), monotone")
 def _check_density_ratio_law(max_n: int) -> str:
     checked = 0
     for c in GRID:
@@ -209,6 +233,7 @@ def _check_density_ratio_law(max_n: int) -> str:
     return f"{checked} grid pairs, monotone on the grid"
 
 
+@check("theorems.hex_density_ratio", "squared density ratio of hex to Z^2 is exactly 4/3")
 def _check_hex_density_ratio(max_n: int) -> str:
     ratio = (
         packing_density(hexagonal()).delta_sq_over_omega_sq
@@ -218,6 +243,8 @@ def _check_hex_density_ratio(max_n: int) -> str:
     return "exact 4/3"
 
 
+@check("theorems.min_basis_unimodular",
+       "spanning n-subsets of minimal pairs of strict-family lattices are unimodular")
 def _check_min_basis_unimodular(max_n: int) -> str:
     subsets = 0
     for lat in strict_family_lattices(min(max_n, 6)):
@@ -227,6 +254,7 @@ def _check_min_basis_unimodular(max_n: int) -> str:
     return f"{subsets} spanning subsets"
 
 
+@check("theorems.eutaxy_perfection", "eutaxy and perfection classifications of the named lattices")
 def _check_eutaxy_perfection(max_n: int) -> str:
     for n in range(1, min(max_n, 6) + 1):
         res = eutaxy_classify(integer_lattice(n))
@@ -246,6 +274,7 @@ def _check_eutaxy_perfection(max_n: int) -> str:
     return "Z^n, hex, A7^4 and all weak-family lattices as claimed"
 
 
+@check("theorems.enumerator_oracle", "exact enumerator equals the box-scan oracle on rank <= 5 families")
 def _check_enumerator_oracle(max_n: int) -> str:
     lats = [
         lat
@@ -263,6 +292,7 @@ def _check_enumerator_oracle(max_n: int) -> str:
     return f"{len(lats)} lattices, exact set equality"
 
 
+@check("theorems.kissing_coverage", "families realize every even kissing number in [2n, 4n-2]")
 def _check_kissing_coverage(max_n: int) -> str:
     for n in range(2, min(max_n, 7) + 1):
         achieved = {minimal_vectors(lnm(n, m)).count for m in range(0, n // 2 + 1)}
@@ -275,12 +305,14 @@ def _check_kissing_coverage(max_n: int) -> str:
     return "every even kissing number in [2n, 4n-2] is realized"
 
 
+@check("coherence.integer_lattice", "the integer lattice has coherence 0")
 def _check_coherence_integer(max_n: int) -> str:
     for n in range(2, min(max_n, 7) + 1):
         assert coherence(integer_lattice(n)).value == 0
     return "C(Z^n) = 0"
 
 
+@check("coherence.frame_family", "the dual-root frame lattices have coherence 1/n and 2n+2 minimal vectors")
 def _check_coherence_frames(max_n: int) -> str:
     for n in range(2, min(max_n, 7) + 1):
         lat = an_dual_frame(n)
@@ -289,12 +321,14 @@ def _check_coherence_frames(max_n: int) -> str:
     return "C = 1/n with 2n+2 minimal vectors"
 
 
+@check("coherence.root_family", "the root lattices A_n have coherence 1/2")
 def _check_coherence_roots(max_n: int) -> str:
     for n in range(2, min(max_n, 6) + 1):
         assert coherence(an_root(n)).value == HALF, f"A{n}"
     return "C(A_n) = 1/2"
 
 
+@check("coherence.block_family_iff", "C(L(n,m)) = 1/2 exactly when m >= 1")
 def _check_coherence_blocks(max_n: int) -> str:
     for n in range(2, min(max_n, 7) + 1):
         for m in range(0, n // 2 + 1):
@@ -303,6 +337,7 @@ def _check_coherence_blocks(max_n: int) -> str:
     return "C(L(n,m)) = 1/2 iff m >= 1"
 
 
+@check("coherence.threshold_values", "threshold values: c_2 = 1/2, c_1000 window, c_n < 1/n")
 def _check_cn_values(max_n: int) -> str:
     assert cn_value(2) == 0.5
     assert cn_test(HALF, 2) and not cn_test(HALF + Fraction(1, 1000), 2)
@@ -331,6 +366,7 @@ def random_subthreshold_lattice(rng: random.Random, n: int, denominator: int = 6
     return lattice_from_gram(f"random{n}", g)
 
 
+@check("coherence.threshold_certifies", "random sub-threshold unit bases are always nearly orthogonal")
 def _check_cn_random_certification(max_n: int) -> str:
     rng = random.Random(0x5EED)
     count = 0
@@ -343,61 +379,16 @@ def _check_cn_random_certification(max_n: int) -> str:
     return f"{count} random sub-threshold bases all certified"
 
 
+@check("coherence.planar_coherence", "planar family coherence equals p/q below epsilon")
 def _check_planar_coherence(max_n: int) -> str:
-    for eps, d in _planar_cases():
+    for eps, d in _PLANAR_CASES:
         res = planar_wr(eps, d)
         assert coherence(res.lattice).value == Fraction(res.p, res.q) < eps
     return "C = p/q < epsilon on all cases"
 
 
-_REGISTRY: list[tuple[str, str, str, object]] = [
-    ("constructions.lnm_counts", "constructions",
-     "kissing number of L(n,m) is exactly 2(n+m)", _check_lnm_counts),
-    ("constructions.staircase_counts", "constructions",
-     "kissing number of staircase(n) is exactly 4n-2", _check_staircase_counts),
-    ("constructions.hybrid_counts", "constructions",
-     "kissing number of hybrid(n,m) is 3n+2m (n even) or 3n-1+2m (n odd)", _check_hybrid_counts),
-    ("constructions.generator_validity", "constructions",
-     "every generator emits a valid SPD Gram with minimal norm 1", _check_generator_validity),
-    ("constructions.staircase_unit_chain", "constructions",
-     "staircase difference chains b0-b1-...-bk are unit vectors", _check_staircase_unit_chain),
-    ("constructions.planar_family", "constructions",
-     "planar lattices are integral, WR, with p^2+r^2D=q^2 and C=p/q<epsilon", _check_planar_family),
-    ("theorems.kissing_upper_bounds", "theorems",
-     "weakly certified lattices have at most 4n-2 minimal vectors, strict at most 3n", _check_kissing_upper_bounds),
-    ("theorems.k3_prime_report", "theorems",
-     "K3' is eutactic, imperfect, weakly-but-not-strictly orthogonal; cos^2 = 2/5 at the bad ordering", _check_k3_prime_report),
-    ("theorems.density_ratio_law", "theorems",
-     "pair perturbation scales squared density by exactly (1-c^2)/(1-c'^2), monotone", _check_density_ratio_law),
-    ("theorems.hex_density_ratio", "theorems",
-     "squared density ratio of hex to Z^2 is exactly 4/3", _check_hex_density_ratio),
-    ("theorems.min_basis_unimodular", "theorems",
-     "spanning n-subsets of minimal pairs of strict-family lattices are unimodular", _check_min_basis_unimodular),
-    ("theorems.eutaxy_perfection", "theorems",
-     "eutaxy and perfection classifications of the named lattices", _check_eutaxy_perfection),
-    ("theorems.enumerator_oracle", "theorems",
-     "exact enumerator equals the box-scan oracle on rank <= 5 families", _check_enumerator_oracle),
-    ("theorems.kissing_coverage", "theorems",
-     "families realize every even kissing number in [2n, 4n-2]", _check_kissing_coverage),
-    ("coherence.integer_lattice", "coherence",
-     "the integer lattice has coherence 0", _check_coherence_integer),
-    ("coherence.frame_family", "coherence",
-     "the dual-root frame lattices have coherence 1/n and 2n+2 minimal vectors", _check_coherence_frames),
-    ("coherence.root_family", "coherence",
-     "the root lattices A_n have coherence 1/2", _check_coherence_roots),
-    ("coherence.block_family_iff", "coherence",
-     "C(L(n,m)) = 1/2 exactly when m >= 1", _check_coherence_blocks),
-    ("coherence.threshold_values", "coherence",
-     "threshold values: c_2 = 1/2, c_1000 window, c_n < 1/n", _check_cn_values),
-    ("coherence.threshold_certifies", "coherence",
-     "random sub-threshold unit bases are always nearly orthogonal", _check_cn_random_certification),
-    ("coherence.planar_coherence", "coherence",
-     "planar family coherence equals p/q below epsilon", _check_planar_coherence),
-]
-
-
 def available_suites() -> list[str]:
-    return ["all", "constructions", "theorems", "coherence"]
+    return ["all", *dict.fromkeys(check_id.partition(".")[0] for check_id in _REGISTRY)]
 
 
 def run_suite(suite: str = "all", max_n: int = 8) -> SuiteReport:
@@ -407,10 +398,9 @@ def run_suite(suite: str = "all", max_n: int = 8) -> SuiteReport:
         raise ValueError("max_n must be at least 2")
     if max_n > DEFAULT_MAX_DIM:
         raise ValueError(f"max_n must be at most {DEFAULT_MAX_DIM}, the enumeration guard")
-    selected = [r for r in _REGISTRY if suite in ("all", r[1])]
 
-    def run_one(entry) -> CheckResult:
-        check_id, _, claim, fn = entry
+    def run_one(check_id: str) -> CheckResult:
+        claim, fn = _REGISTRY[check_id]
         try:
             details = fn(max_n)
             return CheckResult(check_id, claim, "pass", details)
@@ -419,6 +409,5 @@ def run_suite(suite: str = "all", max_n: int = 8) -> SuiteReport:
         except Exception as exc:  # a crash or a guard trip is not evidence against the claim
             return CheckResult(check_id, claim, "error", f"{type(exc).__name__}: {exc}")
 
-    results = [run_one(e) for e in selected]
-    results.sort(key=lambda c: c.check_id)
-    return SuiteReport(checks=tuple(results))
+    selected = sorted(i for i in _REGISTRY if suite == "all" or i.startswith(suite + "."))
+    return SuiteReport(checks=tuple(map(run_one, selected)))

@@ -373,6 +373,21 @@ def test_report_non_well_rounded():
     assert rep["eutaxy_class"] is None and rep["perfect"] is None
 
 
+def test_report_has_the_same_keys_on_every_path():
+    # a complete report, a guard trip that nulls almost every field, a
+    # lattice that is not well-rounded, and rank 1, where no pair exists
+    full = classification_report(hexagonal()).to_json_dict()
+    assert len(full) == 23 and full["warnings"] == []
+    for lat, max_dim in (
+        (integer_lattice(12), 6),
+        (lattice_from_gram("diag", [[1, 0], [0, 4]]), 12),
+        (integer_lattice(1), 12),
+    ):
+        rep = classification_report(lat, max_dim=max_dim).to_json_dict()
+        assert rep.keys() == full.keys(), lat.name
+        assert rep["warnings"], lat.name
+
+
 # --- exact simplex -------------------------------------------------------------
 
 

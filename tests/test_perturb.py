@@ -200,6 +200,25 @@ def test_general_mu_fails_verification_when_other_pairs_stay_low():
     assert "mu" in str(info.value)
 
 
+def test_general_rationalizes_an_irrational_rotation():
+    # c = 1/4 to t = 1/5 needs the root of (24/25)/(15/16), which is
+    # irrational, so the coupled entry g'_12 is a float rationalized, and
+    # the exact checks accept it within 10^-9
+    rows = [[1, F(1, 4), F(1, 5)], [F(1, 4), 1, F(1, 6)], [F(1, 5), F(1, 6), 1]]
+    lat = lattice_from_gram("g", rows)
+    out = perturb_general(lat, "nu", F(1, 5))
+    assert out.value_after == F(1, 5)
+    assert out.after.gram[1, 2] == F(52975, 335161)
+    assert out.still_nearly_orthogonal and is_theta_orthogonal(out.after).strictly
+    law = (1 - out.value_before**2) / (1 - out.value_after**2)
+    assert out.density_ratio_sq != law
+    assert abs(out.density_ratio_sq - law) <= F(1, 10**9)
+    # raising mu to 1/4 moves the (0, 2) pair, but the rationalized (1, 2)
+    # pair then attains a smaller cosine, so the result is refused
+    with pytest.raises(VerificationFailed, match="mu after perturbation is 170626/782759, wanted 1/4"):
+        perturb_general(lat, "mu", F(1, 4))
+
+
 def test_general_rejects_bad_targets():
     with pytest.raises(ValueError):
         perturb_general(lnm(3, 1), "nu", F(3, 5))

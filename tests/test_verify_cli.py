@@ -43,12 +43,23 @@ def test_suite_rejects_unknown():
         run_suite("no-such-suite")
 
 
-def test_check_ids_unique():
-    from wrlat.verify import _REGISTRY
+def test_check_ids_unique(monkeypatch):
+    from wrlat import verify
 
-    ids = [check_id for check_id, _, _, _ in _REGISTRY]
-    assert len(ids) == len(set(ids))
-    assert all(claim for _, _, claim, _ in _REGISTRY)
+    assert all(claim for claim, _ in verify._REGISTRY.values())
+    monkeypatch.setattr(verify, "_REGISTRY", dict(verify._REGISTRY))
+    with pytest.raises(ValueError, match="duplicate check id 'coherence.integer_lattice'"):
+        verify.check("coherence.integer_lattice", "registered twice")(lambda max_n: "")
+    verify.check("coherence.fresh_id", "a new id registers")(lambda max_n: "ok")
+    assert verify._REGISTRY["coherence.fresh_id"][0] == "a new id registers"
+
+
+def test_check_ids_match_the_benchmark_references():
+    from wrlat import verify
+
+    refs = json.loads((Path(__file__).parents[1] / "perfbench/refs/references.json").read_text())
+    assert sorted(verify._REGISTRY) == refs["suite_ids"]
+    assert verify.available_suites() == ["all", "constructions", "theorems", "coherence"]
 
 
 def test_import_does_not_load_numpy():
@@ -201,13 +212,11 @@ def test_a_crashing_check_is_an_error_not_a_failed_claim(tmp_path, monkeypatch):
     def crash(max_n):
         raise RuntimeError("boom")
 
-    index = next(i for i, entry in enumerate(verify._REGISTRY) if entry[0] == "coherence.integer_lattice")
-    check_id, group, claim, _ = verify._REGISTRY[index]
+    check_id, group = "coherence.integer_lattice", "coherence"
+    claim, _ = verify._REGISTRY[check_id]
     clean = run_suite(group, max_n=4)
     assert set(clean.counts) == {"pass", "fail", "skipped"} and clean.passed
-    registry = list(verify._REGISTRY)
-    registry[index] = (check_id, group, claim, crash)
-    monkeypatch.setattr(verify, "_REGISTRY", registry)
+    monkeypatch.setitem(verify._REGISTRY, check_id, (claim, crash))
     report = run_suite(group, max_n=4)
     crashed = next(c for c in report.checks if c.check_id == check_id)
     assert (crashed.status, crashed.details) == ("error", "RuntimeError: boom")
@@ -250,6 +259,20 @@ def test_cli_perturb_rejected_precondition(tmp_path, capsys):
     assert run_cli("perturb", str(f), "--mode", "nu", "--target", "1/4") == 1
     data = json.loads(capsys.readouterr().out)
     assert "error" in data
+
+
+def test_cli_perturb_has_no_tolerance_option(tmp_path, capsys):
+    # the post-hoc checks are exact against a fixed 10^-9; a tolerance of
+    # nan or inf once made them accept any lattice
+    f = tmp_path / "z3.json"
+    run_cli("construct", "z", "--n", "3", "--out", str(f))
+    assert run_cli("perturb", str(f), "--mode", "mu", "--target", "1/3") == 1
+    assert "mu after perturbation is 0, wanted 1/3" in capsys.readouterr().out
+    for tol in ("1", "nan"):
+        with pytest.raises(SystemExit) as info:
+            run_cli("perturb", str(f), "--mode", "mu", "--target", "1/3", "--tol", tol)
+        assert info.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_cli_perturb_requires_one_mode(tmp_path):
