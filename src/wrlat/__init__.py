@@ -22,6 +22,7 @@ from .constructions import (
 from .errors import (
     DimensionGuardExceeded,
     FewerThanTwoPairs,
+    InputError,
     LatticeError,
     NotNearlyOrthogonal,
     NotPositiveDefinite,
@@ -71,6 +72,7 @@ from .lattice import (
 from .minvec import (
     MinimalVectorSet,
     brute_force_min_vectors,
+    certified_box,
     is_well_rounded,
     minimal_norm_sq,
     minimal_vectors,

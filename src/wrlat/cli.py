@@ -23,7 +23,7 @@ from .constructions import (
     planar_wr,
     staircase,
 )
-from .errors import LatticeError, NotNearlyOrthogonal, VerificationFailed
+from .errors import InputError, LatticeError, NotNearlyOrthogonal, VerificationFailed
 from .eutaxy import classification_report
 from .lattice import lattice_to_json_dict, load_lattice
 from .minvec import DEFAULT_MAX_DIM
@@ -49,7 +49,7 @@ FAMILIES = {
 def parse_cos_sq_threshold(text: str) -> Fraction:
     value = PI_THIRD_COS_SQ if text.strip() == "pi/3" else parse_rational(text)
     if not 0 <= value <= 1:
-        raise ValueError(f"--theta {text!r} is not a squared cosine in [0, 1]")
+        raise InputError(f"--theta {text!r} is not a squared cosine in [0, 1]")
     return value
 
 
@@ -65,7 +65,7 @@ def _emit(obj: dict, out: str | None) -> None:
 def _need(args, *names):
     for name in names:
         if getattr(args, name.replace("-", "_")) is None:
-            raise ValueError(f"family {args.family!r} requires --{name}")
+            raise InputError(f"family {args.family!r} requires --{name}")
 
 
 def _build_family(args):
@@ -110,15 +110,15 @@ def cmd_perturb(args) -> int:
     block_mode = args.block is not None or args.cos is not None
     general_mode = args.mode is not None or args.target is not None
     if block_mode == general_mode:
-        raise ValueError("use either --block/--cos or --mode/--target")
+        raise InputError("use either --block/--cos or --mode/--target")
     try:
         if block_mode:
             if args.block is None or args.cos is None:
-                raise ValueError("block mode needs both --block and --cos")
+                raise InputError("block mode needs both --block and --cos")
             outcome = perturb_block(lat, args.block, parse_rational(args.cos))
         else:
             if args.mode is None or args.target is None:
-                raise ValueError("general mode needs both --mode and --target")
+                raise InputError("general mode needs both --mode and --target")
             outcome = perturb_general(lat, args.mode, parse_rational(args.target))
     except (VerificationFailed, NotNearlyOrthogonal) as exc:
         diag = getattr(exc, "diagnostics", {})
@@ -183,7 +183,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, LatticeError) as exc:  # json.JSONDecodeError is a ValueError
+    except (InputError, json.JSONDecodeError, OSError, LatticeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PlanarSearchFailed
+from .errors import InputError, PlanarSearchFailed
 from .lattice import Lattice, lattice_from_gram, lattice_to_json_dict
 from .ratlinalg import RatMatrix, block_diag, format_rational, int_sqrt_floor
 
@@ -20,7 +20,7 @@ HEX_GRAM = RatMatrix.from_rows([[1, Fraction(1, 2)], [Fraction(1, 2), 1]])
 
 def integer_lattice(n: int) -> Lattice:
     if n < 1:
-        raise ValueError("rank must be positive")
+        raise InputError("rank must be positive")
     return Lattice(f"Z^{n}", n, RatMatrix.identity(n), "orthonormal basis")
 
 
@@ -31,14 +31,9 @@ def hexagonal() -> Lattice:
 def lnm(n: int, m: int) -> Lattice:
     """Orthogonal sum of m hexagonal planes and n-2m orthonormal directions."""
     if n < 2 or m < 0 or 2 * m > n:
-        raise ValueError(f"need n >= 2 and 0 <= m <= n/2, got n={n} m={m}")
+        raise InputError(f"need n >= 2 and 0 <= m <= n/2, got n={n} m={m}")
     blocks = [HEX_GRAM] * m + [RatMatrix.identity(n - 2 * m)] * (1 if n > 2 * m else 0)
-    return Lattice(
-        f"L({n},{m})",
-        n,
-        block_diag(*blocks),
-        f"{m} hexagonal blocks plus identity of size {n - 2 * m}",
-    )
+    return Lattice(f"L({n},{m})", n, block_diag(*blocks), f"{m} hexagonal blocks plus identity of size {n - 2 * m}")
 
 
 def staircase(n: int) -> Lattice:
@@ -50,7 +45,7 @@ def staircase(n: int) -> Lattice:
     g_ik = (g_0i - sum_{j=1}^{k-1} g_ji) / 2 for i < k (g_00 = ... = 1).
     """
     if n < 2:
-        raise ValueError("staircase needs rank >= 2")
+        raise InputError("staircase needs rank >= 2")
     g = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for k in range(1, n):
         for i in range(k):
@@ -72,36 +67,28 @@ def hybrid(n: int, m: int) -> Lattice:
     realizes the kissing number 3n + 2m (n even) or 3n - 1 + 2m (n odd).
     """
     if n < 3:
-        raise ValueError("hybrid needs rank >= 3")
+        raise InputError("hybrid needs rank >= 3")
     max_m = hybrid_max_m(n)
     if not 1 <= m <= max_m:
-        raise ValueError(f"need 1 <= m <= {max_m} for n={n}, got m={m}")
+        raise InputError(f"need 1 <= m <= {max_m} for n={n}, got m={m}")
     t = max_m - m
     d = n - 2 * t
     blocks = [staircase(d).gram] + [HEX_GRAM] * t
-    return Lattice(
-        f"hybrid({n},{m})",
-        n,
-        block_diag(*blocks),
-        f"staircase({d}) plus {t} hexagonal blocks",
-    )
+    return Lattice(f"hybrid({n},{m})", n, block_diag(*blocks), f"staircase({d}) plus {t} hexagonal blocks")
 
 
 def k3_prime() -> Lattice:
     """The irreducible eutactic 3-lattice spanned by three unit vectors with
     pairwise cosines -1/2, -1/2, 1/4."""
-    g = [
-        [1, Fraction(-1, 2), Fraction(-1, 2)],
-        [Fraction(-1, 2), 1, Fraction(1, 4)],
-        [Fraction(-1, 2), Fraction(1, 4), 1],
-    ]
+    h, q = Fraction(-1, 2), Fraction(1, 4)
+    g = [[1, h, h], [h, 1, q], [h, q, 1]]
     return Lattice("K3'", 3, RatMatrix.from_rows(g), "unit basis with cosines -1/2, -1/2, 1/4")
 
 
 def an_root(n: int) -> Lattice:
     """Root lattice A_n in its simple-root basis e_i - e_{i+1} (Gram 2/-1)."""
     if n < 1:
-        raise ValueError("rank must be positive")
+        raise InputError("rank must be positive")
     g = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         g[i][i] = Fraction(2)
@@ -117,11 +104,8 @@ def an_dual_frame(n: int) -> Lattice:
     the omitted frame vector is minus their sum.
     """
     if n < 2:
-        raise ValueError("frame needs rank >= 2")
-    g = [
-        [Fraction(1) if i == j else Fraction(-1, n) for j in range(n)]
-        for i in range(n)
-    ]
+        raise InputError("frame needs rank >= 2")
+    g = [[Fraction(1) if i == j else Fraction(-1, n) for j in range(n)] for i in range(n)]
     return Lattice(f"A{n}*", n, RatMatrix.from_rows(g), "cyclic unit frame, cosines -1/n")
 
 
@@ -133,9 +117,9 @@ def coxeter_barnes(n: int, r: int) -> Lattice:
     Requires n >= 7 and r a proper nontrivial divisor of n + 1.
     """
     if n < 7:
-        raise ValueError("defined for n >= 7")
+        raise InputError("defined for n >= 7")
     if not (1 < r < n + 1) or (n + 1) % r != 0:
-        raise ValueError(f"r={r} must be a divisor of n+1={n + 1} with 1 < r < n+1")
+        raise InputError(f"r={r} must be a divisor of n+1={n + 1} with 1 < r < n+1")
     g = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n - 1):
         for j in range(n - 1):
@@ -226,9 +210,9 @@ def planar_wr(epsilon: Fraction, d: int, search_ceiling: int = 10**6) -> PlanarW
     """
     eps = Fraction(epsilon)
     if not 0 < eps <= Fraction(1, 2):
-        raise ValueError("epsilon must lie in (0, 1/2]")
+        raise InputError("epsilon must lie in (0, 1/2]")
     if not is_squarefree(d):
-        raise ValueError(f"D={d} must be a squarefree positive integer")
+        raise InputError(f"D={d} must be a squarefree positive integer")
 
     m = int_sqrt_floor(d * (1 / eps + 1))
     n = int_sqrt_floor(1 / eps - 1) + 1

@@ -5,6 +5,10 @@ class LatticeError(Exception):
     """Base class for domain errors raised by this package."""
 
 
+class InputError(ValueError):
+    """Malformed or out-of-range input: an argument, an option or a lattice file."""
+
+
 class NotSymmetric(LatticeError):
     pass
 

@@ -129,12 +129,6 @@ class DensityValue:
     delta_float: float
     delta_sq_over_omega_sq: Fraction
 
-    def to_json_dict(self) -> dict:
-        return {
-            "delta": self.delta_float,
-            "delta_sq_exact": format_rational(self.delta_sq_over_omega_sq),
-        }
-
 
 def packing_density(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> DensityValue:
     """Sphere-packing density: exact squared part and a floating value.

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NotPositiveDefinite, NotSymmetric, RationalizationFailed
+from .errors import InputError, NotPositiveDefinite, NotSymmetric, RationalizationFailed
 from .ratlinalg import (
     RatMatrix,
     block_diag,
@@ -143,13 +143,7 @@ def lattice_from_float_basis(
 
 def direct_sum(l1: Lattice, l2: Lattice) -> Lattice:
     """Orthogonal direct sum: block-diagonal Gram."""
-    gram = block_diag(l1.gram, l2.gram)
-    return Lattice(
-        name=f"{l1.name}(+){l2.name}",
-        rank=l1.rank + l2.rank,
-        gram=gram,
-        provenance="orthogonal direct sum",
-    )
+    return Lattice(f"{l1.name}(+){l2.name}", l1.rank + l2.rank, block_diag(l1.gram, l2.gram), "orthogonal direct sum")
 
 
 def scale_gram(lat: Lattice, factor) -> Lattice:
@@ -177,12 +171,7 @@ def principal_sublattice(lat: Lattice, indices: Sequence[int]) -> Lattice:
     if len(set(idx)) != len(idx) or any(not (0 <= i < lat.rank) for i in idx):
         raise ValueError(f"bad index set {indices!r} for rank {lat.rank}")
     rows = [[lat.gram[i, j] for j in idx] for i in idx]
-    return Lattice(
-        name=f"{lat.name}|{tuple(idx)}",
-        rank=len(idx),
-        gram=RatMatrix.from_rows(rows),
-        provenance="principal sublattice",
-    )
+    return Lattice(f"{lat.name}|{tuple(idx)}", len(idx), RatMatrix.from_rows(rows), "principal sublattice")
 
 
 def reorder_basis(lat: Lattice, perm: Sequence[int]) -> Lattice:
@@ -221,23 +210,23 @@ def lattice_from_json_dict(d: dict) -> Lattice:
         name = str(d["name"])
         rank = int(d["rank"])
         gram_rows = [[parse_rational(e) for e in row] for row in d["gram"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed lattice JSON: {exc}") from exc
-    if len(gram_rows) != rank or any(len(r) != rank for r in gram_rows):
-        raise ValueError("gram shape does not match rank")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed lattice JSON: {exc}") from exc
+    if rank < 1 or len(gram_rows) != rank or any(len(r) != rank for r in gram_rows):
+        raise InputError("gram shape does not match rank")
     lat = lattice_from_gram(name, gram_rows, provenance=str(d.get("provenance", "")))
     if d.get("basis") is not None:
         try:
             fb = FloatBasis(tuple(tuple(float(x) for x in col) for col in d["basis"]))
-        except TypeError as exc:
-            raise ValueError(f"malformed basis: {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"malformed basis: {exc}") from exc
         if fb.rank != rank:
-            raise ValueError("basis column count does not match rank")
+            raise InputError("basis column count does not match rank")
         g = fb.float_gram()
         for i in range(rank):
             for j in range(rank):
                 if abs(g[i][j] - float(lat.gram[i, j])) > BASIS_GRAM_TOLERANCE:
-                    raise ValueError(
+                    raise InputError(
                         f"basis does not reproduce gram at ({i},{j}): "
                         f"{g[i][j]!r} vs {lat.gram[i, j]}"
                     )
@@ -252,4 +241,8 @@ def save_lattice(lat: Lattice, path: str, basis: FloatBasis | None = None) -> No
 
 def load_lattice(path: str) -> Lattice:
     with open(path, "r", encoding="utf-8") as fh:
-        return lattice_from_json_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+    return lattice_from_json_dict(data)

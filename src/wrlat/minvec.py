@@ -20,7 +20,9 @@ and `ortho.minimal_basis_subsets`, which the membership report reaches only
 after the verdict has passed that guard.  A box-scan brute-force oracle
 cross-validates the enumerator on the Gram as given, with no reduction: an
 integer odometer over every coordinate but the last, which is swept row by
-row.
+row.  The suite derives each box from a certificate, `certified_box`:
+q(u) <= m gives u_i^2 <= m (G^-1)_ii, so m at least the minimum makes the
+scan complete.
 """
 
 from __future__ import annotations
@@ -214,10 +216,26 @@ def is_well_rounded(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> bool:
     return _spans(minimal_vectors(lat, max_dim).pairs, lat.rank)
 
 
+def certified_box(lat: Lattice, m=None) -> int:
+    """A box >= 1 holding every u with u^T G u <= m, in the basis as given.
+
+    m defaults to the smallest diagonal entry, so the box holds every minimal
+    vector.  Proof (Fincke-Pohst): u_i = (G^-1 e_i)^T G u, so Cauchy-Schwarz
+    in G gives u_i^2 <= (G^-1)_ii q(u) <= m (G^-1)_ii.  On A = s G that is
+    s m adj(A)_ii / det A, each cofactor the last pivot of `diagonal_pivots`
+    on A without row and column i (1 at rank 1).
+    """
+    a, n = lat.int_gram, lat.rank
+    m_s = min(a[i][i] for i in range(n)) if m is None else lat.scale * m
+    cofactors = (diagonal_pivots([r[:i] + r[i + 1 :] for k, r in enumerate(a) if k != i])[0][-1] for i in range(n))
+    return max(1, *(math.isqrt(m_s * c // lat.leading_minors[-1]) for c in cofactors))
+
+
 def brute_force_min_vectors(lat: Lattice, box: int) -> MinimalVectorSet:
     """Exhaustive scan of the coefficient box [-box, box]^n.
 
-    Test oracle for the enumerator, independent of its elimination.  It
+    Test oracle for the enumerator, independent of its elimination; a box
+    from `certified_box` makes its answer the complete minimal set.  It
     evaluates, in integers on s G, every point of the half box whose first
     nonzero coordinate is negative, as q(-u) = q(u): an odometer over the
     prefix u_0..u_{n-2} carries g = s G (prefix, 0) and q0 = s prefix^T G

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotNearlyOrthogonal, NotPositiveDefinite, VerificationFailed
+from .errors import InputError, NotNearlyOrthogonal, NotPositiveDefinite, VerificationFailed
 from .invariants import mu_nu, packing_density
 from .lattice import Lattice, lattice_from_gram, lattice_to_json_dict
 from .minvec import minimal_norm_sq
@@ -58,7 +58,7 @@ class PerturbationOutcome:
 
 def _require_unit_diagonal(lat: Lattice) -> None:
     if any(lat.gram[i, i] != 1 for i in range(lat.rank)):
-        raise ValueError("perturbation requires a unit-diagonal Gram matrix")
+        raise InputError("perturbation requires a unit-diagonal Gram matrix")
 
 
 def _density_ratio_sq(before: Lattice, after: Lattice) -> Fraction:
@@ -77,7 +77,7 @@ def _replace_pair(
 ) -> PerturbationOutcome:
     """Set the cosine G_ij of the unit pair (i, j) to new_cos, keeping its sign."""
     if abs(new_cos) > Fraction(1, 2):
-        raise ValueError("|new cosine| must be at most 1/2")
+        raise InputError("|new cosine| must be at most 1/2")
     old = lat.gram[i, j]
     entry = -new_cos if old < 0 else new_cos
     rows = lat.gram.to_rows()
@@ -98,7 +98,7 @@ def _replace_pair(
 def perturb_2d(lat: Lattice, new_cos: Fraction) -> PerturbationOutcome:
     """Replace the off-diagonal of a rank-2 unit Gram, preserving its sign."""
     if lat.rank != 2:
-        raise ValueError("perturb_2d needs a rank-2 lattice")
+        raise InputError("perturb_2d needs a rank-2 lattice")
     _require_unit_diagonal(lat)
     new_cos = Fraction(new_cos)
     return _replace_pair(lat, 0, 1, new_cos, f"{lat.name}~cos={new_cos}", "pair")
@@ -116,12 +116,12 @@ def perturb_block(lat: Lattice, block_index: int, new_cos: Fraction) -> Perturba
     i = 2 * block_index
     j = i + 1
     if block_index < 0 or j >= lat.rank:
-        raise ValueError(f"no block {block_index} in rank {lat.rank}")
+        raise InputError(f"no block {block_index} in rank {lat.rank}")
     for k in range(lat.rank):
         if k not in (i, j) and (lat.gram[i, k] != 0 or lat.gram[j, k] != 0):
-            raise ValueError("target block is coupled to the rest of the basis")
+            raise InputError("target block is coupled to the rest of the basis")
     if minimal_norm_sq(lat) != 1:
-        raise ValueError("block perturbation expects minimal norm 1")
+        raise InputError("block perturbation expects minimal norm 1")
     name = f"{lat.name}~block{block_index}={new_cos}"
     return _replace_pair(lat, i, j, new_cos, name, f"block {block_index}")
 
@@ -139,21 +139,21 @@ def perturb_general(lat: Lattice, mode: str, target: Fraction) -> PerturbationOu
     (1 - c^2) / (1 - c'^2), and the result is still nearly orthogonal.
     """
     if mode not in (MU, NU):
-        raise ValueError(f"mode must be 'mu' or 'nu', got {mode!r}")
+        raise InputError(f"mode must be 'mu' or 'nu', got {mode!r}")
     _require_unit_diagonal(lat)
     n = lat.rank
     if n < 2:
-        raise ValueError("need rank >= 2")
+        raise InputError("need rank >= 2")
     target = Fraction(target)
     mu_before, nu_before = mu_nu(lat)
     if mode == MU:
         if not 0 < target <= Fraction(1, 2):
-            raise ValueError("mu-mode target must lie in (0, 1/2]")
+            raise InputError("mu-mode target must lie in (0, 1/2]")
     else:
         nu_cos = nu_before.exact_cos
         assert nu_cos is not None  # unit diagonal
         if not 0 <= target <= nu_cos:
-            raise ValueError("nu-mode target must lie in [0, current nu]")
+            raise InputError("nu-mode target must lie in [0, current nu]")
     if not is_theta_orthogonal(lat).strictly:
         raise NotNearlyOrthogonal(
             f"{lat.name!r} is not certified nearly orthogonal; refusing to perturb"

@@ -29,11 +29,13 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .errors import InputError
+
 
 def parse_rational(s: str) -> Fraction:
     """Parse "p/q" or "p" (optional leading '-') into an exact Fraction."""
     if not isinstance(s, str):
-        raise ValueError(f"not a rational literal: {s!r} (write it as a string)")
+        raise InputError(f"not a rational literal: {s!r} (write it as a string)")
     text = s.strip().replace("−", "-")
     try:
         if "/" in text:
@@ -41,7 +43,7 @@ def parse_rational(s: str) -> Fraction:
             return Fraction(int(num), int(den))
         return Fraction(int(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational literal: {s!r}") from exc
+        raise InputError(f"not a rational literal: {s!r}") from exc
 
 
 def format_rational(x: Fraction) -> str:

@@ -29,10 +29,11 @@ from .constructions import (
     strict_family_lattices,
     weak_family_lattices,
 )
+from .errors import InputError
 from .eutaxy import EutaxyClass, eutaxy_classify, is_perfect
 from .invariants import cn_test, cn_value, coherence, packing_density
 from .lattice import Lattice, lattice_from_gram
-from .minvec import DEFAULT_MAX_DIM, brute_force_min_vectors, is_well_rounded, minimal_vectors
+from .minvec import DEFAULT_MAX_DIM, brute_force_min_vectors, certified_box, is_well_rounded, minimal_vectors
 from .ortho import angle_profile, is_theta_orthogonal, minimal_basis_subsets
 from .perturb import perturb_2d, perturb_block
 
@@ -286,7 +287,7 @@ def _check_enumerator_oracle(max_n: int) -> str:
     ]
     for lat in lats:
         fast = minimal_vectors(lat)
-        slow = brute_force_min_vectors(lat, box=4)
+        slow = brute_force_min_vectors(lat, certified_box(lat))
         assert fast.norm_sq == slow.norm_sq, lat.name
         assert fast.pairs == slow.pairs, lat.name
     return f"{len(lats)} lattices, exact set equality"
@@ -393,11 +394,11 @@ def available_suites() -> list[str]:
 
 def run_suite(suite: str = "all", max_n: int = 8) -> SuiteReport:
     if suite not in available_suites():
-        raise ValueError(f"unknown suite {suite!r}")
+        raise InputError(f"unknown suite {suite!r}")
     if max_n < 2:
-        raise ValueError("max_n must be at least 2")
+        raise InputError("max_n must be at least 2")
     if max_n > DEFAULT_MAX_DIM:
-        raise ValueError(f"max_n must be at most {DEFAULT_MAX_DIM}, the enumeration guard")
+        raise InputError(f"max_n must be at most {DEFAULT_MAX_DIM}, the enumeration guard")
 
     def run_one(check_id: str) -> CheckResult:
         claim, fn = _REGISTRY[check_id]

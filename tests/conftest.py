@@ -80,6 +80,16 @@ def cofactor_det2(m):
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
+def to_sympy(rows):
+    import sympy  # only the modules that skip without sympy call this
+
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
+
+
+def from_sympy(x):
+    return F(int(x.p), int(x.q))
+
+
 def quad_form(lat, u):
     n = lat.rank
     return sum(lat.gram[i, j] * u[i] * u[j] for i in range(n) for j in range(n))

@@ -37,7 +37,7 @@ from wrlat import (
     staircase,
     hybrid,
 )
-from wrlat import minvec
+from wrlat import minvec, verify
 from wrlat.minvec import _canonical_pair, _pair_reduce, _shortest
 from wrlat.ratlinalg import diagonal_pivots, integer_scaled
 
@@ -133,6 +133,23 @@ def test_family_lattices_well_rounded():
 def test_brute_force_z3():
     mvs = brute_force_min_vectors(integer_lattice(3), box=1)
     assert mvs.pairs == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+
+
+def test_suite_oracle_scans_certified_boxes_of_1(monkeypatch):
+    seen = []
+    monkeypatch.setattr(verify, "brute_force_min_vectors", lambda *args: seen.append(args) or brute_force_min_vectors(*args))
+    verify._check_enumerator_oracle(8)
+    assert len(seen) == 29 and all(box == 1 == minvec.certified_box(lat) for lat, box in seen)
+    for lat, box in seen:  # box 4 finds nothing that box 1 misses
+        assert brute_force_min_vectors(lat, box) == brute_force_min_vectors(lat, 4), lat.name
+
+
+def test_certified_box_pins():
+    # b_1 = 3 b_0 + e_1 in Z^2: the minimal vector e_1 = b_1 - 3 b_0 needs box 3, at any scale
+    for k in (1, 4):
+        lat = lattice_from_gram("skewed", [[k, 3 * k], [3 * k, 10 * k]])
+        assert minvec.certified_box(lat) == 3 and minimal_vectors(lat).pairs == ((1, 0), (3, -1))
+    assert minvec.certified_box(integer_lattice(1)) == minvec.certified_box(lattice_from_gram("r1", [[F(7, 2)]])) == 1
 
 
 def test_enumerator_matches_oracle_on_rank_le_5():
@@ -239,22 +256,6 @@ def disguised_family_lattices(draw, family=rank_le_5_family(), steps=(1, -1), mo
     return lat, moves
 
 
-def certified_box(lat, m=None):
-    """A box holding every vector of norm <= m, and so every minimal vector
-    when m is at least the minimum (by default the smallest diagonal entry):
-    q(u) <= m gives u_i^2 <= m (G^-1)_ii, a ratio of cofactors: the det of
-    G without row and column i over det G (1 / g_00 at rank 1)."""
-    n = lat.rank
-    if n == 1:
-        inv_diag = [1 / lat.gram[0, 0]]
-    else:
-        others = [[j for j in range(n) if j != i] for i in range(n)]
-        inv_diag = [principal_sublattice(lat, idx).det_gram() / lat.det_gram() for idx in others]
-    if m is None:
-        m = min(lat.gram[i, i] for i in range(n))
-    return max(math.isqrt(math.floor(m * x)) for x in inv_diag)
-
-
 deep_disguises = disguised_family_lattices(rank_le_8_family(), (1, -1, 2, -2), 4)
 
 
@@ -272,11 +273,12 @@ def test_enumeration_is_basis_invariant(case):
     # the pairs map back to the undisguised ones through U
     back = {_canonical_pair(tuple(sum(a * b for a, b in zip(r, w)) for r in u)) for w in got.pairs}
     assert back == set(want.pairs)
+    assert all(abs(x) <= minvec.certified_box(disguised) for w in got.pairs for x in w)
     n = lat.rank
     if n <= 4:
         # the stored basis's smallest norm bounds the minimum independently of
         # the enumerator; deep disguises can put the box past this budget
-        box = certified_box(disguised, min(lat.gram[i, i] for i in range(n)))
+        box = minvec.certified_box(disguised, min(lat.gram[i, i] for i in range(n)))
         if (2 * box + 1) ** n <= 50_000:
             assert got == brute_force_min_vectors(disguised, box)
 
@@ -428,9 +430,10 @@ def rational_lattices(draw, ranks):
 
 
 @settings(max_examples=80, deadline=None)
-@given(rational_lattices(st.integers(2, 4)))
+@given(rational_lattices(st.integers(1, 4)))
 def test_enumerator_matches_certified_oracle_on_rational_grams(lat):
-    box = certified_box(lat)
+    box = minvec.certified_box(lat)
+    assert all(abs(x) <= box for u in minimal_vectors(lat).pairs for x in u)
     # far below the oracle's own guard, so that each example stays fast
     assume((2 * box + 1) ** lat.rank <= 20_000)
     assert minimal_vectors(lat) == brute_force_min_vectors(lat, box)

@@ -31,21 +31,13 @@ from wrlat import (
 from wrlat import minimal_vectors, ortho
 from wrlat.ratlinalg import diagonal_pivots, gram_of_vectors, integer_scaled, schur_step
 
-from conftest import disguise
+from conftest import disguise, from_sympy, to_sympy
 
 sympy = pytest.importorskip("sympy")
 
 F = Fraction
 QUARTER = F(1, 4)
 THRESHOLDS = (F(0), F(1, 9), QUARTER, F(1, 3), F(1, 2), F(1))
-
-
-def to_sympy(rows):
-    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
-
-
-def from_sympy(x):
-    return F(int(x.p), int(x.q))
 
 
 def minor_cos_sq(lat, v, span):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from wrlat import NotPositiveDefinite, RatMatrix, lattice_from_gram
 from wrlat.ratlinalg import diagonal_pivots, int_rank, integer_scaled
 
-from conftest import reduced_form
+from conftest import from_sympy, reduced_form, to_sympy
 
 sympy = pytest.importorskip("sympy")
 
@@ -27,14 +27,6 @@ def matrices(draw, square=False):
     nr = draw(st.integers(1, 5))
     nc = nr if square else draw(st.integers(1, 5))
     return [[draw(entries) for _ in range(nc)] for _ in range(nr)]
-
-
-def to_sympy(rows):
-    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
-
-
-def from_sympy(x):
-    return F(int(x.p), int(x.q))
 
 
 @settings(max_examples=80, deadline=None)

@@ -20,6 +20,15 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def _lattice_file(tmp_path, *family, **changes):
+    """The file `wrlat construct` writes for the family arguments, with top-level fields replaced."""
+    f = tmp_path / f"{family[0]}.json"
+    run_cli("construct", *family, "--out", str(f))
+    if changes:
+        f.write_text(json.dumps({**json.loads(f.read_text()), **changes}))
+    return f
+
+
 # --- verify suite ------------------------------------------------------------
 
 
@@ -124,8 +133,7 @@ def test_cli_construct_bad_params():
 
 
 def test_cli_analyze_hex(tmp_path, capsys):
-    f = tmp_path / "hex.json"
-    run_cli("construct", "hex", "--out", str(f))
+    f = _lattice_file(tmp_path, "hex")
     assert run_cli("analyze", str(f)) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["coherence"] == "1/2"
@@ -136,8 +144,7 @@ def test_cli_analyze_hex(tmp_path, capsys):
 
 
 def test_cli_analyze_k3prime(tmp_path, capsys):
-    f = tmp_path / "k3.json"
-    run_cli("construct", "k3prime", "--out", str(f))
+    f = _lattice_file(tmp_path, "k3prime")
     assert run_cli("analyze", str(f)) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["kissing_number"] == 10
@@ -147,8 +154,7 @@ def test_cli_analyze_k3prime(tmp_path, capsys):
 
 
 def test_cli_analyze_frame4(tmp_path, capsys):
-    f = tmp_path / "a4s.json"
-    run_cli("construct", "anstar", "--n", "4", "--out", str(f))
+    f = _lattice_file(tmp_path, "anstar", "--n", "4")
     assert run_cli("analyze", str(f)) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["coherence"] == "1/4"
@@ -181,8 +187,7 @@ def test_cli_analyze_missing_file():
 
 
 def test_cli_analyze_deterministic_bytes(tmp_path):
-    f = tmp_path / "st4.json"
-    run_cli("construct", "staircase", "--n", "4", "--out", str(f))
+    f = _lattice_file(tmp_path, "staircase", "--n", "4")
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
     run_cli("analyze", str(f), "--out", str(r1))
     run_cli("analyze", str(f), "--out", str(r2))
@@ -237,8 +242,7 @@ def test_cli_verify_max_n_above_the_enumeration_guard_exits_2(tmp_path, capsys):
 
 
 def test_cli_perturb_block(tmp_path, capsys):
-    f = tmp_path / "l31.json"
-    run_cli("construct", "lnm", "--n", "3", "--m", "1", "--out", str(f))
+    f = _lattice_file(tmp_path, "lnm", "--n", "3", "--m", "1")
     assert run_cli("perturb", str(f), "--block", "0", "--cos", "1/3") == 0
     data = json.loads(capsys.readouterr().out)
     assert data["density_ratio_sq"] == "27/32"
@@ -246,16 +250,14 @@ def test_cli_perturb_block(tmp_path, capsys):
 
 
 def test_cli_perturb_general(tmp_path, capsys):
-    f = tmp_path / "l31.json"
-    run_cli("construct", "lnm", "--n", "3", "--m", "1", "--out", str(f))
+    f = _lattice_file(tmp_path, "lnm", "--n", "3", "--m", "1")
     assert run_cli("perturb", str(f), "--mode", "nu", "--target", "1/3") == 0
     data = json.loads(capsys.readouterr().out)
     assert data["value_after"] == "1/3"
 
 
 def test_cli_perturb_rejected_precondition(tmp_path, capsys):
-    f = tmp_path / "st3.json"
-    run_cli("construct", "staircase", "--n", "3", "--out", str(f))
+    f = _lattice_file(tmp_path, "staircase", "--n", "3")
     assert run_cli("perturb", str(f), "--mode", "nu", "--target", "1/4") == 1
     data = json.loads(capsys.readouterr().out)
     assert "error" in data
@@ -264,8 +266,7 @@ def test_cli_perturb_rejected_precondition(tmp_path, capsys):
 def test_cli_perturb_has_no_tolerance_option(tmp_path, capsys):
     # the post-hoc checks are exact against a fixed 10^-9; a tolerance of
     # nan or inf once made them accept any lattice
-    f = tmp_path / "z3.json"
-    run_cli("construct", "z", "--n", "3", "--out", str(f))
+    f = _lattice_file(tmp_path, "z", "--n", "3")
     assert run_cli("perturb", str(f), "--mode", "mu", "--target", "1/3") == 1
     assert "mu after perturbation is 0, wanted 1/3" in capsys.readouterr().out
     for tol in ("1", "nan"):
@@ -276,21 +277,18 @@ def test_cli_perturb_has_no_tolerance_option(tmp_path, capsys):
 
 
 def test_cli_perturb_requires_one_mode(tmp_path):
-    f = tmp_path / "hex.json"
-    run_cli("construct", "hex", "--out", str(f))
+    f = _lattice_file(tmp_path, "hex")
     assert run_cli("perturb", str(f)) == 2
     assert run_cli("perturb", str(f), "--block", "0", "--mode", "nu") == 2
 
 
 def test_cli_rejects_float_rationals(tmp_path):
-    f = tmp_path / "hex.json"
-    run_cli("construct", "hex", "--out", str(f))
+    f = _lattice_file(tmp_path, "hex")
     assert run_cli("perturb", str(f), "--block", "0", "--cos", "0.25") == 2
 
 
 def test_cli_analyze_strict_flags_guard_trips(tmp_path, capsys):
-    f = tmp_path / "z10.json"
-    run_cli("construct", "z", "--n", "10", "--out", str(f))
+    f = _lattice_file(tmp_path, "z", "--n", "10")
     # rank 10 exceeds a lowered enumeration guard: fields null, warnings set
     assert run_cli("analyze", str(f), "--max-dim", "6") == 0
     report = json.loads(capsys.readouterr().out)
@@ -298,13 +296,6 @@ def test_cli_analyze_strict_flags_guard_trips(tmp_path, capsys):
     assert run_cli("analyze", str(f), "--max-dim", "6", "--strict") == 1
 
 
-def _hex_file(tmp_path, **changes):
-    f = tmp_path / "hex.json"
-    run_cli("construct", "hex", "--out", str(f))
-    data = json.loads(f.read_text())
-    data.update(changes)
-    f.write_text(json.dumps(data))
-    return str(f)
 
 
 @pytest.mark.parametrize(
@@ -320,25 +311,37 @@ def _hex_file(tmp_path, **changes):
     ],
 )
 def test_cli_bad_lattice_file_exits_2(tmp_path, capsys, changes, message):
-    path = _hex_file(tmp_path, **changes)
-    assert run_cli("analyze", path) == 2
+    assert run_cli("analyze", str(_lattice_file(tmp_path, "hex", **changes))) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:") and message in err
 
 
+def test_cli_exits_2_on_input_errors_only(tmp_path, capsys, monkeypatch):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"name": "\xe9"}')
+    assert run_cli("analyze", str(latin1)) == 2 and "not UTF-8" in capsys.readouterr().err
+    hex_file = str(_lattice_file(tmp_path, "hex"))
+
+    def bug(*args):
+        raise ValueError("a bug, not bad input")
+
+    monkeypatch.setattr(wrlat.minvec, "_shortest", bug)  # a ValueError inside a layer
+    with pytest.raises(ValueError, match="a bug"):
+        run_cli("analyze", hex_file)
+
+
 def test_cli_theta_out_of_range_exits_2(tmp_path, capsys):
     not_wr = tmp_path / "diag14.json"
     not_wr.write_text(json.dumps({"name": "diag14", "rank": 2, "gram": [["1", "0"], ["0", "4"]]}))
-    for path in (_hex_file(tmp_path), str(not_wr)):
-        assert run_cli("analyze", path, "--theta", "2") == 2
+    for path in (_lattice_file(tmp_path, "hex"), not_wr):
+        assert run_cli("analyze", str(path), "--theta", "2") == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:")
 
 
 def test_cli_analyze_rank_1_warnings(tmp_path, capsys):
-    f = tmp_path / "z1.json"
-    run_cli("construct", "z", "--n", "1", "--out", str(f))
+    f = _lattice_file(tmp_path, "z", "--n", "1")
     assert run_cli("analyze", str(f)) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["mu"] is None and report["nu"] is None
@@ -350,8 +353,7 @@ def test_cli_analyze_rank_1_warnings(tmp_path, capsys):
 
 
 def test_cli_analyze_decides_membership_at_rank_12(tmp_path, capsys):
-    f = tmp_path / "st12.json"
-    run_cli("construct", "staircase", "--n", "12", "--out", str(f))
+    f = _lattice_file(tmp_path, "staircase", "--n", "12")
     assert run_cli("analyze", str(f)) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["in_weak"] is True and report["in_strict"] is False
@@ -359,8 +361,7 @@ def test_cli_analyze_decides_membership_at_rank_12(tmp_path, capsys):
 
 
 def test_cli_analyze_honours_max_dim_above_default(tmp_path, capsys):
-    f = tmp_path / "st14.json"
-    run_cli("construct", "staircase", "--n", "14", "--out", str(f))
+    f = _lattice_file(tmp_path, "staircase", "--n", "14")
     assert run_cli("analyze", str(f), "--max-dim", "14") == 0
     report = json.loads(capsys.readouterr().out)
     assert report["warnings"] == ["membership: rank 14 exceeds the orderings guard 12"]
@@ -384,8 +385,7 @@ def test_threshold_sugar():
 
 
 def test_cli_sorted_keys(tmp_path, capsys):
-    f = tmp_path / "hex.json"
-    run_cli("construct", "hex", "--out", str(f))
+    f = _lattice_file(tmp_path, "hex")
     run_cli("analyze", str(f))
     out = capsys.readouterr().out
     data = json.loads(out)
