@@ -5,7 +5,9 @@ Families whose printed bases contain square roots still have exact rational
 Grams, so this representation keeps every invariant computation exact.
 Each Lattice also keeps the integer Gram s G that its validation computes,
 and every layer and cache reads that form, so G becomes integers once.
-Float bases are an ingestion convenience only; see lattice_from_float_basis.
+Float input is only ever checked, within 1e-9 (BASIS_GRAM_TOLERANCE): a file's
+optional "basis" against its authoritative Gram, and lattice_from_float_basis'
+rationalization.  That is the one float comparison; it feeds no invariant or verdict.
 """
 
 from __future__ import annotations
@@ -188,8 +190,6 @@ def reorder_basis(lat: Lattice, perm: Sequence[int]) -> Lattice:
 #
 # Schema: { "name": str, "rank": int, "gram": [["p/q", ...], ...],
 #           "basis": optional [[float, ...], ...] (columns), "provenance": str }
-# "gram" is authoritative; when "basis" is present its dot products must
-# reproduce the Gram within 1e-9 per entry or loading fails.
 # ---------------------------------------------------------------------------
 
 
@@ -208,10 +208,12 @@ def lattice_to_json_dict(lat: Lattice, basis: FloatBasis | None = None) -> dict:
 def lattice_from_json_dict(d: dict) -> Lattice:
     try:
         name = str(d["name"])
-        rank = int(d["rank"])
+        rank = d["rank"]
         gram_rows = [[parse_rational(e) for e in row] for row in d["gram"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed lattice JSON: {exc}") from exc
+    if type(rank) is not int:  # int() would round 2.9 down and read true as 1
+        raise InputError(f"rank {rank!r} is not an integer")
     if rank < 1 or len(gram_rows) != rank or any(len(r) != rank for r in gram_rows):
         raise InputError("gram shape does not match rank")
     lat = lattice_from_gram(name, gram_rows, provenance=str(d.get("provenance", "")))

@@ -7,17 +7,9 @@ below cos^2(theta); the basis is *theta-orthogonal* when every ordering is.
 All comparisons happen on squared cosines, which are exact rationals.
 
 Each squared cosine is 1 - d_{S+w} / (d_S a_ww) on the integer Gram A = s G,
-with d_P = det A_PP.  Along one ordering these are consecutive leading minors
-of the reordered A, so an angle profile is one diagonal elimination
-(`ratlinalg.diagonal_pivots`).  The all-orderings verdict is one pass over
-subsets by size.  It reads each minor from the *tail* of a sorted prefix, the
-fraction-free Schur residual over the indices above its largest
-(`ratlinalg.tail_step`), built on first read, so prefixes share their steps.
-It carries each reached subset's first in-threshold ordering along (the
-witness and the violation are read from these), and compares cross-multiplied
-integers with the threshold p/q; a Fraction is built only for the reported
-violation.  It refuses ranks above 12, the enumeration guard, so it runs
-wherever the minimal vectors can be enumerated by default.
+with d_P = det A_PP: along one ordering, consecutive leading minors from one
+diagonal elimination (`ratlinalg.diagonal_pivots`).  The all-orderings verdict
+decides from four facts about the angle to a span (`is_theta_orthogonal`).
 
 Verdicts are relative to the stored basis.  For the strict class the
 optional search over bases of minimal vectors is complete (a basis that is
@@ -35,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from .errors import DimensionGuardExceeded, NotWellRounded, SubsetGuardExceeded
@@ -103,24 +96,22 @@ def is_theta_orthogonal(
     lat: Lattice,
     cos_sq_threshold: Fraction = PI_THIRD_COS_SQ,
 ) -> OrthoVerdict:
-    """Quantify over all n! orderings, with pruning.
+    """Quantify over all n! orderings.
 
-    The profile entry for a vector depends only on the *set* of vectors
-    placed before it, so the search runs over subsets, by size: a subset is
-    reachable when some ordering of it stays within the threshold, and a
-    reachable prefix whose extension violates the threshold prunes everything
-    beyond.  Each reachable mask S keeps d_S = det A_SS on the integer Gram
-    A = s G, and d_{S+w} is read off the tail of S + w less its largest index
-    (`_tail`): at most 2^(n-1) - 1 steps, each made only when first read.
-    With the threshold p/q, cos^2 <= p/q iff (q - p) d_S a_ww <= q d_{S+w},
-    as d_S a_ww > 0.
-    Each reachable mask also keeps its lexicographically first in-threshold
-    ordering: the witness is the one of the full mask.  The violation is the
-    least by (size, sorted prefix set, vector): the prefix set in ascending
-    order, then the vector, then the rest ascending.  Both replay under
-    angle_profile.
-    Refuses ranks above `DEFAULT_MAX_DIM` (12) and takes no `max_dim`, as
-    the tail table grows as 2^(n-1).
+    A vector's profile entry depends only on the *set* S before it, and
+    cos^2(w, span S) cannot decrease as S grows.  With d_P = det A_PP on
+    A = s G and the threshold p/q, w is *within* S iff (q - p) d_S a_ww <=
+    q d_{S+w}.  (a) Strict iff each vector is within all the others; the
+    witness is then 0..n-1.  (b) Weak iff a reverse greedy, removing any
+    vector within the rest, empties the set.  (c) The witness, the first
+    in-threshold ordering, takes at each step the least vector within the
+    prefix after which (b) still places the rest.  (d) If (a) fails, the
+    violation is the first met over sizes, sets in `combinations` order, then
+    vectors, so the least by (size, sorted prefix set, vector): below its size
+    all orderings are in threshold.  It orders the prefix set, the vector,
+    then the rest.  Both replay under angle_profile.  d_{S+w} is read from the
+    tail of S + w less its largest index (`_tail`): at most 2^(n-1) - 1 steps,
+    so ranks above `DEFAULT_MAX_DIM` (12) are refused.
     """
     thr = Fraction(cos_sq_threshold)
     if not 0 <= thr <= 1:
@@ -144,49 +135,56 @@ def _tail(tails: dict[int, tuple[int, list[list[int]]]], mask: int) -> tuple[int
 
 
 def _verdict(a: Sequence[Sequence[int]], thr: Fraction) -> OrthoVerdict:
-    """The all-orderings verdict of `is_theta_orthogonal` on a positive-definite
-    integer Gram a, with the threshold thr already checked."""
+    """`is_theta_orthogonal` on a positive-definite integer Gram a and a checked thr."""
     n = len(a)
     p, q = thr.numerator, thr.denominator
     full = (1 << n) - 1
-    violation = None
-    # mask -> (d_P, tail), and mask -> d_P once read.  d_{S+v} is read from the
-    # tail of S + v less its largest index, so no mask holding n - 1 needs a tail.
     tails = {0: (1, a)}
-    minors = {}
-    # reachable masks of this size -> (chain, d_S).  The masks of one size are
-    # inserted in lexicographic order of their chains, because their parents
-    # were and each parent extends by v ascending; so the chain a mask is first
-    # reached with is its lexicographically smallest in-threshold ordering.
-    # Below the first violating size every ordering is in threshold, so at that
-    # size each chain is its sorted set and the first violation met is the
-    # least by (size, sorted prefix set, v).
-    level = {0: ((), 1)}
-    for size in range(n):
-        nxt: dict[int, tuple[tuple[int, ...], int]] = {}
-        for mask, (chain, d) in level.items():
-            for v in range(n):
-                if mask >> v & 1:
-                    continue
-                grown = mask | 1 << v
-                if violation is not None and grown in nxt:
-                    continue  # already reached, and only the first violation counts
-                d_grown = minors.get(grown)
-                if d_grown is None:
-                    top = grown.bit_length() - 1
-                    rest = grown ^ 1 << top
-                    k = top - rest.bit_length()
-                    d_grown = minors[grown] = _tail(tails, rest)[1][k][k]
-                if (q - p) * d * a[v][v] > q * d_grown:
-                    if violation is None:
-                        ordering = chain + (v,) + tuple(w for w in range(n) if not grown >> w & 1)
-                        violation = OrthoViolation(ordering, size, 1 - Fraction(d_grown, d * a[v][v]))
-                elif grown not in nxt:
-                    nxt[grown] = chain + (v,), d_grown
-        level = nxt
 
-    witness = level[full][0] if full in level else None
-    return OrthoVerdict(witness is not None, violation is None, witness, violation)
+    def minor(mask: int) -> int:
+        if not mask:
+            return 1
+        top = mask.bit_length() - 1
+        rest = mask ^ 1 << top
+        k = top - rest.bit_length()
+        return _tail(tails, rest)[1][k][k]
+
+    def within(s: int, v: int) -> bool:
+        return (q - p) * minor(s) * a[v][v] <= q * minor(s | 1 << v)
+
+    def placeable(fixed: int) -> bool:
+        """(b) on the vectors outside fixed, removing the highest it can first."""
+        rest = full
+        while bit := next(
+            (1 << v for v in reversed(range(n)) if (rest ^ fixed) >> v & 1 and within(rest ^ 1 << v, v)), 0
+        ):
+            rest ^= bit
+        return rest == fixed
+
+    def violations():
+        """(d), in order; each minor is read once, from a tail met earlier in the scan."""
+        minors = {1 << v: a[v][v] for v in range(n)}
+        for size in range(1, n):
+            for bits in combinations([1 << i for i in range(n)], size):
+                mask = sum(bits)
+                top = bits[-1].bit_length() - 1
+                m = _tail(tails, mask)[1] if top < n - 1 else ()
+                for j, row in enumerate(m):
+                    minors[mask | 2 << top + j] = row[j]
+                d = minors[mask]
+                for v in range(n):
+                    if not mask >> v & 1 and (q - p) * d * a[v][v] > q * minors[mask | 1 << v]:
+                        prefix = tuple(b.bit_length() - 1 for b in bits)
+                        ordering = prefix + (v,) + tuple(w for w in range(n) if w != v and w not in prefix)
+                        yield OrthoViolation(ordering, size, 1 - Fraction(minors[mask | 1 << v], d * a[v][v]))
+
+    if all(within(full ^ 1 << v, v) for v in reversed(range(n))):
+        return OrthoVerdict(True, True, tuple(range(n)), None)
+    witness, s = () if placeable(0) else None, 0
+    while witness is not None and s != full:
+        v = next(v for v in range(n) if not s >> v & 1 and within(s, v) and placeable(s | 1 << v))
+        witness, s = witness + (v,), s | 1 << v
+    return OrthoVerdict(witness is not None, False, witness, next(violations()))
 
 
 @dataclass(frozen=True)

@@ -95,10 +95,10 @@ def test_staircase3_prefix_angle():
 
 
 @st.composite
-def spd_lattices(draw):
-    """A lattice of rank 2-5 with a random SPD Gram L D L^T."""
-    n = draw(st.integers(2, 5))
-    ent = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+def spd_lattices(draw, lo=2, hi=5, spread=2):
+    """A lattice of rank lo-hi with a random SPD Gram L D L^T, |L_ij| <= spread."""
+    n = draw(st.integers(lo, hi))
+    ent = st.fractions(min_value=-spread, max_value=spread, max_denominator=4)
     pos = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
     low = [[F(int(i == j)) if j >= i else draw(ent) for j in range(n)] for i in range(n)]
     diag = [draw(pos) for _ in range(n)]
@@ -224,8 +224,20 @@ def test_verdict_matches_exhaustive_replay():
         assert (verdict.weakly, verdict.strictly) == (weakly, strictly), lat.name
 
 
+# rank 3, with exactly one vector, b_0, b_1 or b_2, beyond the threshold of
+# the span of the other two: each of the n cofactors decides strictness
+ONE_COFACTOR_FAILS = (
+    [[2, -1, -1], [-1, 2, F(1, 2)], [-1, F(1, 2), 2]],
+    [[2, 1, F(1, 4)], [1, 2, F(1, 2)], [F(1, 4), F(1, 2), 2]],
+    [[2, F(-1, 4), -1], [F(-1, 4), 2, F(1, 2)], [-1, F(1, 2), 2]],
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(spd_lattices(), st.sampled_from(THRESHOLDS))
+@example(lattice_from_gram("b0-out", ONE_COFACTOR_FAILS[0]), QUARTER)
+@example(lattice_from_gram("b1-out", ONE_COFACTOR_FAILS[1]), QUARTER)
+@example(lattice_from_gram("b2-out", ONE_COFACTOR_FAILS[2]), QUARTER)
 def test_verdict_matches_oracle_on_random_grams(lat, thr):
     verdict = is_theta_orthogonal(lat, thr)
     assert (verdict.weakly, verdict.strictly) == exhaustive_verdict(lat, thr)
@@ -281,13 +293,16 @@ def counting_tail_steps():
     return mock.patch.object(ortho, "tail_step", wraps=ortho.tail_step)
 
 
-@pytest.mark.parametrize("lat, steps", [(staircase(9), 255), (an_dual_frame(9), 254)])
+@pytest.mark.parametrize("lat, steps", [(staircase(9), 16), (lnm(9, 4), 36), (an_dual_frame(9), None)])
 def test_verdict_makes_one_tail_step_per_subset_below_the_last_index(lat, steps):
     # d_{S+v} is read from the tail of S + v less its largest index, which
-    # never holds n - 1: at most 2^(n-1) - 1 steps
+    # never holds n - 1: at most 2^(n-1) - 1 steps.  L(9,4) is strict, so its
+    # n cofactors decide; staircase(9) is weak with a violation at level 2;
+    # stored A9*'s violation lies at level 7, so the scan reads most subsets
     with counting_tail_steps() as counted:
         is_theta_orthogonal(lat)
-    assert counted.call_count == steps <= 2 ** (lat.rank - 1) - 1
+    assert counted.call_count <= 2 ** (lat.rank - 1) - 1
+    assert steps is None or counted.call_count == steps
 
 
 def reference_verdict(a, thr):
@@ -319,6 +334,8 @@ RANK_12_LATTICES = {
     "A12*": an_dual_frame(12),
     "L(12,6)": lnm(12, 6),
     "hybrid(12,5)~": disguise(hybrid(12, 5), [(i, i + 1, (-1) ** i) for i in range(11)])[0],
+    "A12": an_root(12),
+    "Z^12": integer_lattice(12),
 }
 
 
@@ -327,6 +344,42 @@ RANK_12_LATTICES = {
 def test_rank_12_verdict_matches_the_reference_level_pass(name, thr):
     lat = RANK_12_LATTICES[name]
     assert is_theta_orthogonal(lat, thr) == reference_verdict(integer_scaled(lat.gram)[1], thr)
+
+
+RANK_6_TO_8_FAMILY = (
+    *(staircase(n) for n in (6, 7, 8)),
+    lnm(7, 2),
+    lnm(8, 4),
+    hybrid(7, 2),
+    hybrid(8, 2),
+    an_root(7),
+    an_dual_frame(6),
+    an_dual_frame(8),
+    integer_lattice(8),
+)
+
+
+@st.composite
+def rank_6_to_8_lattices(draw):
+    """A random SPD lattice of rank 6-8, or a family lattice of that rank with
+    its basis reordered or in the basis of n random moves b_j += s b_i."""
+    kind = draw(st.sampled_from(("spd", "reordered", "disguised")))
+    if kind == "spd":
+        return draw(spd_lattices(6, 8, draw(st.sampled_from((F(1, 2), 2)))))
+    lat = draw(st.sampled_from(RANK_6_TO_8_FAMILY))
+    if kind == "reordered":
+        return reorder_basis(lat, draw(st.permutations(range(lat.rank))))
+    moves = [(*draw(st.permutations(range(lat.rank)))[:2], draw(st.sampled_from((1, -1)))) for _ in range(lat.rank)]
+    return disguise(lat, moves)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank_6_to_8_lattices(), st.sampled_from([F(0), F(1, 10), QUARTER, F(1, 2), F(1)]))
+@example(an_dual_frame(8), QUARTER)  # the violation lies at level 7 of 8
+@example(reorder_basis(staircase(8), (3, 0, 5, 1, 6, 2, 4, 7)), QUARTER)  # witness (1, 3, 5, 0, 6, 2, 4, 7)
+def test_verdict_equals_the_reference_level_pass_at_ranks_6_to_8(lat, thr):
+    want = reference_verdict(integer_scaled(lat.gram)[1], thr)
+    assert is_theta_orthogonal(lat, thr).to_json_dict() == want.to_json_dict()
 
 
 def test_verdict_refuses_ranks_above_the_enumeration_guard():

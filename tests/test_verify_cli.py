@@ -308,13 +308,17 @@ def test_cli_analyze_strict_flags_guard_trips(tmp_path, capsys):
         ({"basis": [["NaN", 0.5], [0, 1]]}, "finite"),
         ({"basis": [["inf", 0], [0, 1]]}, "finite"),
         ({"basis": [[1, None], [0, 1]]}, "malformed basis"),
+        # int() would load these as ranks 2, 3 and 1
+        ({"rank": 2.9}, "rank 2.9 is not an integer"),
+        ({"rank": 3.0}, "rank 3.0 is not an integer"),
+        ({"rank": True}, "rank True is not an integer"),
     ],
 )
 def test_cli_bad_lattice_file_exits_2(tmp_path, capsys, changes, message):
     assert run_cli("analyze", str(_lattice_file(tmp_path, "hex", **changes))) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error:") and message in err
+    assert err.startswith("error:") and message in err and err.count("\n") == 1
 
 
 def test_cli_exits_2_on_input_errors_only(tmp_path, capsys, monkeypatch):
