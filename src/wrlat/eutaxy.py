@@ -2,10 +2,10 @@
 
 Eutaxy is solved in Gram coordinates: with one representative u_i per
 minimal pair, the defining identity ||v||^2 = sum_i c_i (v, x_i)^2 for all v
-is equivalent to sum_i c_i u_i u_i^T = G^{-1}.  No inverse is formed: with
-A = s G integer (s the lcm of G's denominators) and w_i = A u_i,
-multiplying by A on both sides gives the integer system
-sum_i c_i w_i w_i^T = s A, which has the same solutions.  The
+is equivalent to sum_i c_i u_i u_i^T = G^{-1}.  With A = s G integer (s the
+lcm of G's denominators), G^{-1} = s adj(A) / det A, from `adjugate`, so
+c' = det(A) c solves the integer system sum_i c'_i u_i u_i^T = s adj(A),
+whose coefficient rows are the rank-one forms that `is_perfect` ranks.  The
 classification ladder:
 
   no real solution            -> NotWeaklyEutactic
@@ -17,16 +17,16 @@ The LP maximizes t over c = x + t (1, ..., 1) with x, t >= 0, subject to the
 reduced rows of the system (one per pivot of its elimination); the lattice
 is Eutactic iff the optimum t is positive, and then t is the largest
 possible smallest coefficient.  The elimination and the LP run on integers
-only, and Fractions are built only for the coefficients reported.  The LP
-starts from the basis the elimination found: the rows of `row_reduce` with
-their own d and no common factor divided out, and their row sums as the
-column of t, so every pivot divides exactly (`simplex`).
+only, and Fractions are built only for the coefficients reported, each
+divided by det A.  The LP starts from the basis the elimination found: the
+rows of `row_reduce` with their own d and no common factor divided out, and
+their row sums as the column of t, so every pivot divides exactly (`simplex`).
 
 Perfection asks whether the rank-one forms u_i u_i^T span the whole space of
 symmetric matrices.  Conjugation by the basis matrix preserves that rank, so
-the Gram-coordinate test is equivalent to the ambient one, and so does the
-congruence by A: the report reads perfection from the eutaxy system's rank.
-`is_perfect` keeps its own early-stopping rank count, an independent check.
+the Gram-coordinate test is equivalent to the ambient one, and the report
+reads perfection from the eutaxy system's rank.  `is_perfect` keeps its own
+early-stopping rank count, an independent check.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .invariants import (
 from .lattice import Lattice
 from .minvec import DEFAULT_MAX_DIM, is_well_rounded, minimal_vectors
 from .ortho import PI_THIRD_COS_SQ, membership_report
-from .ratlinalg import format_rational, int_rank, row_reduce
+from .ratlinalg import adjugate, format_rational, int_rank, row_reduce
 from .simplex import OPTIMAL, UNBOUNDED, _simplex_from_basis
 
 
@@ -74,28 +74,27 @@ def eutaxy_classify(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> EutaxyResul
     n = lat.rank
     pairs = minimal_vectors(lat, max_dim).pairs
     k = len(pairs)
-    scale, a = lat.scale, lat.int_gram
-    w = [[sum(x * y for x, y in zip(row, u)) for row in a] for u in pairs]
+    det, adj = adjugate(lat.int_gram)
 
-    # one equation per entry (p, q), p <= q, of sum_i c_i w_i w_i^T = s A
-    system_rows = list(zip(*_rank_one_rows(w, n)))
-    reduced = row_reduce(system_rows, [scale * a[p][q] for p in range(n) for q in range(p, n)])
+    # one equation per entry (p, q), p <= q, of sum_i c'_i u_i u_i^T = s adj(A)
+    system_rows = list(zip(*_rank_one_rows(pairs, n)))
+    reduced = row_reduce(system_rows, [lat.scale * adj[p][q] for p in range(n) for q in range(p, n)])
     if reduced is None:
         return EutaxyResult(EutaxyClass.NOT_WEAKLY_EUTACTIC, None, -1)
     rows, pivots, d = reduced
     dim = k - len(pivots)
-    # reduced row i, rows[i] / d, reads: coefficient pivots[i] plus its
+    # reduced row i, rows[i] / d, reads: c'_{pivots[i]} plus its
     # free-coefficient terms = rows[i][-1] / d
     sums = [sum(row[:-1]) for row in rows]
     particular = [Fraction(0)] * k
     for c, row in zip(pivots, rows):
-        particular[c] = Fraction(row[-1], d)
+        particular[c] = Fraction(row[-1], d * det)
 
-    # direct all-equal test, independent of the LP below: c (1, ..., 1)
-    # solves the system iff rows[i][-1] == c * sums[i] for every row i (d cancels)
+    # direct all-equal test, independent of the LP below: c' (1, ..., 1)
+    # solves the system iff rows[i][-1] == c' * sums[i] for every row i (d cancels)
     common = next((Fraction(row[-1], s) for row, s in zip(rows, sums) if s), None)
     if common is not None and common > 0 and all(row[-1] == common * s for row, s in zip(rows, sums)):
-        return EutaxyResult(EutaxyClass.STRONGLY_EUTACTIC, (common,) * k, dim)
+        return EutaxyResult(EutaxyClass.STRONGLY_EUTACTIC, (common / det,) * k, dim)
 
     if dim == 0:
         coeffs = tuple(particular)
@@ -109,7 +108,7 @@ def eutaxy_classify(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> EutaxyResul
     lp_rows = [row[:-1] + [s, row[-1]] for row, s in zip(rows, sums)]
     status, value, point = _simplex_from_basis([0] * k + [1], lp_rows, pivots, d)
     if status == OPTIMAL and value > 0:
-        coeffs = tuple(x + value for x in point[:k])
+        coeffs = tuple((x + value) / det for x in point[:k])
         return EutaxyResult(EutaxyClass.EUTACTIC, coeffs, dim)
     if status == UNBOUNDED:
         # cannot happen: the trace identity pins the coefficient sum

@@ -105,11 +105,7 @@ def mu_nu(lat: Lattice) -> tuple[BasisCos, BasisCos]:
     if n < 2:
         raise LatticeError("mu/nu need at least two basis vectors")
     g = lat.gram
-    values = [
-        g[i, j] * g[i, j] / (g[i, i] * g[j, j])
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
+    values = [g[i, j] * g[i, j] / (g[i, i] * g[j, j]) for i in range(n) for j in range(i + 1, n)]
     return BasisCos(min(values)), BasisCos(max(values))
 
 

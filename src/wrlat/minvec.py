@@ -34,7 +34,7 @@ from functools import lru_cache
 
 from .errors import DimensionGuardExceeded, PairCountGuardExceeded
 from .lattice import Lattice
-from .ratlinalg import diagonal_pivots, format_rational, int_rank
+from .ratlinalg import adjugate, diagonal_pivots, format_rational, int_rank
 
 DEFAULT_MAX_DIM = 12
 DEFAULT_PAIR_GUARD_FACTOR = 10
@@ -222,13 +222,12 @@ def certified_box(lat: Lattice, m=None) -> int:
     m defaults to the smallest diagonal entry, so the box holds every minimal
     vector.  Proof (Fincke-Pohst): u_i = (G^-1 e_i)^T G u, so Cauchy-Schwarz
     in G gives u_i^2 <= (G^-1)_ii q(u) <= m (G^-1)_ii.  On A = s G that is
-    s m adj(A)_ii / det A, each cofactor the last pivot of `diagonal_pivots`
-    on A without row and column i (1 at rank 1).
+    s m adj(A)_ii / det A, both read from one `adjugate` of A.
     """
     a, n = lat.int_gram, lat.rank
     m_s = min(a[i][i] for i in range(n)) if m is None else lat.scale * m
-    cofactors = (diagonal_pivots([r[:i] + r[i + 1 :] for k, r in enumerate(a) if k != i])[0][-1] for i in range(n))
-    return max(1, *(math.isqrt(m_s * c // lat.leading_minors[-1]) for c in cofactors))
+    det, adj = adjugate(a)
+    return max(1, *(math.isqrt(m_s * adj[i][i] // det) for i in range(n)))
 
 
 def brute_force_min_vectors(lat: Lattice, box: int) -> MinimalVectorSet:

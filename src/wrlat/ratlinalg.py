@@ -15,11 +15,13 @@ enumerator on the pair-reduced Gram it walks and the angle profiles), and in
 `tail_step`, which gives the principal minors of sorted index sets one prefix
 at a time (the all-orderings verdict, and the minimal-basis search on the
 integer Gram of the minimal pairs from `gram_of_vectors`); Gauss-Jordan in
-`row_reduce` (the reduced rows and rank of the integer eutaxy system) and in
-the simplex tableau, which starts from those rows with their own d, so its
-divisions stay exact.  No inverse is formed.  Only `int_rank` has its own
-reduction, as it stops once the rank reaches the column count: on the 44
-well-roundedness tests at ranks 10-12 it took 15 ms, and `row_reduce` 88 ms.
+`row_reduce` (the reduced rows and rank of the integer eutaxy system, and
+`adjugate`, the one place where G^-1 is formed: eutaxy's right side and
+`minvec.certified_box` read it) and in the simplex tableau, which starts
+from the eutaxy rows with their own d, so its divisions stay exact.  Only
+`int_rank` has its own reduction, as it stops once the rank reaches the
+column count: on the 44 well-roundedness tests at ranks 10-12 it took 15 ms,
+and `row_reduce` 88 ms.
 """
 
 from __future__ import annotations
@@ -129,15 +131,9 @@ class RatMatrix:
 
 
 def block_diag(*mats: RatMatrix) -> RatMatrix:
-    n = sum(m.rows for m in mats)
-    c = sum(m.cols for m in mats)
-    out = [[Fraction(0)] * c for _ in range(n)]
-    ro = co = 0
+    c, co, out = sum(m.cols for m in mats), 0, []
     for m in mats:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                out[ro + i][co + j] = m[i, j]
-        ro += m.rows
+        out += [[0] * co + list(m.row(i)) + [0] * (c - co - m.cols) for i in range(m.rows)]
         co += m.cols
     return RatMatrix.from_rows(out)
 
@@ -295,6 +291,15 @@ def row_reduce(a_rows: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[list[
     if any(m[i][nc] for i in range(len(pivots), nr)):
         return None
     return m[: len(pivots)], pivots, d
+
+
+def adjugate(a: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(det A, adj A) of a positive-definite integer A by `row_reduce` on [A | I]:
+    its leading minors are positive, so it pivots down the diagonal with no
+    row swap and ends on [det A I | adj A], d times [I | A^-1]."""
+    n = len(a)
+    rows, _, d = row_reduce([[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)], [0] * n)
+    return d, [row[n:-1] for row in rows]
 
 
 def rational_sqrt_exact(q: Fraction) -> Fraction | None:

@@ -353,17 +353,18 @@ def random_subthreshold_lattice(rng: random.Random, n: int, denominator: int = 6
     """Random unit-diagonal Gram whose off-diagonals pass the exact c_n test.
 
     Such a Gram is positive definite for every n >= 2: each |off-diagonal| is
-    at most c_n < 1/(n - 1), so it is strictly diagonally dominant.
+    at most c_n < 1/(n - 1), so it is strictly diagonally dominant.  Each
+    entry is one draw from [-k, k] / denominator, k the largest that passes.
     """
-    limit = int(cn_value(n) * denominator)  # float seed; candidates re-checked exactly
+    k = int(cn_value(n) * denominator)  # a float bound, made exact by cn_test
+    while not cn_test(Fraction(k, denominator), n):
+        k -= 1
+    while cn_test(Fraction(k + 1, denominator), n):
+        k += 1
     g = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            while True:
-                c = Fraction(rng.randint(-limit, limit), denominator)
-                if cn_test(abs(c), n):
-                    break
-            g[i][j] = g[j][i] = c
+            g[i][j] = g[j][i] = Fraction(rng.randint(-k, k), denominator)
     return lattice_from_gram(f"random{n}", g)
 
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from wrlat import (
     direct_sum,
@@ -109,3 +110,12 @@ def disguise(lat, moves):
         for i in range(n)
     ]
     return lattice_from_gram(f"{lat.name}~", rows), u
+
+
+@st.composite
+def positive_definite_integer(draw, max_n=8):
+    """B B^T + D for an integer B and a positive integer diagonal D, rank 1 to max_n."""
+    n = draw(st.integers(1, max_n))
+    b = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
+    dg = [draw(st.integers(1, 3)) for _ in range(n)]
+    return [[sum(x * y for x, y in zip(b[i], b[j])) + (dg[i] if i == j else 0) for j in range(n)] for i in range(n)]

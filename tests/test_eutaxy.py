@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from wrlat import (
     EutaxyClass,
+    EutaxyResult,
     NotWellRounded,
     an_dual_frame,
     an_root,
@@ -27,7 +28,8 @@ from wrlat import (
 )
 import wrlat.eutaxy
 from wrlat.constructions import strict_family_lattices, weak_family_lattices
-from wrlat.ratlinalg import RatMatrix, integer_scaled, row_reduce
+from wrlat.eutaxy import _rank_one_rows
+from wrlat.ratlinalg import RatMatrix, adjugate, integer_scaled, row_reduce
 import wrlat.simplex
 from wrlat.simplex import OPTIMAL, UNBOUNDED, INFEASIBLE, _simplex_from_basis
 
@@ -161,7 +163,7 @@ def test_weakly_eutactic_sum_where_the_lp_optimum_is_zero(monkeypatch):
 
 
 # a disguise of w + D4 whose eliminated system ends on a negative d
-W_D4_MOVES = [(6, 7, -1), (0, 2, -1), (6, 7, -1), (7, 2, 1), (2, 7, 1), (1, 4, -1), (2, 7, 1), (1, 6, -1)]
+W_D4_MOVES = [(6, 5, 1), (5, 0, -1), (4, 3, 1), (4, 0, -1), (5, 3, -1), (1, 3, -1), (1, 3, -1), (6, 4, -1)]
 
 
 @pytest.mark.parametrize(
@@ -221,6 +223,82 @@ def test_every_lp_step_divides_exactly(lat, monkeypatch):
     monkeypatch.setattr(wrlat.simplex, "sylvester_step", exact)
     eutaxy_classify(lat)
     assert widths == {len(minimal_vectors(lat).pairs) + 3}
+
+
+def reference_eutaxy(lat):
+    """Eutaxy from the congruent system: with A = s G and w_i = A u_i, sum_i
+    c_i w_i w_i^T = s A is sum_i c_i u_i u_i^T = G^-1 multiplied by A on both
+    sides.  It forms no adjugate, and its entries grow like A^2."""
+    n, pairs = lat.rank, minimal_vectors(lat).pairs
+    k, a = len(pairs), lat.int_gram
+    w = [[sum(x * y for x, y in zip(row, u)) for row in a] for u in pairs]
+    system = [[v[p] * v[q] for v in w] for p in range(n) for q in range(p, n)]
+    reduced = row_reduce(system, [lat.scale * a[p][q] for p in range(n) for q in range(p, n)])
+    if reduced is None:
+        return EutaxyResult(EutaxyClass.NOT_WEAKLY_EUTACTIC, None, -1)
+    rows, pivots, d = reduced
+    dim = k - len(pivots)
+    sums = [sum(row[:-1]) for row in rows]
+    particular = [F(0)] * k
+    for c, row in zip(pivots, rows):
+        particular[c] = F(row[-1], d)
+    common = next((F(row[-1], s) for row, s in zip(rows, sums) if s), None)
+    if common is not None and common > 0 and all(row[-1] == common * s for row, s in zip(rows, sums)):
+        return EutaxyResult(EutaxyClass.STRONGLY_EUTACTIC, (common,) * k, dim)
+    if dim == 0:
+        positive = all(c > 0 for c in particular)
+        return EutaxyResult(EutaxyClass.EUTACTIC if positive else EutaxyClass.WEAKLY_EUTACTIC, tuple(particular), 0)
+    lp_rows = [row[:-1] + [s, row[-1]] for row, s in zip(rows, sums)]
+    status, value, point = _simplex_from_basis([0] * k + [1], lp_rows, pivots, d)
+    if status == OPTIMAL and value > 0:
+        return EutaxyResult(EutaxyClass.EUTACTIC, tuple(x + value for x in point[:k]), dim)
+    return EutaxyResult(EutaxyClass.WEAKLY_EUTACTIC, tuple(particular), dim)
+
+
+def reference_corpus():
+    """CERTIFIED, w + D4 stored and disguised and the planar Gram [[17, 1],
+    [1, 17]], each also under an n-move and a 2n-move disguise."""
+    bases = CERTIFIED + [
+        w_plus_d4(),
+        disguise(w_plus_d4(), W_D4_MOVES)[0],
+        lattice_from_gram("p17", [[17, 1], [1, 17]]),
+    ]
+    out = []
+    for lat in bases:
+        rng = random.Random(lat.name)
+        n = lat.rank
+        out.append(pytest.param(lat, id=lat.name))
+        for count in (n, 2 * n):
+            moves = [(*rng.sample(range(n), 2), rng.choice((1, -1))) for _ in range(count)]
+            out.append(pytest.param(disguise(lat, moves)[0], id=f"{lat.name}-{count}-moves"))
+    return out
+
+
+@pytest.mark.parametrize("lat", reference_corpus())
+def test_eutaxy_equals_the_congruent_reference(lat):
+    # both systems have the same reduced rows but the right column, which the
+    # adjugate scales by det A > 0: the same class, dimension and coefficients
+    assert eutaxy_classify(lat) == reference_eutaxy(lat)
+
+
+@pytest.mark.parametrize("lat", [hexagonal(), k3_prime(), CERTIFIED[-2], w_plus_d4()], ids=lambda lat: lat.name)
+def test_the_system_rows_are_the_rank_one_forms(lat, monkeypatch):
+    # the eutaxy system's coefficient rows are the rank-one forms u_i u_i^T
+    # that is_perfect ranks, one column per pair, and its right side s adj(A)
+    seen = []
+
+    def reduce(*args):
+        seen.append(args)
+        return row_reduce(*args)
+
+    monkeypatch.setattr(wrlat.eutaxy, "row_reduce", reduce)
+    eutaxy_classify(lat)
+    n = lat.rank
+    ((system, b),) = seen
+    assert [list(row) for row in system] == [list(col) for col in zip(*_rank_one_rows(minimal_vectors(lat).pairs, n))]
+    det, adj = adjugate(lat.int_gram)
+    assert det == lat.leading_minors[-1]
+    assert b == [lat.scale * adj[p][q] for p in range(n) for q in range(p, n)]
 
 
 def test_eutaxy_requires_well_rounded():

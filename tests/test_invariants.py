@@ -297,3 +297,22 @@ def test_sub_threshold_basis_certifies():
         for _ in range(5):
             lat = random_subthreshold_lattice(rng, n)
             assert is_theta_orthogonal(lat).strictly
+
+
+def test_sub_threshold_draws_are_pinned_and_reach_the_exact_bound():
+    # the 200 Grams of coherence.threshold_certifies, pinned by digest so that
+    # the sampler keeps its RNG stream; the float bound int(c_n 64) is the
+    # largest k with k/64 <= c_n, and the draws reach it
+    import hashlib
+    import random
+
+    from wrlat.verify import random_subthreshold_lattice
+
+    rng = random.Random(0x5EED)
+    grams = [random_subthreshold_lattice(rng, n).gram for n in (3, 4, 5) for _ in range(67 if n < 5 else 66)]
+    text = ";".join(" ".join(map(str, g.entries)) for g in grams)
+    assert hashlib.sha256(text.encode()).hexdigest() == "f39ed00181293a7262a914e70341b8678bdab3a3fb8483713090e87f56140a29"
+    for n, k in ((3, 18), (4, 13), (5, 11)):
+        assert int(cn_value(n) * 64) == k
+        assert cn_test(F(k, 64), n) and not cn_test(F(k + 1, 64), n)
+        assert max(abs(e) for g in grams if g.rows == n for e in g.entries if e != 1) == F(k, 64)

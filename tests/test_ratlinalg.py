@@ -14,9 +14,9 @@ from wrlat import (
     lattice_from_gram,
     parse_rational,
 )
-from wrlat.ratlinalg import diagonal_pivots, int_rank, integer_scaled, row_reduce
+from wrlat.ratlinalg import adjugate, diagonal_pivots, int_rank, integer_scaled, row_reduce
 
-from conftest import cofactor_det3, reduced_form
+from conftest import cofactor_det3, positive_definite_integer, reduced_form
 
 F = Fraction
 
@@ -158,6 +158,20 @@ def test_solve_solution_satisfies_system(n, data):
         for i in range(n):
             assert sum(a[i][j] * x[j] for j in range(n)) == b[i]
             assert all(sum(a[i][j] * v[j] for j in range(n)) == 0 for v in null_basis)
+
+
+# --- adjugate -----------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(positive_definite_integer())
+def test_adjugate_times_matrix_is_det_times_identity(a):
+    n = len(a)
+    det, adj = adjugate(a)
+    assert det == diagonal_pivots(a)[0][-1] > 0
+    assert [[sum(a[i][t] * adj[t][j] for t in range(n)) for j in range(n)] for i in range(n)] == [
+        [det * (i == j) for j in range(n)] for i in range(n)
+    ]
 
 
 # --- rank ---------------------------------------------------------------

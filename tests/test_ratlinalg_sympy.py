@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wrlat import NotPositiveDefinite, RatMatrix, lattice_from_gram
-from wrlat.ratlinalg import diagonal_pivots, int_rank, integer_scaled
+from wrlat.ratlinalg import adjugate, diagonal_pivots, int_rank, integer_scaled
 
-from conftest import from_sympy, reduced_form, to_sympy
+from conftest import from_sympy, positive_definite_integer, reduced_form, to_sympy
 
 sympy = pytest.importorskip("sympy")
 
@@ -144,3 +144,12 @@ def test_ldl_matches_sympy(rows, shift):
     lattice_from_gram("g", g)
     low, _ = s.LDLdecomposition()
     assert all(F(cols[k][j - k], pivots[k + 1]) == from_sympy(low[j, k]) for k in range(n) for j in range(k, n))
+
+
+@settings(max_examples=25, deadline=None)
+@given(positive_definite_integer())
+def test_adjugate_matches_sympy(a):
+    det, adj = adjugate(a)
+    m = sympy.Matrix(a)
+    assert det == m.det()
+    assert sympy.Matrix(adj) == m.adjugate()
