@@ -86,6 +86,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.max_dim < 1:
+        raise InputError(f"--max-dim {args.max_dim} must be at least 1")
     lat = load_lattice(args.file)
     report = classification_report(
         lat,

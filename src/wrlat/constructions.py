@@ -3,6 +3,8 @@
 Families whose textbook bases carry square roots (the staircase chain, K3',
 the A_n frames, Coxeter-Barnes) are generated directly from the rational
 inner products of those bases, so nothing irrational is ever stored.
+The nine family constructors are memoized: equal arguments share one immutable
+Lattice, built and validated once per process.  A bad call raises every time.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InputError, PlanarSearchFailed
 from .lattice import Lattice, lattice_from_gram, lattice_to_json_dict
@@ -18,16 +21,19 @@ from .ratlinalg import RatMatrix, block_diag, format_rational, int_sqrt_floor
 HEX_GRAM = RatMatrix.from_rows([[1, Fraction(1, 2)], [Fraction(1, 2), 1]])
 
 
+@lru_cache(maxsize=4096)
 def integer_lattice(n: int) -> Lattice:
     if n < 1:
         raise InputError("rank must be positive")
     return Lattice(f"Z^{n}", n, RatMatrix.identity(n), "orthonormal basis")
 
 
+@lru_cache(maxsize=4096)
 def hexagonal() -> Lattice:
     return Lattice("hex", 2, HEX_GRAM, "two unit vectors at 60 degrees")
 
 
+@lru_cache(maxsize=4096)
 def lnm(n: int, m: int) -> Lattice:
     """Orthogonal sum of m hexagonal planes and n-2m orthonormal directions."""
     if n < 2 or m < 0 or 2 * m > n:
@@ -36,6 +42,7 @@ def lnm(n: int, m: int) -> Lattice:
     return Lattice(f"L({n},{m})", n, block_diag(*blocks), f"{m} hexagonal blocks plus identity of size {n - 2 * m}")
 
 
+@lru_cache(maxsize=4096)
 def staircase(n: int) -> Lattice:
     """Chain of unit vectors, each meeting the prior span at 60 degrees.
 
@@ -59,6 +66,7 @@ def hybrid_max_m(n: int) -> int:
     return (n - 1) // 2
 
 
+@lru_cache(maxsize=4096)
 def hybrid(n: int, m: int) -> Lattice:
     """Staircase block padded with hexagonal planes.
 
@@ -77,6 +85,7 @@ def hybrid(n: int, m: int) -> Lattice:
     return Lattice(f"hybrid({n},{m})", n, block_diag(*blocks), f"staircase({d}) plus {t} hexagonal blocks")
 
 
+@lru_cache(maxsize=4096)
 def k3_prime() -> Lattice:
     """The irreducible eutactic 3-lattice spanned by three unit vectors with
     pairwise cosines -1/2, -1/2, 1/4."""
@@ -85,6 +94,7 @@ def k3_prime() -> Lattice:
     return Lattice("K3'", 3, RatMatrix.from_rows(g), "unit basis with cosines -1/2, -1/2, 1/4")
 
 
+@lru_cache(maxsize=4096)
 def an_root(n: int) -> Lattice:
     """Root lattice A_n in its simple-root basis e_i - e_{i+1} (Gram 2/-1)."""
     if n < 1:
@@ -97,6 +107,7 @@ def an_root(n: int) -> Lattice:
     return Lattice(f"A{n}", n, RatMatrix.from_rows(g), "simple roots e_i - e_(i+1)")
 
 
+@lru_cache(maxsize=4096)
 def an_dual_frame(n: int) -> Lattice:
     """The dual A_n* presented by its cyclic frame of n+1 unit vectors.
 
@@ -109,6 +120,7 @@ def an_dual_frame(n: int) -> Lattice:
     return Lattice(f"A{n}*", n, RatMatrix.from_rows(g), "cyclic unit frame, cosines -1/n")
 
 
+@lru_cache(maxsize=4096)
 def coxeter_barnes(n: int, r: int) -> Lattice:
     """The index-r Coxeter lattice between A_n and its dual.
 

@@ -35,10 +35,10 @@ BASIS_GRAM_TOLERANCE = 1e-9
 class Lattice:
     """Rank-n lattice given by a symmetric positive-definite rational Gram matrix.
 
-    Construction checks the shape, the symmetry and then positive
-    definiteness, by one elimination of the integer Gram A = s G, s the lcm
-    of G's denominators (`integer_scaled`, `diagonal_pivots`), so every
-    Lattice has a positive-definite Gram.  It keeps what that elimination
+    Construction checks the shape, then the symmetry (A equals its transpose)
+    and the positive definiteness (one elimination, `diagonal_pivots`) of the
+    integer Gram A = s G, s the lcm of G's denominators (`integer_scaled`), so
+    every Lattice has a positive-definite Gram.  It keeps what that elimination
     computed, read-only and outside equality, hashing and repr: `scale` s,
     `int_gram` A as a tuple of tuples, and `leading_minors` P_0 = 1, ...,
     P_n of A."""
@@ -57,15 +57,16 @@ class Lattice:
             raise ValueError("Gram matrix must be square and nonempty")
         if self.rank != g.rows:
             raise ValueError(f"rank {self.rank} does not match the {g.rows}x{g.rows} Gram")
-        if not g.is_symmetric():
-            raise NotSymmetric(f"Gram of {self.name!r} is not symmetric")
         scale, a = integer_scaled(g)
+        int_gram = tuple(map(tuple, a))
+        if tuple(zip(*a)) != int_gram:  # s > 0, so s G is symmetric iff G is
+            raise NotSymmetric(f"Gram of {self.name!r} is not symmetric")
         pivots, _ = diagonal_pivots(a)
         if pivots[-1] <= 0:  # D_k = P_{k+1} / (s P_k) at the first P_{k+1} <= 0
             k = len(pivots) - 2
             raise NotPositiveDefinite(f"pivot {k} is {Fraction(pivots[-1], scale * pivots[-2])}")
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "int_gram", tuple(map(tuple, a)))
+        object.__setattr__(self, "int_gram", int_gram)
         object.__setattr__(self, "leading_minors", tuple(pivots))
 
     def det_gram(self) -> Fraction:

@@ -109,11 +109,6 @@ class RatMatrix:
         f = Fraction(factor)
         return RatMatrix(self.rows, self.cols, [f * e for e in self.entries])
 
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self[i, j] == self[j, i] for i in range(self.rows) for j in range(i + 1, self.cols)
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RatMatrix)

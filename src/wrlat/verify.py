@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 from .constructions import (
@@ -145,10 +146,8 @@ def _check_staircase_unit_chain(max_n: int) -> str:
         lat = staircase(n)
         for k in range(2, n + 1):
             u = [1] + [-1] * (k - 1) + [0] * (n - k)
-            q = sum(
-                lat.gram[i, j] * u[i] * u[j] for i in range(n) for j in range(n)
-            )
-            assert q == 1, f"staircase({n}) chain length {k}: norm^2 {q}"
+            q = sum(a_ij * u[i] * u[j] for i, row in enumerate(lat.int_gram) for j, a_ij in enumerate(row))
+            assert q == lat.scale, f"staircase({n}) chain length {k}: norm^2 {Fraction(q, lat.scale)}"
     return "all difference chains are unit vectors"
 
 
@@ -349,6 +348,16 @@ def _check_cn_values(max_n: int) -> str:
     return f"c_2 = 1/2, c_1000 = {v:.11f}"
 
 
+@lru_cache(maxsize=4096)
+def _subthreshold_bound(n: int, denominator: int) -> int:
+    k = int(cn_value(n) * denominator)  # a float bound, made exact by cn_test
+    while not cn_test(Fraction(k, denominator), n):
+        k -= 1
+    while cn_test(Fraction(k + 1, denominator), n):
+        k += 1
+    return k
+
+
 def random_subthreshold_lattice(rng: random.Random, n: int, denominator: int = 64) -> Lattice:
     """Random unit-diagonal Gram whose off-diagonals pass the exact c_n test.
 
@@ -356,11 +365,7 @@ def random_subthreshold_lattice(rng: random.Random, n: int, denominator: int = 6
     at most c_n < 1/(n - 1), so it is strictly diagonally dominant.  Each
     entry is one draw from [-k, k] / denominator, k the largest that passes.
     """
-    k = int(cn_value(n) * denominator)  # a float bound, made exact by cn_test
-    while not cn_test(Fraction(k, denominator), n):
-        k -= 1
-    while cn_test(Fraction(k + 1, denominator), n):
-        k += 1
+    k = _subthreshold_bound(n, denominator)
     g = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):

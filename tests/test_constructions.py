@@ -4,6 +4,7 @@ import pytest
 
 from wrlat import (
     EutaxyClass,
+    InputError,
     PlanarSearchFailed,
     RatMatrix,
     an_dual_frame,
@@ -73,6 +74,34 @@ def test_lnm_rejects_bad_parameters():
         lnm(3, 2)
     with pytest.raises(ValueError):
         lnm(1, 0)
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [
+        (integer_lattice, (4,)),
+        (hexagonal, ()),
+        (lnm, (5, 2)),
+        (staircase, (6,)),
+        (hybrid, (7, 2)),
+        (k3_prime, ()),
+        (an_root, (5,)),
+        (an_dual_frame, (5,)),
+        (coxeter_barnes, (7, 4)),
+    ],
+)
+def test_family_constructors_share_one_lattice_per_argument_tuple(make, args):
+    lat = make(*args)
+    assert make(*args) is lat
+    fresh = make.__wrapped__(*args)  # the constructor without its cache
+    assert fresh == lat and fresh is not lat
+
+
+@pytest.mark.parametrize("make, args", [(lnm, (3, 2)), (coxeter_barnes, (6, 7)), (hybrid, (4, 2))])
+def test_a_bad_family_call_raises_every_time(make, args):
+    for _ in range(2):  # lru_cache stores no exception, so the second call is checked anew
+        with pytest.raises(InputError):
+            make(*args)
 
 
 def test_staircase_2_is_hexagonal():

@@ -60,6 +60,8 @@ def test_from_gram_rejects_indefinite():
         (3, [[1, 0], [0, 1]], ValueError),  # rank mismatch
         (2, [[1, 0, 0], [0, 1, 0]], ValueError),  # not square
         (2, [[1, F(1, 2)], [0, 1]], NotSymmetric),
+        (2, [[1, F(1, 2)], [F(1, 3), 1]], NotSymmetric),  # asymmetric in the denominators only
+        (2, [[1, F(1, 3)], [F(1, 3) + F(1, 10**30), 1]], NotSymmetric),  # off by 1/10^30
     ],
 )
 def test_lattice_checks_its_gram(rank, rows, error):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -38,6 +39,13 @@ def test_suite_all_green():
     assert report.counts["fail"] == 0
     ids = [c.check_id for c in report.checks]
     assert ids == sorted(ids)
+
+
+def test_default_suite_output_is_byte_identical(capsys):
+    # sha256 of `wrlat verify --suite all --max-n 8` stdout, details strings included
+    assert run_cli("verify", "--suite", "all", "--max-n", "8") == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "4dad6d2b2f347433a86ac4f07333a133b28dbfc72164d19eeb0113a92c9315dc"
 
 
 def test_suite_filtering():
@@ -326,6 +334,10 @@ def test_cli_exits_2_on_input_errors_only(tmp_path, capsys, monkeypatch):
     latin1.write_bytes(b'{"name": "\xe9"}')
     assert run_cli("analyze", str(latin1)) == 2 and "not UTF-8" in capsys.readouterr().err
     hex_file = str(_lattice_file(tmp_path, "hex"))
+    for max_dim in ("0", "-3"):  # verify --max-n 1 exits 2 the same way
+        assert run_cli("analyze", hex_file, "--max-dim", max_dim) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --max-dim {max_dim} must be at least 1\n"
 
     def bug(*args):
         raise ValueError("a bug, not bad input")
