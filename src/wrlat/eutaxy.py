@@ -5,22 +5,28 @@ minimal pair, the defining identity ||v||^2 = sum_i c_i (v, x_i)^2 for all v
 is equivalent to sum_i c_i u_i u_i^T = G^{-1}.  With A = s G integer (s the
 lcm of G's denominators), G^{-1} = s adj(A) / det A, from `adjugate`, so
 c' = det(A) c solves the integer system sum_i c'_i u_i u_i^T = s adj(A),
-whose coefficient rows are the rank-one forms that `is_perfect` ranks.  The
-classification ladder:
+whose coefficient rows are the rank-one forms that `is_perfect` ranks (one
+copy of each distinct row is kept; a repeat with another right side makes
+the system inconsistent).  The classification ladder:
 
   no real solution            -> NotWeaklyEutactic
   a real solution exists      -> WeaklyEutactic
-  a strictly positive one     -> Eutactic       (decided by an exact LP)
+  a strictly positive one     -> Eutactic       (the LP, unless forced)
   the all-equal one works     -> StronglyEutactic (checked directly)
 
 The LP maximizes t over c = x + t (1, ..., 1) with x, t >= 0, subject to the
 reduced rows of the system (one per pivot of its elimination); the lattice
 is Eutactic iff the optimum t is positive, and then t is the largest
-possible smallest coefficient.  The elimination and the LP run on integers
-only, and Fractions are built only for the coefficients reported, each
-divided by det A.  The LP starts from the basis the elimination found: the
-rows of `row_reduce` with their own d and no common factor divided out, and
-their row sums as the column of t, so every pivot divides exactly (`simplex`).
+possible smallest coefficient.  It is skipped where the components of the
+pair graph (u_i, u_j linked when u_i^T A u_j != 0; they span orthogonal
+subspaces, and the system splits by them) force its answer: each has no
+free column or is all-equal on its own rows, and the smallest coefficient
+is <= 0 or every component with a free column sits at it.  The elimination
+and the LP run on integers only, and Fractions are built only for the
+coefficients reported, each divided by det A.  The LP starts from the basis
+the elimination found: the rows of `row_reduce` with their own d and no
+common factor divided out, and their row sums as the column of t, so every
+pivot divides exactly (`simplex`).
 
 Perfection asks whether the rank-one forms u_i u_i^T span the whole space of
 symmetric matrices.  Conjugation by the basis matrix preserves that rank, so
@@ -37,6 +43,7 @@ from fractions import Fraction
 
 from .errors import LatticeError, NotWellRounded
 from .invariants import (
+    _pair_pass,
     average_coherence,
     coherence,
     mu_nu,
@@ -67,6 +74,13 @@ def _rank_one_rows(pairs, n):
     return [[u[a] * u[b] for a in range(n) for b in range(a, n)] for u in pairs]
 
 
+def _common_value(rows_sums):
+    """c' when c' (1, ..., 1) solves the reduced rows, given with their row
+    sums: row[-1] == c' * s for every (row, s), as d cancels; else None."""
+    common = next((Fraction(row[-1], s) for row, s in rows_sums if s), None)
+    return common if common is not None and all(row[-1] == common * s for row, s in rows_sums) else None
+
+
 def eutaxy_classify(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> EutaxyResult:
     """Classify eutaxy of a well-rounded lattice, with exact certificates."""
     if not is_well_rounded(lat, max_dim):
@@ -76,9 +90,13 @@ def eutaxy_classify(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> EutaxyResul
     k = len(pairs)
     det, adj = adjugate(lat.int_gram)
 
-    # one equation per entry (p, q), p <= q, of sum_i c'_i u_i u_i^T = s adj(A)
-    system_rows = list(zip(*_rank_one_rows(pairs, n)))
-    reduced = row_reduce(system_rows, [lat.scale * adj[p][q] for p in range(n) for q in range(p, n)])
+    # one equation per distinct row of sum_i c'_i u_i u_i^T = s adj(A), from
+    # the entries (p, q), p <= q: a repeated row needs the same right side and
+    # the zero row a zero one, or the system is inconsistent
+    system = {}
+    rhs = (lat.scale * adj[p][q] for p in range(n) for q in range(p, n))
+    consistent = all(system.setdefault(row, b) == b for row, b in zip(zip(*_rank_one_rows(pairs, n)), rhs))
+    reduced = row_reduce(list(system), list(system.values())) if consistent and not system.pop((0,) * k, 0) else None
     if reduced is None:
         return EutaxyResult(EutaxyClass.NOT_WEAKLY_EUTACTIC, None, -1)
     rows, pivots, d = reduced
@@ -90,10 +108,9 @@ def eutaxy_classify(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> EutaxyResul
     for c, row in zip(pivots, rows):
         particular[c] = Fraction(row[-1], d * det)
 
-    # direct all-equal test, independent of the LP below: c' (1, ..., 1)
-    # solves the system iff rows[i][-1] == c' * sums[i] for every row i (d cancels)
-    common = next((Fraction(row[-1], s) for row, s in zip(rows, sums) if s), None)
-    if common is not None and common > 0 and all(row[-1] == common * s for row, s in zip(rows, sums)):
+    # direct all-equal test, independent of the LP below
+    common = _common_value(list(zip(rows, sums)))
+    if common is not None and common > 0:
         return EutaxyResult(EutaxyClass.STRONGLY_EUTACTIC, (common / det,) * k, dim)
 
     if dim == 0:
@@ -101,6 +118,22 @@ def eutaxy_classify(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> EutaxyResul
         if all(c > 0 for c in coeffs):
             return EutaxyResult(EutaxyClass.EUTACTIC, coeffs, 0)
         return EutaxyResult(EutaxyClass.WEAKLY_EUTACTIC, coeffs, 0)
+
+    # each reduced row lies in its pivot's component of the pair graph: one
+    # with no free column is fixed, and one all-equal on its own rows is fixed
+    # at its common value as far as the LP goes (the trace pins its mean)
+    labels = _pair_pass(lat.int_gram, pairs)[-1]
+    levels = {labels[c]: None for c in set(range(k)).difference(pivots)}
+    for label in levels:
+        levels[label] = _common_value([(r, s) for r, s, c in zip(rows, sums, pivots) if labels[c] == label])
+    if None not in levels.values():
+        forced = [levels[labels[c]] / det if labels[c] in levels else x for c, x in enumerate(particular)]
+        t = min(forced)  # the LP's optimum
+        if t <= 0:
+            return EutaxyResult(EutaxyClass.WEAKLY_EUTACTIC, tuple(particular), dim)
+        if set(levels.values()) == {t * det}:
+            # no free component above t: forced is the one point reaching it
+            return EutaxyResult(EutaxyClass.EUTACTIC, tuple(forced), dim)
 
     # maximize the smallest coefficient t: c = x + t (1, ..., 1) with x, t >= 0
     # on the reduced rows, whose row sums are the column of t, from the basis

@@ -6,10 +6,11 @@ set is an exact rational |u^T G w| / minnorm^2.  Both coherences read one
 pass over the integer Gram of the minimal pairs, u_i^T (s G) u_j with s the
 lcm of G's denominators (`ratlinalg.gram_of_vectors` on `Lattice.int_gram`);
 the pass is cached on s G and the pairs, as coherence does not depend on
-scale, and keeps only its maximum, the pair attaining it and the worst row
-sum, not the matrix.  Packing density is kept in two forms: an exact
-rational delta^2 / omega_n^2 for comparisons, and a float for display
-(omega_n, the unit-ball volume, is irrational).
+scale, and keeps only its maximum, the pair attaining it, the worst row sum
+and the components of the graph linking pairs that are not orthogonal
+(eutaxy reads them), not the matrix.  Packing density is kept in two forms:
+an exact rational delta^2 / omega_n^2 for comparisons, and a float for
+display (omega_n, the unit-ball volume, is irrational).
 """
 
 from __future__ import annotations
@@ -28,18 +29,29 @@ from .ratlinalg import format_rational, gram_of_vectors, rational_sqrt_exact
 
 
 @lru_cache(maxsize=4096)
-def _pair_pass(a: tuple[tuple[int, ...], ...], pairs: tuple[tuple[int, ...], ...]) -> tuple[int, int, int, int, int]:
-    """(norm, top, i, j, worst) over the integer products d_ij = u_i^T A u_j
-    of `gram_of_vectors` on the integer Gram A = s G.
+def _pair_pass(
+    a: tuple[tuple[int, ...], ...], pairs: tuple[tuple[int, ...], ...]
+) -> tuple[int, int, int, int, int, tuple[int, ...]]:
+    """(norm, top, i, j, worst, labels) over the integer products
+    d_ij = u_i^T A u_j of `gram_of_vectors` on the integer Gram A = s G.
 
     norm is d_ii (the same for every minimal pair), top = |d_ij| is the
     largest off the diagonal with (i, j) its lexicographically first pair,
-    and worst the largest row sum of |d_ij| over j != i.
+    and worst the largest row sum of |d_ij| over j != i.  labels[i] is the
+    first pair of i's component in the graph linking i, j when d_ij != 0.
     """
     d = gram_of_vectors(a, pairs)
     top, i, j = max(((abs(d[i][j]), i, j) for i, j in combinations(range(len(d)), 2)), key=itemgetter(0))
     worst = max(sum(map(abs, row)) - row[i] for i, row in enumerate(d))
-    return d[0][0], top, i, j, worst
+    labels = [-1] * len(d)
+    for first in range(len(d)):
+        stack = [first] if labels[first] < 0 else []
+        while stack:
+            for nxt, x in enumerate(d[stack.pop()]):
+                if x and labels[nxt] < 0:
+                    labels[nxt] = first
+                    stack.append(nxt)
+    return d[0][0], top, i, j, worst, tuple(labels)
 
 
 def _pairs_of_two_or_more(lat: Lattice, max_dim: int) -> tuple[tuple[int, ...], ...]:
@@ -62,14 +74,14 @@ def coherence(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> CoherenceValue:
     attaining pair for determinism.
     """
     pairs = _pairs_of_two_or_more(lat, max_dim)
-    norm, top, i, j, _ = _pair_pass(lat.int_gram, pairs)
+    norm, top, i, j, *_ = _pair_pass(lat.int_gram, pairs)
     return CoherenceValue(value=Fraction(top, norm), attaining_pair=(pairs[i], pairs[j]))
 
 
 def average_coherence(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> Fraction:
     """Worst row-average of |cos| over one representative per minimal pair."""
     pairs = _pairs_of_two_or_more(lat, max_dim)
-    norm, *_, worst = _pair_pass(lat.int_gram, pairs)
+    norm, *_, worst, _ = _pair_pass(lat.int_gram, pairs)
     return Fraction(worst, norm * (len(pairs) - 1))
 
 

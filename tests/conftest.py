@@ -43,13 +43,23 @@ def a2_plus_z():
     return lnm(3, 1)
 
 
-def root_plus_hexagonal(name, n, edges):
-    """The root lattice with the given Dynkin diagram (its Cartan matrix as
-    Gram) plus 2 A2, the hexagonal plane at the same minimal norm 2."""
+E6_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)]
+E7_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)]
+D4_EDGES = [(0, 1), (1, 2), (1, 3)]
+
+
+def root_lattice(name, n, edges):
+    """The root lattice with the given Dynkin diagram, its Cartan matrix as Gram."""
     gram = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for a, b in edges:
         gram[a][b] = gram[b][a] = -1
-    return direct_sum(lattice_from_gram(name, gram), scale_gram(hexagonal(), 2))
+    return lattice_from_gram(name, gram)
+
+
+def root_plus_hexagonal(name, n, edges):
+    """The root lattice with the given Dynkin diagram plus 2 A2, the
+    hexagonal plane at the same minimal norm 2."""
+    return direct_sum(root_lattice(name, n, edges), scale_gram(hexagonal(), 2))
 
 
 def gram_rows(lat):

@@ -20,10 +20,13 @@ from wrlat import (
     hybrid,
     integer_lattice,
     is_perfect,
+    is_well_rounded,
     k3_prime,
     lattice_from_gram,
     lnm,
     minimal_vectors,
+    normalize_min_norm,
+    scale_gram,
     staircase,
 )
 import wrlat.eutaxy
@@ -33,7 +36,7 @@ from wrlat.ratlinalg import RatMatrix, adjugate, integer_scaled, row_reduce
 import wrlat.simplex
 from wrlat.simplex import OPTIMAL, UNBOUNDED, INFEASIBLE, _simplex_from_basis
 
-from conftest import disguise, root_plus_hexagonal
+from conftest import D4_EDGES, E6_EDGES, E7_EDGES, disguise, root_lattice, root_plus_hexagonal
 
 F = Fraction
 
@@ -50,10 +53,11 @@ def replay_identity(lat, coefficients):
 
 
 # every family lattice of rank <= 7 (K3' among them), and two root lattices
-# whose eutaxy needs the LP: solution spaces of dimension 15 and 35
+# plus a plane, with solution spaces of dimension 15 and 35, whose LP optimum
+# their components force
 CERTIFIED = weak_family_lattices(7) + [
-    root_plus_hexagonal("E6", 6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)]),
-    root_plus_hexagonal("E7", 7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)]),
+    root_plus_hexagonal("E6", 6, E6_EDGES),
+    root_plus_hexagonal("E7", 7, E7_EDGES),
 ]
 
 
@@ -79,7 +83,8 @@ def test_lp_reaches_the_largest_smallest_coefficient(lat, t):
     # the trace identity fixes the coefficient sum of each block: rank / 2 over
     # the root system's pairs (36 for E6, 63 for E7) and 1 over the plane's
     # 3 pairs, so the smallest coefficient is at most 6/72 = 1/12 (7/126 =
-    # 1/18), reached only when the root pairs share it and the plane's get 1/3
+    # 1/18), reached only when the root pairs share it and the plane's get 1/3;
+    # the components give that point without running the LP
     res = eutaxy_classify(lat)
     pairs = minimal_vectors(lat).pairs
     assert res.klass is EutaxyClass.EUTACTIC and min(res.coefficients) == t
@@ -135,6 +140,15 @@ def test_planar_17_not_weakly_eutactic():
     assert res.solution_space_dim == -1 and res.coefficients is None
 
 
+def test_repeated_rows_with_other_right_sides_are_inconsistent():
+    # the pairs e1, e2, e3 and e1 + e2 + e3 give the entries (0, 1), (0, 2)
+    # and (1, 2) one row, (0, 0, 0, 1), but s adj(A) has 12, 12 and 9 there
+    lat = lattice_from_gram("t3", [[5, -2, -2], [-2, 5, -1], [-2, -1, 5]])
+    assert minimal_vectors(lat).pairs == ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1))
+    assert adjugate(lat.int_gram)[1] == [[24, 12, 12], [12, 21, 9], [12, 9, 21]]
+    assert eutaxy_classify(lat) == EutaxyResult(EutaxyClass.NOT_WEAKLY_EUTACTIC, None, -1) == reference_eutaxy(lat)
+
+
 def w_plus_d4():
     """w is weakly eutactic with a zero coefficient and no freedom; D4 is
     strongly eutactic.  In the sum the solution space has dimension 2."""
@@ -144,9 +158,26 @@ def w_plus_d4():
     return direct_sum(lattice_from_gram("w", w), lattice_from_gram("D4", d4))
 
 
-def test_weakly_eutactic_sum_where_the_lp_optimum_is_zero(monkeypatch):
-    # the LP on w + D4 shows that no solution is strictly positive: its optimum is 0
-    lat = w_plus_d4()
+def e6_plus_d4():
+    """E6 + D4 at the minimal norm 2.  Both are strongly eutactic with free
+    columns, at the common values 1/12 (E6) and 1/6 (D4): D4 is not the
+    bottleneck, so its coefficients are not forced and the LP runs."""
+    return direct_sum(root_lattice("E6", 6, E6_EDGES), root_lattice("D4", 4, D4_EDGES))
+
+
+def weak_connected():
+    """A rank-6 lattice whose 22 minimal pairs form one component: weakly
+    eutactic with a solution space of dimension 1, and not all-equal, so the
+    LP runs and its optimum is 0."""
+    h = F(1, 2)
+    return lattice_from_gram("v6", [
+        [2, 0, 0, 0, 1, 0], [0, 2, -1, -1, -h, -h], [0, -1, 2, h, 1, 1],
+        [0, -1, h, 2, 1, -h], [1, -h, 1, 1, 2, h], [0, -h, 1, -h, h, 2],
+    ])
+
+
+def recording_optima(monkeypatch):
+    """Record the (status, optimum) of every LP that eutaxy runs."""
     optima = []
 
     def recorded(*args):
@@ -155,21 +186,45 @@ def test_weakly_eutactic_sum_where_the_lp_optimum_is_zero(monkeypatch):
         return result
 
     monkeypatch.setattr(wrlat.eutaxy, "_simplex_from_basis", recorded)
+    return optima
+
+
+def test_weakly_eutactic_sum_where_the_lp_optimum_is_zero(monkeypatch):
+    # the LP on v6 + 2 A2 shows that no solution is strictly positive: its
+    # optimum is 0.  v6's one component has a free column and fails the
+    # all-equal test, so nothing forces the answer before the LP
+    lat = direct_sum(weak_connected(), scale_gram(hexagonal(), 2))
+    optima = recording_optima(monkeypatch)
     res = eutaxy_classify(lat)
-    assert lat.rank == 8 and len(minimal_vectors(lat).pairs) == 19
-    assert res.klass is EutaxyClass.WEAKLY_EUTACTIC and res.solution_space_dim == 2
+    assert lat.rank == 8 and len(minimal_vectors(lat).pairs) == 25
+    assert res.klass is EutaxyClass.WEAKLY_EUTACTIC and res.solution_space_dim == 1
     assert optima == [(OPTIMAL, 0)]
     replay_identity(lat, res.coefficients)
 
 
-# a disguise of w + D4 whose eliminated system ends on a negative d
+def test_a_fixed_zero_coefficient_decides_weak_eutaxy_without_the_lp(monkeypatch):
+    # w has no free column and a zero coefficient, and D4 is all-equal at 1/6:
+    # every coefficient is fixed and the smallest is 0, so no LP runs
+    lat = w_plus_d4()
+    optima = recording_optima(monkeypatch)
+    res = eutaxy_classify(lat)
+    assert lat.rank == 8 and len(minimal_vectors(lat).pairs) == 19
+    assert res.klass is EutaxyClass.WEAKLY_EUTACTIC and res.solution_space_dim == 2
+    assert optima == [] and min(res.coefficients) == 0
+    replay_identity(lat, res.coefficients)
+
+
+# an 8-move disguise of w + D4, for the reference corpus
 W_D4_MOVES = [(6, 5, 1), (5, 0, -1), (4, 3, 1), (4, 0, -1), (5, 3, -1), (1, 3, -1), (1, 3, -1), (6, 4, -1)]
+
+# a disguise of v6 whose eliminated system ends on a negative d
+V6_MOVES = [(4, 2, -1), (5, 4, 1), (3, 1, 1), (1, 0, -1), (3, 1, -1), (4, 0, 1)]
 
 
 @pytest.mark.parametrize(
     "lat,d_negative",
-    [(CERTIFIED[-2], False), (disguise(w_plus_d4(), W_D4_MOVES)[0], True)],
-    ids=["E6+2A2", "w+D4-disguised"],
+    [(e6_plus_d4(), False), (disguise(weak_connected(), V6_MOVES)[0], True)],
+    ids=["E6+D4", "v6-disguised"],
 )
 def test_lp_gets_the_integer_form_of_the_rational_rows(lat, d_negative, monkeypatch):
     # The LP's rational rows are the reduced rows / d, with the row sums / d
@@ -199,8 +254,8 @@ def test_lp_gets_the_integer_form_of_the_rational_rows(lat, d_negative, monkeypa
 
 @pytest.mark.parametrize(
     "lat",
-    [CERTIFIED[-2], w_plus_d4(), disguise(w_plus_d4(), W_D4_MOVES)[0]],
-    ids=["E6+2A2", "w+D4", "w+D4-disguised"],
+    [e6_plus_d4(), weak_connected(), disguise(weak_connected(), V6_MOVES)[0]],
+    ids=["E6+D4", "v6", "v6-disguised"],
 )
 def test_every_lp_step_divides_exactly(lat, monkeypatch):
     # The t column is the sum of the coefficient columns and the artificial
@@ -256,12 +311,15 @@ def reference_eutaxy(lat):
 
 
 def reference_corpus():
-    """CERTIFIED, w + D4 stored and disguised and the planar Gram [[17, 1],
-    [1, 17]], each also under an n-move and a 2n-move disguise."""
+    """CERTIFIED, w + D4 stored and disguised, the planar Gram [[17, 1],
+    [1, 17]], E6 + D4 and v6, each also under an n-move and a 2n-move
+    disguise."""
     bases = CERTIFIED + [
         w_plus_d4(),
         disguise(w_plus_d4(), W_D4_MOVES)[0],
         lattice_from_gram("p17", [[17, 1], [1, 17]]),
+        e6_plus_d4(),
+        weak_connected(),
     ]
     out = []
     for lat in bases:
@@ -281,10 +339,106 @@ def test_eutaxy_equals_the_congruent_reference(lat):
     assert eutaxy_classify(lat) == reference_eutaxy(lat)
 
 
+def no_lp(*args):
+    raise AssertionError("the LP ran")
+
+
+@pytest.mark.parametrize("lat", CERTIFIED[-2:], ids=["E6+2A2", "E7+2A2"])
+def test_forced_coefficients_reach_no_lp(lat, monkeypatch):
+    # both components are all-equal (E6 or E7 at 1/12 or 1/18, with free
+    # columns; 2 A2 at 1/3, with none), and the free one sits at the
+    # smallest value, so the optimum is forced and no LP runs
+    want = reference_eutaxy(lat)
+    monkeypatch.setattr(wrlat.eutaxy, "_simplex_from_basis", no_lp)
+    assert eutaxy_classify(lat) == want
+
+
+def test_a_free_component_above_the_bottleneck_still_reaches_the_lp(monkeypatch):
+    # D4 is all-equal at 1/6 with free columns, above E6's 1/12: the LP may
+    # lower D4's coefficients toward 1/12, so its answer is not forced
+    lat = e6_plus_d4()
+    optima = recording_optima(monkeypatch)
+    res = eutaxy_classify(lat)
+    assert optima == [(OPTIMAL, 1)]  # 1/12 times det A = 12, the optimum in c'
+    assert res.klass is EutaxyClass.EUTACTIC and min(res.coefficients) == F(1, 12)
+    assert res == reference_eutaxy(lat)
+
+
+@pytest.mark.parametrize("lat", CERTIFIED[-2:] + [root_plus_hexagonal("D4", 4, D4_EDGES)], ids=lambda lat: lat.name)
+def test_forced_coefficients_follow_the_pairs_through_a_change_of_basis(lat, monkeypatch):
+    # in a disguise with basis matrix T, the pair with coordinates v is the
+    # stored pair +-T v, and keeps its coefficient
+    monkeypatch.setattr(wrlat.eutaxy, "_simplex_from_basis", no_lp)
+    rng = random.Random(lat.name)
+    n = lat.rank
+
+    def by_pair(case, t):
+        pairs = minimal_vectors(case).pairs
+        coeffs = eutaxy_classify(case).coefficients
+        out = {}
+        for v, c in zip(pairs, coeffs):
+            u = [sum(t[r][j] * v[j] for j in range(n)) for r in range(n)]
+            out[max(tuple(u), tuple(-x for x in u))] = c
+        return out
+
+    want = by_pair(lat, [[int(i == j) for j in range(n)] for i in range(n)])
+    assert len(set(want.values())) == 2
+    for count in (n, 2 * n):
+        case, t = disguise(lat, [(*rng.sample(range(n), 2), rng.choice((1, -1))) for _ in range(count)])
+        assert by_pair(case, t) == want
+
+
+# summands at minimal norm 1: D4 and E6 are all-equal with free columns, the
+# rest have none, and K3' and the staircases are not all-equal
+FREE_SUMMANDS = [normalize_min_norm(root_lattice("D4", 4, D4_EDGES)), normalize_min_norm(root_lattice("E6", 6, E6_EDGES))]
+SUMMANDS = FREE_SUMMANDS + [
+    normalize_min_norm(lat)
+    for lat in (
+        integer_lattice(1), integer_lattice(2), hexagonal(), an_root(3), an_root(4),
+        an_dual_frame(3), an_dual_frame(4), k3_prime(), staircase(3), staircase(4),
+    )
+]
+
+
+@st.composite
+def direct_sums(draw):
+    """2-3 summands of total rank <= 10, the first free half the time, at one
+    minimal norm or (a fifth of the draws) at norms 1 and 2, stored or under
+    an n-move disguise."""
+    parts = [draw(st.sampled_from(FREE_SUMMANDS if draw(st.booleans()) else SUMMANDS))]
+    for _ in range(draw(st.integers(1, 2))):
+        fits = [p for p in SUMMANDS if p.rank <= 10 - sum(q.rank for q in parts)]
+        if fits:
+            parts.append(draw(st.sampled_from(fits)))
+    norms = draw(st.sampled_from([[1] * len(parts)] * 4 + [[1, 2, 1][: len(parts)]]))
+    lat = scale_gram(parts[0], norms[0])
+    for part, norm in zip(parts[1:], norms[1:]):
+        lat = direct_sum(lat, scale_gram(part, norm))
+    n = lat.rank
+    if draw(st.booleans()):
+        cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 2), st.sampled_from((1, -1)))
+        moves = [(i, (i + 1 + j) % n, e) for i, j, e in draw(st.lists(cells, min_size=n, max_size=n))]
+        lat = disguise(lat, moves)[0]
+    return lat
+
+
+@settings(max_examples=60, deadline=None)
+@given(direct_sums())
+def test_eutaxy_equals_the_reference_on_direct_sums(lat):
+    if not is_well_rounded(lat):
+        with pytest.raises(NotWellRounded):
+            eutaxy_classify(lat)
+        return
+    assert eutaxy_classify(lat) == reference_eutaxy(lat)
+
+
 @pytest.mark.parametrize("lat", [hexagonal(), k3_prime(), CERTIFIED[-2], w_plus_d4()], ids=lambda lat: lat.name)
 def test_the_system_rows_are_the_rank_one_forms(lat, monkeypatch):
     # the eutaxy system's coefficient rows are the rank-one forms u_i u_i^T
-    # that is_perfect ranks, one column per pair, and its right side s adj(A)
+    # that is_perfect ranks, one column per pair, and its right side s adj(A):
+    # one equation per distinct nonzero row, in the order the entries (p, q)
+    # first give it, and every dropped row repeats a kept one's right side,
+    # or is zero with a zero right side
     seen = []
 
     def reduce(*args):
@@ -295,10 +449,18 @@ def test_the_system_rows_are_the_rank_one_forms(lat, monkeypatch):
     eutaxy_classify(lat)
     n = lat.rank
     ((system, b),) = seen
-    assert [list(row) for row in system] == [list(col) for col in zip(*_rank_one_rows(minimal_vectors(lat).pairs, n))]
     det, adj = adjugate(lat.int_gram)
     assert det == lat.leading_minors[-1]
-    assert b == [lat.scale * adj[p][q] for p in range(n) for q in range(p, n)]
+    rows = list(zip(*_rank_one_rows(minimal_vectors(lat).pairs, n)))
+    rhs = [lat.scale * adj[p][q] for p in range(n) for q in range(p, n)]
+    kept = {}
+    for row, v in zip(rows, rhs):
+        if any(row):
+            kept.setdefault(row, v)
+    assert [tuple(row) for row in system] == list(kept)
+    assert list(b) == list(kept.values())
+    for row, v in zip(rows, rhs):
+        assert v == kept.get(row, 0)
 
 
 def test_eutaxy_requires_well_rounded():
