@@ -7,26 +7,30 @@ lcm of G's denominators), G^{-1} = s adj(A) / det A, from `adjugate`, so
 c' = det(A) c solves the integer system sum_i c'_i u_i u_i^T = s adj(A),
 whose coefficient rows are the rank-one forms that `is_perfect` ranks (one
 copy of each distinct row is kept; a repeat with another right side makes
-the system inconsistent).  The classification ladder:
+the system inconsistent).
 
-  no real solution            -> NotWeaklyEutactic
-  a real solution exists      -> WeaklyEutactic
-  a strictly positive one     -> Eutactic       (the LP, unless forced)
-  the all-equal one works     -> StronglyEutactic (checked directly)
+The reduced rows split by the components of the pair graph (u_i, u_j linked
+when u_i^T A u_j != 0; they span orthogonal subspaces), and a component's
+level is c' when c' (1, ..., 1) solves its own rows, if it does.  A
+component with no free column is fixed, and one with a level is fixed at it
+as far as the LP goes.  The classification ladder:
+
+  no real solution                          -> NotWeaklyEutactic
+  every component at one positive level     -> StronglyEutactic
+  every free component has a level, so the smallest coefficient t is forced:
+    t <= 0                                  -> WeaklyEutactic
+    every free component sits at t          -> Eutactic (vacuous in dimension 0)
+  otherwise the LP: optimum t > 0           -> Eutactic, else WeaklyEutactic
 
 The LP maximizes t over c = x + t (1, ..., 1) with x, t >= 0, subject to the
 reduced rows of the system (one per pivot of its elimination); the lattice
 is Eutactic iff the optimum t is positive, and then t is the largest
-possible smallest coefficient.  It is skipped where the components of the
-pair graph (u_i, u_j linked when u_i^T A u_j != 0; they span orthogonal
-subspaces, and the system splits by them) force its answer: each has no
-free column or is all-equal on its own rows, and the smallest coefficient
-is <= 0 or every component with a free column sits at it.  The elimination
-and the LP run on integers only, and Fractions are built only for the
-coefficients reported, each divided by det A.  The LP starts from the basis
-the elimination found: the rows of `row_reduce` with their own d and no
-common factor divided out, and their row sums as the column of t, so every
-pivot divides exactly (`simplex`).
+possible smallest coefficient; where t is forced, the forced point is the
+one that reaches it.  The elimination and the LP run on integers only, and
+Fractions are built only for the coefficients reported, each divided by
+det A.  The LP starts from the basis the elimination found: the rows of
+`row_reduce` with their own d and no common factor divided out, and their
+row sums as the column of t, so every pivot divides exactly (`simplex`).
 
 Perfection asks whether the rank-one forms u_i u_i^T span the whole space of
 symmetric matrices.  Conjugation by the basis matrix preserves that rank, so
@@ -108,31 +112,23 @@ def eutaxy_classify(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> EutaxyResul
     for c, row in zip(pivots, rows):
         particular[c] = Fraction(row[-1], d * det)
 
-    # direct all-equal test, independent of the LP below
-    common = _common_value(list(zip(rows, sums)))
-    if common is not None and common > 0:
+    # each reduced row lies in its pivot's component, and each component has
+    # a row with a nonzero sum (the trace pins its mean)
+    labels = _pair_pass(lat.int_gram, pairs)[-1]
+    levels = {x: _common_value([(r, s) for r, s, c in zip(rows, sums, pivots) if labels[c] == x]) for x in set(labels)}
+    common, *others = set(levels.values())
+    if not others and common is not None and common > 0:
         return EutaxyResult(EutaxyClass.STRONGLY_EUTACTIC, (common / det,) * k, dim)
 
-    if dim == 0:
-        coeffs = tuple(particular)
-        if all(c > 0 for c in coeffs):
-            return EutaxyResult(EutaxyClass.EUTACTIC, coeffs, 0)
-        return EutaxyResult(EutaxyClass.WEAKLY_EUTACTIC, coeffs, 0)
-
-    # each reduced row lies in its pivot's component of the pair graph: one
-    # with no free column is fixed, and one all-equal on its own rows is fixed
-    # at its common value as far as the LP goes (the trace pins its mean)
-    labels = _pair_pass(lat.int_gram, pairs)[-1]
-    levels = {labels[c]: None for c in set(range(k)).difference(pivots)}
-    for label in levels:
-        levels[label] = _common_value([(r, s) for r, s, c in zip(rows, sums, pivots) if labels[c] == label])
-    if None not in levels.values():
-        forced = [levels[labels[c]] / det if labels[c] in levels else x for c, x in enumerate(particular)]
+    free = {labels[c] for c in set(range(k)).difference(pivots)}
+    if all(levels[label] is not None for label in free):
+        forced = [levels[labels[c]] / det if labels[c] in free else x for c, x in enumerate(particular)]
         t = min(forced)  # the LP's optimum
         if t <= 0:
             return EutaxyResult(EutaxyClass.WEAKLY_EUTACTIC, tuple(particular), dim)
-        if set(levels.values()) == {t * det}:
-            # no free component above t: forced is the one point reaching it
+        if all(levels[label] == t * det for label in free):
+            # no free component above t (none at all in dimension 0): forced
+            # is the one point reaching it
             return EutaxyResult(EutaxyClass.EUTACTIC, tuple(forced), dim)
 
     # maximize the smallest coefficient t: c = x + t (1, ..., 1) with x, t >= 0

@@ -36,12 +36,14 @@ def _pair_pass(
     d_ij = u_i^T A u_j of `gram_of_vectors` on the integer Gram A = s G.
 
     norm is d_ii (the same for every minimal pair), top = |d_ij| is the
-    largest off the diagonal with (i, j) its lexicographically first pair,
-    and worst the largest row sum of |d_ij| over j != i.  labels[i] is the
-    first pair of i's component in the graph linking i, j when d_ij != 0.
+    largest off the diagonal with (i, j) its lexicographically first pair
+    (0 at (0, 0) for a single pair), and worst the largest row sum of |d_ij|
+    over j != i.  labels[i] is the first pair of i's component in the graph
+    linking i, j when d_ij != 0.
     """
     d = gram_of_vectors(a, pairs)
-    top, i, j = max(((abs(d[i][j]), i, j) for i, j in combinations(range(len(d)), 2)), key=itemgetter(0))
+    off_diagonal = ((abs(d[i][j]), i, j) for i, j in combinations(range(len(d)), 2))
+    top, i, j = max(off_diagonal, key=itemgetter(0), default=(0, 0, 0))
     worst = max(sum(map(abs, row)) - row[i] for i, row in enumerate(d))
     labels = [-1] * len(d)
     for first in range(len(d)):

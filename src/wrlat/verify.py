@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from math import isqrt
 from typing import Callable
 
 from .constructions import (
@@ -348,14 +348,12 @@ def _check_cn_values(max_n: int) -> str:
     return f"c_2 = 1/2, c_1000 = {v:.11f}"
 
 
-@lru_cache(maxsize=4096)
 def _subthreshold_bound(n: int, denominator: int) -> int:
-    k = int(cn_value(n) * denominator)  # a float bound, made exact by cn_test
-    while not cn_test(Fraction(k, denominator), n):
-        k -= 1
-    while cn_test(Fraction(k + 1, denominator), n):
-        k += 1
-    return k
+    """The largest k with k / denominator <= c_n, that is floor(D c_n) for
+    D = denominator: the floor of (sqrt(X) - (n-2) D) / (8(n-1)) with
+    X = D^2 ((n-2)^2 + 16(n-1)) is unchanged when sqrt(X) becomes isqrt(X)."""
+    d = denominator
+    return (isqrt(d * d * ((n - 2) ** 2 + 16 * (n - 1))) - (n - 2) * d) // (8 * (n - 1))
 
 
 def random_subthreshold_lattice(rng: random.Random, n: int, denominator: int = 64) -> Lattice:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from wrlat import (
     EutaxyClass,
     EutaxyResult,
+    FewerThanTwoPairs,
     NotWellRounded,
     an_dual_frame,
     an_root,
@@ -32,6 +33,7 @@ from wrlat import (
 import wrlat.eutaxy
 from wrlat.constructions import strict_family_lattices, weak_family_lattices
 from wrlat.eutaxy import _rank_one_rows
+from wrlat.invariants import _pair_pass
 from wrlat.ratlinalg import RatMatrix, adjugate, integer_scaled, row_reduce
 import wrlat.simplex
 from wrlat.simplex import OPTIMAL, UNBOUNDED, INFEASIBLE, _simplex_from_basis
@@ -103,6 +105,17 @@ def test_integer_lattice_strongly_eutactic():
         assert res.klass is EutaxyClass.STRONGLY_EUTACTIC
         assert res.coefficients == (F(1),) * n
         replay_identity(integer_lattice(n), res.coefficients)
+
+
+def test_rank_one_lattices_are_strongly_eutactic():
+    # a single minimal pair is one component, whose level is its coefficient;
+    # coherence still refuses it
+    for gram, c in (([[1]], F(1)), ([[F(5, 3)]], F(3, 5))):
+        lat = lattice_from_gram("line", gram)
+        assert eutaxy_classify(lat) == EutaxyResult(EutaxyClass.STRONGLY_EUTACTIC, (c,), 0)
+        assert _pair_pass(lat.int_gram, minimal_vectors(lat).pairs)[-1] == (0,)
+        with pytest.raises(FewerThanTwoPairs):
+            coherence(lat)
 
 
 def test_hexagonal_strongly_eutactic():
@@ -364,6 +377,20 @@ def test_a_free_component_above_the_bottleneck_still_reaches_the_lp(monkeypatch)
     assert res == reference_eutaxy(lat)
 
 
+@pytest.mark.parametrize("lat", [staircase(9), lnm(9, 4), hybrid(8, 2), k3_prime()], ids=lambda lat: lat.name)
+def test_a_system_of_dimension_zero_never_reaches_the_lp(lat, monkeypatch):
+    # no column is free, so the forced point is the particular solution, and
+    # "every free component sits at t" holds with no component to check
+    rng = random.Random(lat.name)
+    n = lat.rank
+    cases = [lat, disguise(lat, [(*rng.sample(range(n), 2), rng.choice((1, -1))) for _ in range(n)])[0]]
+    wants = [reference_eutaxy(case) for case in cases]
+    monkeypatch.setattr(wrlat.eutaxy, "_simplex_from_basis", no_lp)
+    for case, want in zip(cases, wants):
+        res = eutaxy_classify(case)
+        assert res == want and res.klass is EutaxyClass.EUTACTIC and res.solution_space_dim == 0
+
+
 @pytest.mark.parametrize("lat", CERTIFIED[-2:] + [root_plus_hexagonal("D4", 4, D4_EDGES)], ids=lambda lat: lat.name)
 def test_forced_coefficients_follow_the_pairs_through_a_change_of_basis(lat, monkeypatch):
     # in a disguise with basis matrix T, the pair with coordinates v is the
@@ -430,6 +457,39 @@ def test_eutaxy_equals_the_reference_on_direct_sums(lat):
             eutaxy_classify(lat)
         return
     assert eutaxy_classify(lat) == reference_eutaxy(lat)
+
+
+def venkov_strong(lat):
+    """Strong eutaxy by Venkov's criterion, with no elimination: the minimal
+    vectors x_i = B u_i form a tight frame, sum_i x_i x_i^T = lambda I with
+    lambda > 0, which in coefficient coordinates (G = B^T B) reads
+    (sum_i u_i u_i^T) G = lambda I."""
+    n, pairs = lat.rank, minimal_vectors(lat).pairs
+    frame = [[sum(u[a] * u[b] for u in pairs) for b in range(n)] for a in range(n)]
+    m = [[sum(frame[a][k] * lat.gram[k, b] for k in range(n)) for b in range(n)] for a in range(n)]
+    return m[0][0] > 0 and all(m[a][b] == m[0][0] * (a == b) for a in range(n) for b in range(n))
+
+
+FAMILIES = weak_family_lattices(7) + [f(n) for n in range(2, 8) for f in (an_root, an_dual_frame)] + [
+    coxeter_barnes(7, 4),
+    root_lattice("D4", 4, D4_EDGES),
+    root_lattice("E6", 6, E6_EDGES),
+]
+
+
+@pytest.mark.parametrize("lat", FAMILIES, ids=lambda lat: lat.name)
+def test_strong_eutaxy_is_venkov_on_the_families(lat):
+    rng = random.Random(lat.name)
+    n = lat.rank
+    for case in (lat, disguise(lat, [(*rng.sample(range(n), 2), rng.choice((1, -1))) for _ in range(n)])[0]):
+        assert (eutaxy_classify(case).klass is EutaxyClass.STRONGLY_EUTACTIC) == venkov_strong(case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(direct_sums())
+def test_strong_eutaxy_is_venkov_on_direct_sums(lat):
+    if is_well_rounded(lat):
+        assert (eutaxy_classify(lat).klass is EutaxyClass.STRONGLY_EUTACTIC) == venkov_strong(lat)
 
 
 @pytest.mark.parametrize("lat", [hexagonal(), k3_prime(), CERTIFIED[-2], w_plus_d4()], ids=lambda lat: lat.name)

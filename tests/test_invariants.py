@@ -316,3 +316,13 @@ def test_sub_threshold_draws_are_pinned_and_reach_the_exact_bound():
         assert int(cn_value(n) * 64) == k
         assert cn_test(F(k, 64), n) and not cn_test(F(k + 1, 64), n)
         assert max(abs(e) for g in grams if g.rows == n for e in g.entries if e != 1) == F(k, 64)
+
+
+def test_sub_threshold_bound_is_the_largest_passing_numerator():
+    from wrlat.verify import _subthreshold_bound
+
+    assert [_subthreshold_bound(n, 64) for n in (3, 4, 5)] == [18, 13, 11]
+    for n in range(2, 13):
+        for denominator in (*range(1, 70), 100, 999, 10**12):
+            k = _subthreshold_bound(n, denominator)
+            assert cn_test(F(k, denominator), n) and not cn_test(F(k + 1, denominator), n), (n, denominator)
