@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full invariant report for a lattice file")
     p.add_argument("file")
     p.add_argument("--out")
-    p.add_argument("--strict", action="store_true", help="exit 1 when any guard tripped")
+    p.add_argument("--strict", action="store_true", help="exit 1 when the report has any warning")
     p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
     p.add_argument("--theta", default="pi/3", help='cos^2 threshold as "p/q", or "pi/3"')
     p.add_argument("--no-basis-search", action="store_true")

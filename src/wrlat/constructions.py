@@ -25,12 +25,12 @@ HEX_GRAM = RatMatrix.from_rows([[1, Fraction(1, 2)], [Fraction(1, 2), 1]])
 def integer_lattice(n: int) -> Lattice:
     if n < 1:
         raise InputError("rank must be positive")
-    return Lattice(f"Z^{n}", n, RatMatrix.identity(n), "orthonormal basis")
+    return Lattice(f"Z^{n}", RatMatrix.identity(n), "orthonormal basis")
 
 
 @lru_cache(maxsize=4096)
 def hexagonal() -> Lattice:
-    return Lattice("hex", 2, HEX_GRAM, "two unit vectors at 60 degrees")
+    return Lattice("hex", HEX_GRAM, "two unit vectors at 60 degrees")
 
 
 @lru_cache(maxsize=4096)
@@ -39,7 +39,7 @@ def lnm(n: int, m: int) -> Lattice:
     if n < 2 or m < 0 or 2 * m > n:
         raise InputError(f"need n >= 2 and 0 <= m <= n/2, got n={n} m={m}")
     blocks = [HEX_GRAM] * m + [RatMatrix.identity(n - 2 * m)] * (1 if n > 2 * m else 0)
-    return Lattice(f"L({n},{m})", n, block_diag(*blocks), f"{m} hexagonal blocks plus identity of size {n - 2 * m}")
+    return Lattice(f"L({n},{m})", block_diag(*blocks), f"{m} hexagonal blocks plus identity of size {n - 2 * m}")
 
 
 @lru_cache(maxsize=4096)
@@ -58,7 +58,7 @@ def staircase(n: int) -> Lattice:
         for i in range(k):
             val = (g[0][i] - sum(g[j][i] for j in range(1, k))) / 2
             g[i][k] = g[k][i] = val
-    return Lattice(f"staircase({n})", n, RatMatrix.from_rows(g), "60-degree chain basis")
+    return Lattice(f"staircase({n})", RatMatrix.from_rows(g), "60-degree chain basis")
 
 
 def hybrid_max_m(n: int) -> int:
@@ -82,7 +82,7 @@ def hybrid(n: int, m: int) -> Lattice:
     t = max_m - m
     d = n - 2 * t
     blocks = [staircase(d).gram] + [HEX_GRAM] * t
-    return Lattice(f"hybrid({n},{m})", n, block_diag(*blocks), f"staircase({d}) plus {t} hexagonal blocks")
+    return Lattice(f"hybrid({n},{m})", block_diag(*blocks), f"staircase({d}) plus {t} hexagonal blocks")
 
 
 @lru_cache(maxsize=4096)
@@ -91,7 +91,7 @@ def k3_prime() -> Lattice:
     pairwise cosines -1/2, -1/2, 1/4."""
     h, q = Fraction(-1, 2), Fraction(1, 4)
     g = [[1, h, h], [h, 1, q], [h, q, 1]]
-    return Lattice("K3'", 3, RatMatrix.from_rows(g), "unit basis with cosines -1/2, -1/2, 1/4")
+    return Lattice("K3'", RatMatrix.from_rows(g), "unit basis with cosines -1/2, -1/2, 1/4")
 
 
 @lru_cache(maxsize=4096)
@@ -104,7 +104,7 @@ def an_root(n: int) -> Lattice:
         g[i][i] = Fraction(2)
         if i + 1 < n:
             g[i][i + 1] = g[i + 1][i] = Fraction(-1)
-    return Lattice(f"A{n}", n, RatMatrix.from_rows(g), "simple roots e_i - e_(i+1)")
+    return Lattice(f"A{n}", RatMatrix.from_rows(g), "simple roots e_i - e_(i+1)")
 
 
 @lru_cache(maxsize=4096)
@@ -117,7 +117,7 @@ def an_dual_frame(n: int) -> Lattice:
     if n < 2:
         raise InputError("frame needs rank >= 2")
     g = [[Fraction(1) if i == j else Fraction(-1, n) for j in range(n)] for i in range(n)]
-    return Lattice(f"A{n}*", n, RatMatrix.from_rows(g), "cyclic unit frame, cosines -1/n")
+    return Lattice(f"A{n}*", RatMatrix.from_rows(g), "cyclic unit frame, cosines -1/n")
 
 
 @lru_cache(maxsize=4096)
@@ -139,7 +139,7 @@ def coxeter_barnes(n: int, r: int) -> Lattice:
     for i in range(n - 1):
         g[i][n - 1] = g[n - 1][i] = Fraction(n + 1, r)
     g[n - 1][n - 1] = Fraction(n * (n + 1), r * r)
-    return Lattice(f"A{n}^{r}", n, RatMatrix.from_rows(g), "root differences plus glue vector")
+    return Lattice(f"A{n}^{r}", RatMatrix.from_rows(g), "root differences plus glue vector")
 
 
 def is_squarefree(d: int) -> bool:

@@ -140,17 +140,17 @@ def eutaxy_classify(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> EutaxyResul
         coeffs = tuple((x + value) / det for x in point[:k])
         return EutaxyResult(EutaxyClass.EUTACTIC, coeffs, dim)
     if status == UNBOUNDED:
-        # cannot happen: the trace identity pins the coefficient sum
-        raise LatticeError(f"positivity LP ended with status {status!r}")
+        # cannot happen (the trace identity pins the coefficient sum): a bug, not a guard trip
+        raise RuntimeError(f"positivity LP ended with status {status!r}")
     return EutaxyResult(EutaxyClass.WEAKLY_EUTACTIC, tuple(particular), dim)
 
 
-def is_perfect(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> bool:
+def is_perfect(lat: Lattice) -> bool:
     """True iff the rank-one forms of the minimal vectors span Sym_n."""
-    if not is_well_rounded(lat, max_dim):
+    if not is_well_rounded(lat):
         raise NotWellRounded(f"{lat.name!r} is not well-rounded")
     n = lat.rank
-    pairs = minimal_vectors(lat, max_dim).pairs
+    pairs = minimal_vectors(lat).pairs
     target = n * (n + 1) // 2
     if len(pairs) < target:
         return False
@@ -161,7 +161,6 @@ def is_perfect(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> bool:
 class ClassificationReport:
     """Everything this package can say about one lattice, guard trips flagged."""
 
-    lattice: Lattice
     fields: dict
     warnings: tuple[str, ...]
 
@@ -240,4 +239,4 @@ def classification_report(
         if eut
         else None,
     }
-    return ClassificationReport(lattice=lat, fields=fields, warnings=tuple(warnings))
+    return ClassificationReport(fields=fields, warnings=tuple(warnings))

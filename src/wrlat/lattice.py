@@ -8,6 +8,7 @@ and every layer and cache reads that form, so G becomes integers once.
 Float input is only ever checked, within 1e-9 (BASIS_GRAM_TOLERANCE): a file's
 optional "basis" against its authoritative Gram, and lattice_from_float_basis'
 rationalization.  That is the one float comparison; it feeds no invariant or verdict.
+Lattice files are written with the Gram only; a "basis" is read, never written.
 """
 
 from __future__ import annotations
@@ -38,15 +39,15 @@ class Lattice:
     Construction checks the shape, then the symmetry (A equals its transpose)
     and the positive definiteness (one elimination, `diagonal_pivots`) of the
     integer Gram A = s G, s the lcm of G's denominators (`integer_scaled`), so
-    every Lattice has a positive-definite Gram.  It keeps what that elimination
-    computed, read-only and outside equality, hashing and repr: `scale` s,
-    `int_gram` A as a tuple of tuples, and `leading_minors` P_0 = 1, ...,
-    P_n of A."""
+    every Lattice has a positive-definite Gram.  It keeps, read-only and outside
+    equality and hashing, the Gram's size `rank` n and what that elimination
+    computed: `scale` s, `int_gram` A as a tuple of tuples, and
+    `leading_minors` P_0 = 1, ..., P_n of A."""
 
     name: str
-    rank: int
     gram: RatMatrix
     provenance: str = ""
+    rank: int = field(init=False, repr=False, compare=False)
     scale: int = field(init=False, repr=False, compare=False)
     int_gram: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     leading_minors: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -55,8 +56,6 @@ class Lattice:
         g = self.gram
         if g.rows != g.cols or g.rows < 1:
             raise ValueError("Gram matrix must be square and nonempty")
-        if self.rank != g.rows:
-            raise ValueError(f"rank {self.rank} does not match the {g.rows}x{g.rows} Gram")
         scale, a = integer_scaled(g)
         int_gram = tuple(map(tuple, a))
         if tuple(zip(*a)) != int_gram:  # s > 0, so s G is symmetric iff G is
@@ -65,6 +64,7 @@ class Lattice:
         if pivots[-1] <= 0:  # D_k = P_{k+1} / (s P_k) at the first P_{k+1} <= 0
             k = len(pivots) - 2
             raise NotPositiveDefinite(f"pivot {k} is {Fraction(pivots[-1], scale * pivots[-2])}")
+        object.__setattr__(self, "rank", g.rows)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "int_gram", int_gram)
         object.__setattr__(self, "leading_minors", tuple(pivots))
@@ -81,7 +81,7 @@ def lattice_from_gram(name: str, gram, provenance: str = "") -> Lattice:
     """Wrap a Gram matrix, given as a RatMatrix or as rows; Lattice validates it."""
     if not isinstance(gram, RatMatrix):
         gram = RatMatrix.from_rows(gram)
-    return Lattice(name=name, rank=gram.rows, gram=gram, provenance=provenance)
+    return Lattice(name, gram, provenance)
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,7 @@ class FloatBasis:
 
 
 def lattice_from_float_basis(
-    name: str, basis: FloatBasis | Sequence[Sequence[float]], max_denominator: int = 10**6,
-    provenance: str = "",
+    name: str, basis: FloatBasis | Sequence[Sequence[float]], max_denominator: int = 10**6
 ) -> Lattice:
     """Build an exact lattice from a floating basis.
 
@@ -139,21 +138,21 @@ def lattice_from_float_basis(
                 )
             out[i][j] = out[j][i] = approx
     try:
-        return lattice_from_gram(name, out, provenance=provenance or "rationalized float basis")
+        return lattice_from_gram(name, out, provenance="rationalized float basis")
     except NotPositiveDefinite as exc:
         raise ValueError("basis columns are not numerically independent") from exc
 
 
 def direct_sum(l1: Lattice, l2: Lattice) -> Lattice:
     """Orthogonal direct sum: block-diagonal Gram."""
-    return Lattice(f"{l1.name}(+){l2.name}", l1.rank + l2.rank, block_diag(l1.gram, l2.gram), "orthogonal direct sum")
+    return Lattice(f"{l1.name}(+){l2.name}", block_diag(l1.gram, l2.gram), "orthogonal direct sum")
 
 
 def scale_gram(lat: Lattice, factor) -> Lattice:
     f = Fraction(factor)
     if f <= 0:
         raise ValueError("scale factor must be positive")
-    return Lattice(lat.name, lat.rank, lat.gram.scaled(f), lat.provenance)
+    return Lattice(lat.name, lat.gram.scaled(f), lat.provenance)
 
 
 def normalize_min_norm(lat: Lattice) -> Lattice:
@@ -161,9 +160,7 @@ def normalize_min_norm(lat: Lattice) -> Lattice:
     from .minvec import minimal_norm_sq  # local import: minvec depends on this module
 
     m = minimal_norm_sq(lat)
-    if m == 1:
-        return lat
-    return Lattice(lat.name, lat.rank, lat.gram.scaled(Fraction(1) / m), lat.provenance)
+    return lat if m == 1 else scale_gram(lat, 1 / m)
 
 
 def principal_sublattice(lat: Lattice, indices: Sequence[int]) -> Lattice:
@@ -174,7 +171,7 @@ def principal_sublattice(lat: Lattice, indices: Sequence[int]) -> Lattice:
     if len(set(idx)) != len(idx) or any(not (0 <= i < lat.rank) for i in idx):
         raise ValueError(f"bad index set {indices!r} for rank {lat.rank}")
     rows = [[lat.gram[i, j] for j in idx] for i in idx]
-    return Lattice(f"{lat.name}|{tuple(idx)}", len(idx), RatMatrix.from_rows(rows), "principal sublattice")
+    return Lattice(f"{lat.name}|{tuple(idx)}", RatMatrix.from_rows(rows), "principal sublattice")
 
 
 def reorder_basis(lat: Lattice, perm: Sequence[int]) -> Lattice:
@@ -183,7 +180,7 @@ def reorder_basis(lat: Lattice, perm: Sequence[int]) -> Lattice:
     if sorted(p) != list(range(lat.rank)):
         raise ValueError(f"{perm!r} is not a permutation of 0..{lat.rank - 1}")
     rows = [[lat.gram[p[i], p[j]] for j in range(lat.rank)] for i in range(lat.rank)]
-    return Lattice(lat.name, lat.rank, RatMatrix.from_rows(rows), lat.provenance)
+    return Lattice(lat.name, RatMatrix.from_rows(rows), lat.provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -191,19 +188,17 @@ def reorder_basis(lat: Lattice, perm: Sequence[int]) -> Lattice:
 #
 # Schema: { "name": str, "rank": int, "gram": [["p/q", ...], ...],
 #           "basis": optional [[float, ...], ...] (columns), "provenance": str }
+# The writer emits no "basis"; the reader checks one against the Gram.
 # ---------------------------------------------------------------------------
 
 
-def lattice_to_json_dict(lat: Lattice, basis: FloatBasis | None = None) -> dict:
-    d = {
+def lattice_to_json_dict(lat: Lattice) -> dict:
+    return {
         "name": lat.name,
         "rank": lat.rank,
         "gram": [[format_rational(e) for e in lat.gram.row(i)] for i in range(lat.rank)],
         "provenance": lat.provenance,
     }
-    if basis is not None:
-        d["basis"] = [list(col) for col in basis.columns]
-    return d
 
 
 def lattice_from_json_dict(d: dict) -> Lattice:
@@ -236,9 +231,9 @@ def lattice_from_json_dict(d: dict) -> Lattice:
     return lat
 
 
-def save_lattice(lat: Lattice, path: str, basis: FloatBasis | None = None) -> None:
+def save_lattice(lat: Lattice, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(lattice_to_json_dict(lat, basis), fh, sort_keys=True, indent=2)
+        json.dump(lattice_to_json_dict(lat), fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 

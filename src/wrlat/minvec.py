@@ -15,12 +15,13 @@ integer rank of the pair matrix (`int_rank`, which stops at n independent
 pairs), cached on the pairs.  Every report-level helper that needs the
 minimal vectors, here and in invariants, ortho and eutaxy, takes the rank
 guard `max_dim` and passes it on, so one setting holds for a whole report.
-Two take none and keep the fixed guard of 12: the all-orderings verdict,
-and `ortho.minimal_basis_subsets`, which the membership report reaches only
-after the verdict has passed that guard.  A box-scan brute-force oracle
-cross-validates the enumerator on the Gram as given, with no reduction: an
-integer odometer over every coordinate but the last, which is swept row by
-row.  The suite derives each box from a certificate, `certified_box`:
+Three take none and keep the fixed guard of 12: the all-orderings verdict;
+`ortho.minimal_basis_subsets`, which the membership report reaches only
+after the verdict has passed that guard; and `eutaxy.is_perfect`, which the
+report does not call, as it reads perfection from the eutaxy system's rank.
+A box-scan brute-force oracle cross-validates the enumerator on the Gram as
+given, with no reduction: an integer odometer over every coordinate but the
+last, which is swept row by row.  The suite derives each box from a certificate, `certified_box`:
 q(u) <= m gives u_i^2 <= m (G^-1)_ii, so m at least the minimum makes the
 scan complete.
 """
@@ -34,7 +35,7 @@ from functools import lru_cache
 
 from .errors import DimensionGuardExceeded, PairCountGuardExceeded
 from .lattice import Lattice
-from .ratlinalg import adjugate, diagonal_pivots, format_rational, int_rank
+from .ratlinalg import adjugate, diagonal_pivots, int_rank
 
 DEFAULT_MAX_DIM = 12
 DEFAULT_PAIR_GUARD_FACTOR = 10
@@ -55,12 +56,6 @@ class MinimalVectorSet:
     @property
     def count(self) -> int:
         return 2 * len(self.pairs)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "norm_sq": format_rational(self.norm_sq),
-            "pairs": [list(u) for u in self.pairs],
-        }
 
 
 def _canonical_pair(u: tuple[int, ...]) -> tuple[int, ...]:

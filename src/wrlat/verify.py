@@ -46,7 +46,7 @@ GRID = (Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), HALF)
 class CheckResult:
     check_id: str
     claim: str
-    status: str  # pass | fail | error | skipped
+    status: str  # pass | fail | error
     details: str
 
     def to_json_dict(self) -> dict:
@@ -72,7 +72,7 @@ class SuiteReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.status in ("pass", "skipped") for c in self.checks)
+        return all(c.status == "pass" for c in self.checks)
 
     def to_json_dict(self) -> dict:
         return {
@@ -356,18 +356,18 @@ def _subthreshold_bound(n: int, denominator: int) -> int:
     return (isqrt(d * d * ((n - 2) ** 2 + 16 * (n - 1))) - (n - 2) * d) // (8 * (n - 1))
 
 
-def random_subthreshold_lattice(rng: random.Random, n: int, denominator: int = 64) -> Lattice:
+def random_subthreshold_lattice(rng: random.Random, n: int) -> Lattice:
     """Random unit-diagonal Gram whose off-diagonals pass the exact c_n test.
 
     Such a Gram is positive definite for every n >= 2: each |off-diagonal| is
     at most c_n < 1/(n - 1), so it is strictly diagonally dominant.  Each
-    entry is one draw from [-k, k] / denominator, k the largest that passes.
+    entry is one draw from [-k, k] / 64, k the largest that passes.
     """
-    k = _subthreshold_bound(n, denominator)
+    k = _subthreshold_bound(n, 64)
     g = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            g[i][j] = g[j][i] = Fraction(rng.randint(-k, k), denominator)
+            g[i][j] = g[j][i] = Fraction(rng.randint(-k, k), 64)
     return lattice_from_gram(f"random{n}", g)
 
 

@@ -265,6 +265,14 @@ def test_lp_gets_the_integer_form_of_the_rational_rows(lat, d_negative, monkeypa
     assert lp_rows == [[*row[:-1], sum(row[:-1]), row[-1]] for row in rows]
 
 
+def test_an_impossible_lp_status_is_a_bug_not_a_warning(monkeypatch):
+    # the trace identity pins the coefficient sum, so an unbounded LP is a
+    # bug: the report raises rather than null eutaxy_class and warn
+    monkeypatch.setattr(wrlat.eutaxy, "_simplex_from_basis", lambda *args: (UNBOUNDED, None, None))
+    with pytest.raises(RuntimeError, match="positivity LP ended with status 'unbounded'"):
+        classification_report(e6_plus_d4())
+
+
 @pytest.mark.parametrize(
     "lat",
     [e6_plus_d4(), weak_connected(), disguise(weak_connected(), V6_MOVES)[0]],

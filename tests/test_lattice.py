@@ -65,14 +65,22 @@ def test_from_gram_rejects_indefinite():
     ],
 )
 def test_lattice_checks_its_gram(rank, rows, error):
+    # only a lattice file states a rank; the loader checks the Gram against
+    # it, and Lattice checks the Gram itself
+    d = {"name": "bad", "rank": rank, "gram": [[str(x) for x in row] for row in rows]}
     with pytest.raises(error):
-        Lattice("bad", rank, RatMatrix.from_rows(rows))
+        lattice_from_json_dict(d)
+
+
+def test_lattice_needs_a_square_gram():
+    with pytest.raises(ValueError, match="square"):
+        Lattice("bad", RatMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))
 
 
 def test_lattice_rejects_a_gram_that_is_not_positive_definite():
     # symmetric but indefinite: an angle profile on it would read cos^2 = 4
     with pytest.raises(NotPositiveDefinite, match=r"^pivot 1 is -3$"):
-        Lattice("x", 2, RatMatrix.from_rows([[1, 2], [2, 1]]))
+        Lattice("x", RatMatrix.from_rows([[1, 2], [2, 1]]))
 
 
 def test_float_basis_hexagonal():
@@ -287,7 +295,8 @@ def test_json_gram_strings():
 
 
 def test_json_with_consistent_basis():
-    d = lattice_to_json_dict(hexagonal(), basis=FloatBasis(((1.0, 0.0), (0.5, math.sqrt(3) / 2))))
+    d = lattice_to_json_dict(hexagonal())
+    d["basis"] = [[1.0, 0.0], [0.5, math.sqrt(3) / 2]]
     assert lattice_from_json_dict(d).gram == hexagonal().gram
 
 

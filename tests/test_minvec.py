@@ -236,11 +236,6 @@ def test_brute_force_guard_counts_every_point():
         brute_force_min_vectors(integer_lattice(9), box=4)
 
 
-def test_json_shape():
-    d = minimal_vectors(hexagonal()).to_json_dict()
-    assert d == {"norm_sq": "1", "pairs": [[0, 1], [1, -1], [1, 0]]}
-
-
 # --- one enumeration per Gram -------------------------------------------------
 
 
@@ -369,7 +364,7 @@ def test_renamed_copy_hits_the_cache():
     lat = staircase(4)
     want = minimal_vectors(lat)
     before = _shortest.cache_info()
-    got = minimal_vectors(Lattice("other", lat.rank, lat.gram))
+    got = minimal_vectors(Lattice("other", lat.gram))
     after = _shortest.cache_info()
     assert got == want
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)

@@ -466,6 +466,24 @@ def test_membership_search_finds_hidden_orthogonal_basis():
     assert report.search_strict_witness is not None
 
 
+def test_membership_when_no_minimal_basis_is_unimodular():
+    # Z^5 glued by (1, 1, 1, 1, 1) / 2: its 5 minimal pairs span a sublattice
+    # of index 2, so the one spanning subset is skipped, the strict class is
+    # excluded, and the weak class stays undecided
+    h = F(1, 2)
+    lat = lattice_from_gram("Z5+glue", [[int(i == j) for j in range(4)] + [h] for i in range(4)] + [[h] * 4 + [F(5, 4)]])
+    pairs = minimal_vectors(lat).pairs
+    assert len(pairs) == 5
+    assert list(minimal_basis_subsets(lat)) == [(pairs, 2)]
+    report = membership_report(lat, search_minimal_bases=True)
+    assert (report.in_weak, report.in_strict) == (None, False)
+    assert (report.search_weak_witness, report.search_strict_witness) == (None, None)
+    assert report.reasons == (
+        "minimal-basis search exhausted all minimal bases",
+        "weak class undecided: search over minimal bases is only a heuristic",
+    )
+
+
 def test_minimal_basis_subsets_spanning_dets():
     for lat in (lnm(4, 2), hexagonal(), lnm(6, 3)):
         seen = 0

@@ -240,6 +240,26 @@ def test_a_crashing_check_is_an_error_not_a_failed_claim(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["summary"]["error"] == 1
 
 
+def test_a_failed_assertion_is_a_failed_claim(tmp_path, monkeypatch):
+    from wrlat import verify
+
+    def refuted(max_n):
+        raise AssertionError("claim refuted")
+
+    check_id, group = "coherence.integer_lattice", "coherence"
+    claim, _ = verify._REGISTRY[check_id]
+    n = len(run_suite(group, max_n=4).checks)
+    monkeypatch.setitem(verify._REGISTRY, check_id, (claim, refuted))
+    report = run_suite(group, max_n=4)
+    failed = next(c for c in report.checks if c.check_id == check_id)
+    assert (failed.status, failed.details) == ("fail", "claim refuted")
+    assert report.counts == {"pass": n - 1, "fail": 1, "skipped": 0}
+    assert not report.passed
+    out = tmp_path / "report.json"
+    assert run_cli("verify", "--suite", group, "--max-n", "4", "--out", str(out)) == 1
+    assert json.loads(out.read_text())["summary"] == {"pass": n - 1, "fail": 1, "skipped": 0}
+
+
 def test_cli_verify_max_n_above_the_enumeration_guard_exits_2(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run_cli("verify", "--max-n", "13", "--out", str(out)) == 2
@@ -304,6 +324,12 @@ def test_cli_analyze_strict_flags_guard_trips(tmp_path, capsys):
     assert run_cli("analyze", str(f), "--max-dim", "6", "--strict") == 1
 
 
+def test_cli_analyze_strict_exits_1_on_any_warning(tmp_path, capsys):
+    # Z^1 trips no guard, but its report warns that it has no pair of
+    # minimal vectors; hex gives a report without warnings
+    assert run_cli("analyze", str(_lattice_file(tmp_path, "z", "--n", "1")), "--strict") == 1
+    assert json.loads(capsys.readouterr().out)["warnings"]
+    assert run_cli("analyze", str(_lattice_file(tmp_path, "hex")), "--strict") == 0
 
 
 @pytest.mark.parametrize(
@@ -324,6 +350,27 @@ def test_cli_analyze_strict_flags_guard_trips(tmp_path, capsys):
 )
 def test_cli_bad_lattice_file_exits_2(tmp_path, capsys, changes, message):
     assert run_cli("analyze", str(_lattice_file(tmp_path, "hex", **changes))) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, changes, message",
+    [
+        (("construct", "z", "--n", "0"), {}, "rank must be positive"),
+        (("construct", "an", "--n", "0"), {}, "rank must be positive"),
+        (("construct", "anstar", "--n", "1"), {}, "frame needs rank >= 2"),
+        (("construct", "staircase", "--n", "1"), {}, "staircase needs rank >= 2"),
+        (("perturb", "FILE", "--block", "0"), {}, "block mode needs both --block and --cos"),
+        (("perturb", "FILE", "--mode", "nu"), {}, "general mode needs both --mode and --target"),
+        (("analyze", "FILE"), {"basis": [[1.0, 0.0]]}, "basis column count does not match rank"),
+    ],
+)
+def test_cli_bad_arguments_exit_2(tmp_path, capsys, argv, changes, message):
+    # FILE stands for the hex lattice file with the given fields replaced
+    argv = [str(_lattice_file(tmp_path, "hex", **changes)) if a == "FILE" else a for a in argv]
+    assert run_cli(*argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:") and message in err and err.count("\n") == 1
