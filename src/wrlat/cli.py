@@ -2,6 +2,7 @@
 and run the verification suite.  All outputs are UTF-8 JSON with sorted keys.
 
 Exit codes: 0 success, 1 failed checks or failed verification, 2 bad input.
+The parser is built once per process, on the first `main` call.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .constructions import (
     an_dual_frame,
@@ -130,6 +132,7 @@ def cmd_perturb(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wrlat",
@@ -181,8 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (InputError, json.JSONDecodeError, OSError, LatticeError) as exc:

@@ -112,14 +112,13 @@ class BasisCos:
 def mu_nu(lat: Lattice) -> tuple[BasisCos, BasisCos]:
     """Min and max |cos| over distinct stored-basis vectors.
 
-    Comparison happens on exact squared cosines g_ij^2 / (g_ii g_jj); the
-    basis vectors need not be minimal.
+    Comparison happens on exact squared cosines a_ij^2 / (a_ii a_jj) of
+    A = s G, where s cancels; the basis vectors need not be minimal.
     """
-    n = lat.rank
-    if n < 2:
+    if lat.rank < 2:
         raise LatticeError("mu/nu need at least two basis vectors")
-    g = lat.gram
-    values = [g[i, j] * g[i, j] / (g[i, i] * g[j, j]) for i in range(n) for j in range(i + 1, n)]
+    a = lat.int_gram
+    values = [Fraction(a[i][j] ** 2, a[i][i] * a[j][j]) for i, j in combinations(range(lat.rank), 2)]
     return BasisCos(min(values)), BasisCos(max(values))
 
 

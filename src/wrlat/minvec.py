@@ -5,25 +5,24 @@ minimal vector together.  It walks the pair-reduced integer Gram
 (`_pair_reduce`), so a disguised basis costs little more than a reduced one:
 the bound starts at the smallest diagonal entry, drops to each strictly
 shorter vector found, and the vectors at the current bound are kept as ties,
-so the ties left at the end are the complete minimal set, which is mapped
-back to the input basis.  Its levels are read from one diagonal elimination
+so the ties left at the end are the complete minimal set.  Their integer
+rank, read before a unimodular map takes them back to the input basis,
+decides well-roundedness.  The levels are read from one diagonal elimination
 (`ratlinalg.diagonal_pivots`) and scaled to integers, and each level's center
-is a running sum, so the walk uses no floating point and no Fraction.
-Results are cached on the integer Gram s G (`Lattice.int_gram`) and s alone:
-lattices that differ only in scale can share s G.  Well-roundedness is the
-integer rank of the pair matrix (`int_rank`, which stops at n independent
-pairs), cached on the pairs.  Every report-level helper that needs the
-minimal vectors, here and in invariants, ortho and eutaxy, takes the rank
-guard `max_dim` and passes it on, so one setting holds for a whole report.
-Three take none and keep the fixed guard of 12: the all-orderings verdict;
-`ortho.minimal_basis_subsets`, which the membership report reaches only
-after the verdict has passed that guard; and `eutaxy.is_perfect`, which the
-report does not call, as it reads perfection from the eutaxy system's rank.
-A box-scan brute-force oracle cross-validates the enumerator on the Gram as
-given, with no reduction: an integer odometer over every coordinate but the
-last, which is swept row by row.  The suite derives each box from a certificate, `certified_box`:
-q(u) <= m gives u_i^2 <= m (G^-1)_ii, so m at least the minimum makes the
-scan complete.
+is a running sum, so the walk uses no floating point and no Fraction.  Results
+are cached on the integer Gram s G (`Lattice.int_gram`) and s alone: lattices
+that differ only in scale can share s G.  Every report-level helper that
+needs the minimal vectors, here and in invariants, ortho and eutaxy, takes
+the rank guard `max_dim` and passes it on, so one setting holds for a whole
+report.  Three take none and keep the fixed guard of 12: the all-orderings
+verdict; `ortho.minimal_basis_subsets`, which the membership report reaches
+only after the verdict has passed that guard; and `eutaxy.is_perfect`, which
+the report does not call, as it reads perfection from the eutaxy system's
+rank.  A box-scan brute-force oracle cross-validates the enumerator on the
+Gram as given, with no reduction: an integer odometer over every coordinate
+but the last, which is swept row by row.  The suite derives each box from a
+certificate, `certified_box`: q(u) <= m gives u_i^2 <= m (G^-1)_ii, so m at
+least the minimum makes the scan complete.
 """
 
 from __future__ import annotations
@@ -98,23 +97,25 @@ def _pair_reduce(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
 
 
 @lru_cache(maxsize=4096)
-def _shortest(s: int, gram: tuple[tuple[int, ...], ...], limit: int) -> tuple[Fraction, tuple[tuple[int, ...], ...], bool]:
-    """Core exact enumerator: (minimal norm, canonical minimal pairs, overflowed).
+def _shortest(s: int, gram: tuple[tuple[int, ...], ...], limit: int) -> tuple[Fraction, tuple[tuple[int, ...], ...], bool, bool]:
+    """Core exact enumerator: (minimal norm, canonical pairs, overflowed, spans).
 
     gram is the integer Gram s G.  Walks A = T (s G) T^T from `_pair_reduce`,
     over the half-space where the highest-index nonzero coordinate is
     positive.  The bound starts at A's smallest diagonal entry and tightens
     whenever a strictly shorter nonzero vector is found, which empties the
-    tie list; every vector at the current bound is kept, up to `limit` pairs, and the ties at the final bound are
-    mapped back through T.  `overflowed` is True when a further tie at the
-    final norm was dropped; that set does not depend on the basis.  With the
-    leading minors P and the column minors M_jk of A (`diagonal_pivots`),
-    level k adds (P_{k+1} x_k + sum_{j>k} M_jk x_j)^2 / (s P_k P_{k+1}).  With
-    g_k the gcd of P_{k+1} and the M_jk, that is w_k (b_k x_k + c_k)^2 in units
-    1/S, with integers w_k, b_k = P_{k+1} / g_k and the center
-    c_k = sum_{j>k} (M_jk / g_k) x_j.  When x_j changes by d, each c_k that
-    reads it gains d M_jk / g_k.  Level 0 is swept in one loop, with no call
-    per leaf.
+    tie list; every vector at the current bound is kept, up to `limit`
+    pairs, and the ties at the final bound are mapped back through T.
+    `overflowed` is True when a further tie at the final norm was dropped;
+    that set does not depend on the basis.  spans: the kept ties have rank n,
+    read in reverse walk order, where `int_rank` meets n independent ones
+    sooner.  With the leading minors P and the column minors M_jk of A
+    (`diagonal_pivots`), level k adds (P_{k+1} x_k + sum_{j>k} M_jk x_j)^2 /
+    (s P_k P_{k+1}).  With g_k the gcd of P_{k+1} and the M_jk, that is
+    w_k (b_k x_k + c_k)^2 in units 1/S, with integers w_k, b_k = P_{k+1} / g_k
+    and the center c_k = sum_{j>k} (M_jk / g_k) x_j.  When x_j changes by d,
+    each c_k that reads it gains d M_jk / g_k.  Level 0 is swept in one loop,
+    with no call per leaf.
     """
     n = len(gram)
     a, t = _pair_reduce(gram)
@@ -129,16 +130,18 @@ def _shortest(s: int, gram: tuple[tuple[int, ...], ...], limit: int) -> tuple[Fr
     ties: list[tuple[int, ...]] = []
     bound = _walk(n - 1, 0, a[0][0] * scale // s, True, (w, b, [0] * n, [0] * n, readers, ties, limit + 1))
     overflowed = len(ties) > limit
+    del ties[limit:]
+    spans = int_rank(ties[::-1]) == n
     nonzero = [[(j, e) for j, e in enumerate(row) if e] for row in t]
     pairs = []
-    for v in ties[:limit]:  # u = sum_i v_i t_i, over the nonzero v_i and t_ij
+    for v in ties:  # u = sum_i v_i t_i, over the nonzero v_i and t_ij
         u = [0] * n
         for vi, ti in zip(v, nonzero):
             if vi:
                 for j, e in ti:
                     u[j] += vi * e
         pairs.append(_canonical_pair(tuple(u)))
-    return Fraction(bound, scale), tuple(sorted(pairs)), overflowed
+    return Fraction(bound, scale), tuple(sorted(pairs)), overflowed, spans
 
 
 def _walk(k: int, partial: int, bound: int, higher_zero: bool, state) -> int:
@@ -195,20 +198,16 @@ def minimal_vectors(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> MinimalVect
     """
     _check_dim(lat, max_dim)
     limit = DEFAULT_PAIR_GUARD_FACTOR * lat.rank * lat.rank
-    norm, pairs, overflowed = _shortest(lat.scale, lat.int_gram, limit)
+    norm, pairs, overflowed, _ = _shortest(lat.scale, lat.int_gram, limit)
     if overflowed:
         raise PairCountGuardExceeded(f"more than {limit} minimal pairs for {lat.name!r}")
     return MinimalVectorSet(norm_sq=norm, pairs=pairs)
 
 
-@lru_cache(maxsize=4096)
-def _spans(pairs: tuple[tuple[int, ...], ...], n: int) -> bool:
-    return len(pairs) >= n and int_rank(pairs) == n
-
-
 def is_well_rounded(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> bool:
     """True iff the minimal vectors span: rank of their coefficient matrix is n."""
-    return _spans(minimal_vectors(lat, max_dim).pairs, lat.rank)
+    minimal_vectors(lat, max_dim)  # its guards; the rank comes with its cached enumeration
+    return _shortest(lat.scale, lat.int_gram, DEFAULT_PAIR_GUARD_FACTOR * lat.rank * lat.rank)[3]
 
 
 def certified_box(lat: Lattice, m=None) -> int:

@@ -12,7 +12,6 @@ from wrlat import (
     Lattice,
     MinimalVectorSet,
     PairCountGuardExceeded,
-    RatMatrix,
     an_dual_frame,
     an_root,
     average_coherence,

@@ -7,10 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wrlat import NotPositiveDefinite, RatMatrix, lattice_from_gram
+from wrlat import (
+    NotPositiveDefinite,
+    RatMatrix,
+    direct_sum,
+    hexagonal,
+    integer_lattice,
+    is_well_rounded,
+    lattice_from_gram,
+    lnm,
+    minimal_vectors,
+    staircase,
+)
 from wrlat.ratlinalg import adjugate, diagonal_pivots, int_rank, integer_scaled
 
-from conftest import from_sympy, positive_definite_integer, reduced_form, to_sympy
+from conftest import disguise, from_sympy, positive_definite_integer, reduced_form, to_sympy
 
 sympy = pytest.importorskip("sympy")
 
@@ -153,3 +164,46 @@ def test_adjugate_matches_sympy(a):
     m = sympy.Matrix(a)
     assert det == m.det()
     assert sympy.Matrix(adj) == m.adjugate()
+
+
+def hex_plus_2():
+    """hex (+) [2]: three minimal pairs, as many as the rank, all in one plane."""
+    return direct_sum(hexagonal(), lattice_from_gram("two", [[2]]))
+
+
+WELL_ROUNDED_PINS = [
+    (hex_plus_2, False),
+    (lambda: lattice_from_gram("diag14", [[1, 0], [0, 4]]), False),
+    (lambda: integer_lattice(1), True),
+    # the first 4 ties in reverse walk order are dependent in both
+    (lambda: staircase(4), True),
+    (lambda: lnm(4, 2), True),
+]
+
+
+@st.composite
+def disguised_grams(draw):
+    """A lattice, either a pinned one or B B^T + D, in a basis reached by
+    up to 2n moves b_j += +-b_i."""
+    lat = draw(st.one_of(
+        st.sampled_from([make for make, _ in WELL_ROUNDED_PINS]).map(lambda make: make()),
+        positive_definite_integer(6).map(lambda a: lattice_from_gram("pd", a)),
+    ))
+    n = lat.rank
+    moves = [] if n < 2 else draw(st.lists(
+        st.tuples(st.permutations(range(n)), st.sampled_from((1, -1))).map(lambda m: (*m[0][:2], m[1])),
+        max_size=2 * n,
+    ))
+    return disguise(lat, moves)[0]
+
+
+@pytest.mark.parametrize("make, want", WELL_ROUNDED_PINS, ids=("hex+2", "diag14", "Z1", "staircase4", "L42"))
+def test_well_rounded_pins(make, want):
+    lat = make()
+    assert is_well_rounded(lat) == want == (to_sympy(minimal_vectors(lat).pairs).rank() == lat.rank)
+
+
+@settings(max_examples=100, deadline=None)
+@given(disguised_grams())
+def test_well_rounded_is_the_sympy_rank_of_the_pairs(lat):
+    assert is_well_rounded(lat) == (to_sympy(minimal_vectors(lat).pairs).rank() == lat.rank)

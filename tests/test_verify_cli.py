@@ -10,7 +10,7 @@ import pytest
 
 import wrlat
 from wrlat import lnm, load_lattice, run_suite, save_lattice, staircase
-from wrlat.cli import main, parse_cos_sq_threshold
+from wrlat.cli import build_parser, main, parse_cos_sq_threshold
 
 from conftest import root_plus_hexagonal
 
@@ -322,6 +322,31 @@ def test_cli_analyze_strict_flags_guard_trips(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["kissing_number"] is None and report["warnings"]
     assert run_cli("analyze", str(f), "--max-dim", "6", "--strict") == 1
+
+
+def test_the_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    z1 = str(_lattice_file(tmp_path, "z", "--n", "1"))
+    skew = tmp_path / "z2skew.json"  # Z^2 in the basis (1, 0), (1, 1): cos^2 = 1/2
+    skew.write_text(json.dumps({"name": "z2skew", "rank": 2, "gram": [["1", "1"], ["1", "2"]]}))
+    assert run_cli("analyze", z1, "--strict") == 1
+    assert run_cli("analyze", z1) == 0
+    capsys.readouterr()
+    assert run_cli("analyze", str(skew), "--theta", "1/2") == 0
+    half = capsys.readouterr().out
+    assert run_cli("analyze", str(skew)) == 0
+    default = capsys.readouterr().out
+    assert json.loads(half)["basis_verdict"]["strictly"] and not json.loads(default)["basis_verdict"]["strictly"]
+    out = tmp_path / "report.json"
+    assert run_cli("analyze", str(skew), "--out", str(out)) == 0
+    assert capsys.readouterr().out == "" and out.read_text() == default
+    with pytest.raises(SystemExit) as exc:
+        run_cli("analyze", str(skew), "--theta")
+    assert exc.value.code == 2
+    assert run_cli("analyze", str(skew), "--theta", "2") == 2
+    capsys.readouterr()
+    assert run_cli("analyze", str(skew)) == 0
+    assert capsys.readouterr().out == default
 
 
 def test_cli_analyze_strict_exits_1_on_any_warning(tmp_path, capsys):
