@@ -5,11 +5,15 @@ minimal vector together.  It walks the pair-reduced integer Gram
 (`_pair_reduce`), so a disguised basis costs little more than a reduced one:
 the bound starts at the smallest diagonal entry, drops to each strictly
 shorter vector found, and the vectors at the current bound are kept as ties,
-so the ties left at the end are the complete minimal set.  Their integer
-rank, read before a unimodular map takes them back to the input basis,
-decides well-roundedness.  The levels are read from one diagonal elimination
-(`ratlinalg.diagonal_pivots`) and scaled to integers, and each level's center
-is a running sum, so the walk uses no floating point and no Fraction.  Results
+so the ties left at the end are the complete minimal set.  The walk carries
+the vector in the input basis beside its reduced coordinates, so each tie is
+kept as its canonical pair when it is found, with its top, the highest level
+where it is nonzero.  Ties with n distinct tops are an echelon basis, so they
+decide well-roundedness with no elimination; only when the tops miss a level
+does `ratlinalg.int_rank` read the reduced ties.  The levels are read from
+one diagonal elimination (`ratlinalg.diagonal_pivots`) and scaled to
+integers, and each level's center and the input-basis vector are running
+sums, so the walk uses no floating point and no Fraction.  Results
 are cached on the integer Gram s G (`Lattice.int_gram`) and s alone: lattices
 that differ only in scale can share s G.  Every report-level helper that
 needs the minimal vectors, here and in invariants, ortho and eutaxy, takes
@@ -105,17 +109,19 @@ def _shortest(s: int, gram: tuple[tuple[int, ...], ...], limit: int) -> tuple[Fr
     positive.  The bound starts at A's smallest diagonal entry and tightens
     whenever a strictly shorter nonzero vector is found, which empties the
     tie list; every vector at the current bound is kept, up to `limit`
-    pairs, and the ties at the final bound are mapped back through T.
-    `overflowed` is True when a further tie at the final norm was dropped;
-    that set does not depend on the basis.  spans: the kept ties have rank n,
-    read in reverse walk order, where `int_rank` meets n independent ones
-    sooner.  With the leading minors P and the column minors M_jk of A
-    (`diagonal_pivots`), level k adds (P_{k+1} x_k + sum_{j>k} M_jk x_j)^2 /
-    (s P_k P_{k+1}).  With g_k the gcd of P_{k+1} and the M_jk, that is
-    w_k (b_k x_k + c_k)^2 in units 1/S, with integers w_k, b_k = P_{k+1} / g_k
-    and the center c_k = sum_{j>k} (M_jk / g_k) x_j.  When x_j changes by d,
-    each c_k that reads it gains d M_jk / g_k.  Level 0 is swept in one loop,
-    with no call per leaf.
+    pairs, as the canonical pair of u = sum_k x_k t_k over the rows t_k of T,
+    which the walk carries.  `overflowed` is True when a further tie at the
+    final norm was dropped; that set does not depend on the basis.  spans:
+    the kept ties have rank n: their tops cover all n levels, or else
+    `int_rank` finds it on the reduced ties, in reverse walk order, where it
+    meets n independent ones sooner.  With the leading
+    minors P and the column minors M_jk of A (`diagonal_pivots`), level k adds
+    (P_{k+1} x_k + sum_{j>k} M_jk x_j)^2 / (s P_k P_{k+1}).  With g_k the gcd
+    of P_{k+1} and the M_jk, that is w_k (b_k x_k + c_k)^2 in units 1/S, with
+    integers w_k, b_k = P_{k+1} / g_k and the center c_k = sum_{j>k} (M_jk /
+    g_k) x_j.  When x_j changes by d, each c_k that reads it gains d M_jk /
+    g_k, and u gains d t_j.  Level 0 is swept in one loop, with no call per
+    leaf.
     """
     n = len(gram)
     a, t = _pair_reduce(gram)
@@ -125,54 +131,54 @@ def _shortest(s: int, gram: tuple[tuple[int, ...], ...], limit: int) -> tuple[Fr
     level = [(p, s * prev * bk * bk) for prev, p, bk in zip(pivots, pivots[1:], b)]  # w_k / S as p / q
     scale = math.lcm(*(q // math.gcd(p, q) for p, q in level))
     w = [p * scale // q for p, q in level]
-    # readers[j]: each level k < j whose center reads x_j, with M_jk / g_k
-    readers = [[(k, cols[k][j - k] // g[k]) for k in range(j) if cols[k][j - k]] for j in range(n)]
-    ties: list[tuple[int, ...]] = []
-    bound = _walk(n - 1, 0, a[0][0] * scale // s, True, (w, b, [0] * n, [0] * n, readers, ties, limit + 1))
+    # readers[j]: each level k < j whose center reads x_j, with M_jk / g_k; then n + i, with t_ji != 0, for u
+    readers = [[(k, cols[k][j - k] // g[k]) for k in range(j) if cols[k][j - k]] + [(n + i, e) for i, e in enumerate(tj) if e]
+               for j, tj in enumerate(t)]
+    found = ties, pairs, tops = [], [], []
+    bound = _walk(n - 1, 0, a[0][0] * scale // s, -1, (w, b, [0] * 2 * n, [0] * n, readers, found, limit + 1))
     overflowed = len(ties) > limit
-    del ties[limit:]
-    spans = int_rank(ties[::-1]) == n
-    nonzero = [[(j, e) for j, e in enumerate(row) if e] for row in t]
-    pairs = []
-    for v in ties:  # u = sum_i v_i t_i, over the nonzero v_i and t_ij
-        u = [0] * n
-        for vi, ti in zip(v, nonzero):
-            if vi:
-                for j, e in ti:
-                    u[j] += vi * e
-        pairs.append(_canonical_pair(tuple(u)))
+    for kept in found:
+        del kept[limit:]
+    spans = len(set(tops)) == n or int_rank(ties[::-1]) == n
     return Fraction(bound, scale), tuple(sorted(pairs)), overflowed, spans
 
 
-def _walk(k: int, partial: int, bound: int, higher_zero: bool, state) -> int:
+def _walk(k: int, partial: int, bound: int, top: int, state) -> int:
     """Level k of `_shortest`'s walk, entered with partial <= bound; returns the
-    bound.  state is (w, b, center, x, readers, ties, cap): each drop of the
-    bound empties ties in place, and at most cap ties are kept.  x may hold
-    values left by an earlier branch below level k; the centers always agree
-    with x, and each level resets its x before it reads it."""
-    w, b, center, x, readers, ties, cap = state
+    bound.  top is the highest level above k with x nonzero, or -1, when only
+    x_k >= 0 is walked (x_0 >= 1).  state is (w, b, center, x, readers, (ties,
+    pairs, tops), cap), center holding the n centers and then u: each drop of
+    the bound empties the three lists in place, and at most cap ties are kept.
+    x may hold values left by an earlier branch below level k; the centers
+    and u always agree with x, and each level resets its x before it reads
+    it."""
+    w, b, center, x, readers, (ties, pairs, tops), cap = state
     wk, bk, c = w[k], b[k], center[k]
     r = math.isqrt((bound - partial) // wk)
-    lo = (0 if k else 1) if higher_zero else -((r + c) // bk)
+    lo = (0 if k else 1) if top < 0 else -((r + c) // bk)
     for xk in range(lo, (r - c) // bk + 1):
         y = bk * xk + c
         p = partial + wk * y * y
         if p > bound:
             continue
+        if not k:
+            if p < bound:
+                bound = p
+                for kept in (ties, pairs, tops):
+                    kept.clear()
+            if len(ties) == cap:
+                continue
+        step = xk - x[k]
+        if step:
+            x[k] = xk
+            for i, m in readers[k]:
+                center[i] += m * step
         if k:
-            step = xk - x[k]
-            if step:
-                x[k] = xk
-                for i, m in readers[k]:
-                    center[i] += m * step
-            bound = _walk(k - 1, p, bound, higher_zero and not xk, state)
-            continue
-        if p < bound:
-            bound = p
-            ties.clear()
-        if len(ties) < cap:
-            x[0] = xk
+            bound = _walk(k - 1, p, bound, k if top < 0 and xk else top, state)
+        else:
             ties.append(tuple(x))
+            pairs.append(_canonical_pair(tuple(center[len(x):])))
+            tops.append(max(top, 0))
     return bound
 
 

@@ -20,8 +20,7 @@ integer Gram of the minimal pairs from `gram_of_vectors`); Gauss-Jordan in
 `minvec.certified_box` read it) and in the simplex tableau, which starts
 from the eutaxy rows with their own d, so its divisions stay exact.  Only
 `int_rank` has its own reduction, as it stops once the rank reaches the
-column count: on the enumerator's ties for the 44 benchmark lattices of
-ranks 10-12 it takes 3-4 ms, and `row_reduce` 31-35 ms (2-vCPU Xeon VM).
+column count; the enumerator falls back on it when its ties' tops miss a level.
 """
 
 from __future__ import annotations

@@ -106,6 +106,17 @@ def quad_form(lat, u):
     return sum(lat.gram[i, j] * u[i] * u[j] for i in range(n) for j in range(n))
 
 
+# Z^4 in a basis that pair-reduces to norms 2, 2, 2, 3: its four minimal
+# pairs all have top 3, so the walk falls back on the integer rank to see
+# that they span
+Z4_TOPS_MISS_A_LEVEL = [[15, -4, -4, -9], [-4, 2, 0, 5], [-4, 0, 3, -1], [-9, 5, -1, 13]]
+
+
+def hex_plus_2():
+    """hex (+) [2]: three minimal pairs, as many as the rank, all in one plane."""
+    return direct_sum(hexagonal(), lattice_from_gram("two", [[2]]))
+
+
 def disguise(lat, moves):
     """The lattice in the basis b_j += s b_i, one move per (i, j, s), and the
     integer matrix U whose columns give the new basis in the old one."""

@@ -38,9 +38,9 @@ from wrlat import (
 )
 from wrlat import minvec, verify
 from wrlat.minvec import _canonical_pair, _pair_reduce, _shortest
-from wrlat.ratlinalg import diagonal_pivots, integer_scaled
+from wrlat.ratlinalg import diagonal_pivots, int_rank, integer_scaled
 
-from conftest import disguise, quad_form
+from conftest import Z4_TOPS_MISS_A_LEVEL, disguise, hex_plus_2, positive_definite_integer, quad_form
 
 F = Fraction
 
@@ -403,6 +403,72 @@ def test_shortest_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+# --- pairs and spans from the walk --------------------------------------------
+
+
+def mapped_pairs(lat, limit):
+    """The pairs as mapped after the walk: the ties of the pair-reduced Gram,
+    walked with T = I and the same bound and cap, each taken through T,
+    canonical and sorted."""
+    red, t = _pair_reduce(lat.int_gram)
+    ties = _shortest(lat.scale, tuple(map(tuple, red)), limit)[1]
+    return tuple(sorted(_canonical_pair(tuple(sum(v * e for v, e in zip(x, col)) for col in zip(*t))) for x in ties))
+
+
+@settings(max_examples=60, deadline=None)
+@given(positive_definite_integer(), st.sampled_from((1, 4)), st.data())
+def test_walk_pairs_are_the_ties_mapped_through_t(a, moves_per_rank, data):
+    n = len(a)
+    moves = [] if n < 2 else [
+        (*data.draw(st.permutations(range(n)))[:2], data.draw(st.sampled_from((1, -1)))) for _ in range(moves_per_rank * n)
+    ]
+    lat = disguise(lattice_from_gram("pd", a), moves)[0]
+    limit = 10 * n * n
+    got = _shortest(lat.scale, lat.int_gram, limit)
+    assert got[1] == mapped_pairs(lat, limit)
+    assert all(quad_form(lat, u) == got[0] for u in got[1])
+
+
+def test_walk_pairs_of_z1():
+    assert _shortest(1, ((1,),), 10) == (1, ((1,),), False, True)
+
+
+@pytest.mark.parametrize("factor", [1, 0])
+def test_walk_pairs_and_tops_are_cleared_when_the_bound_drops(factor):
+    # the ties at norm 2, kept before the bound drops to the single minimal
+    # pair, have tops 0-9; kept past the drop, they and its top 10 would cover
+    # all 11 levels
+    lat = e8_a2_plus_short_diagonal()
+    limit = factor * 11 * 11
+    got = _shortest(lat.scale, lat.int_gram, limit)
+    assert got[1] == mapped_pairs(lat, limit)
+    assert got == (F(2, 5), ((0,) * 8 + (1, 1, 1),) if factor else (), not factor, False)
+    assert not is_well_rounded(lat)
+
+
+def refuse_int_rank(rows):
+    raise AssertionError("int_rank ran")
+
+
+def test_ties_whose_tops_cover_every_level_need_no_rank(monkeypatch):
+    monkeypatch.setattr(minvec, "int_rank", refuse_int_rank)
+    _shortest.cache_clear()
+    lats = [integer_lattice(n) for n in range(1, 13)] + [an_root(n) for n in range(1, 13)]
+    assert all(is_well_rounded(lat) for lat in lats + [staircase(n) for n in range(2, 13)])
+
+
+@pytest.mark.parametrize("lat, want", [
+    (lattice_from_gram("z4", Z4_TOPS_MISS_A_LEVEL), True),
+    (hex_plus_2(), False),
+], ids=("Z4-tops", "hex+2"))
+def test_tops_that_miss_a_level_fall_back_on_the_rank(monkeypatch, lat, want):
+    ranked = []
+    monkeypatch.setattr(minvec, "int_rank", lambda rows: ranked.append(rows) or int_rank(rows))
+    _shortest.cache_clear()
+    assert is_well_rounded(lat) is want
+    assert len(ranked) == 1 and len(ranked[0]) == len(minimal_vectors(lat).pairs)
+
 
 # --- integer arithmetic: rational Grams, the odometer -------------------------
 

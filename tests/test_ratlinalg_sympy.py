@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from wrlat import (
     NotPositiveDefinite,
     RatMatrix,
-    direct_sum,
-    hexagonal,
+    an_root,
     integer_lattice,
     is_well_rounded,
     lattice_from_gram,
@@ -21,7 +20,15 @@ from wrlat import (
 )
 from wrlat.ratlinalg import adjugate, diagonal_pivots, int_rank, integer_scaled
 
-from conftest import disguise, from_sympy, positive_definite_integer, reduced_form, to_sympy
+from conftest import (
+    Z4_TOPS_MISS_A_LEVEL,
+    disguise,
+    from_sympy,
+    hex_plus_2,
+    positive_definite_integer,
+    reduced_form,
+    to_sympy,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -166,11 +173,6 @@ def test_adjugate_matches_sympy(a):
     assert sympy.Matrix(adj) == m.adjugate()
 
 
-def hex_plus_2():
-    """hex (+) [2]: three minimal pairs, as many as the rank, all in one plane."""
-    return direct_sum(hexagonal(), lattice_from_gram("two", [[2]]))
-
-
 WELL_ROUNDED_PINS = [
     (hex_plus_2, False),
     (lambda: lattice_from_gram("diag14", [[1, 0], [0, 4]]), False),
@@ -178,6 +180,7 @@ WELL_ROUNDED_PINS = [
     # the first 4 ties in reverse walk order are dependent in both
     (lambda: staircase(4), True),
     (lambda: lnm(4, 2), True),
+    (lambda: lattice_from_gram("z4", Z4_TOPS_MISS_A_LEVEL), True),
 ]
 
 
@@ -197,7 +200,7 @@ def disguised_grams(draw):
     return disguise(lat, moves)[0]
 
 
-@pytest.mark.parametrize("make, want", WELL_ROUNDED_PINS, ids=("hex+2", "diag14", "Z1", "staircase4", "L42"))
+@pytest.mark.parametrize("make, want", WELL_ROUNDED_PINS, ids=("hex+2", "diag14", "Z1", "staircase4", "L42", "Z4-tops"))
 def test_well_rounded_pins(make, want):
     lat = make()
     assert is_well_rounded(lat) == want == (to_sympy(minimal_vectors(lat).pairs).rank() == lat.rank)
@@ -207,3 +210,9 @@ def test_well_rounded_pins(make, want):
 @given(disguised_grams())
 def test_well_rounded_is_the_sympy_rank_of_the_pairs(lat):
     assert is_well_rounded(lat) == (to_sympy(minimal_vectors(lat).pairs).rank() == lat.rank)
+
+
+@pytest.mark.parametrize("make, low", [(integer_lattice, 1), (an_root, 1), (staircase, 2)], ids=("Z", "A", "staircase"))
+def test_stored_families_span_as_sympy_says(make, low):
+    for lat in map(make, range(low, 13)):
+        assert is_well_rounded(lat) == (to_sympy(minimal_vectors(lat).pairs).rank() == lat.rank)
