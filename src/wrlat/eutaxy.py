@@ -10,27 +10,30 @@ copy of each distinct row is kept; a repeat with another right side makes
 the system inconsistent).
 
 The reduced rows split by the components of the pair graph (u_i, u_j linked
-when u_i^T A u_j != 0; they span orthogonal subspaces), and a component's
-level is c' when c' (1, ..., 1) solves its own rows, if it does.  A
-component with no free column is fixed, and one with a level is fixed at it
-as far as the LP goes.  The classification ladder:
+when u_i^T A u_j != 0; they span orthogonal subspaces).  The trace pins each
+component's coefficient sum, so its smallest coefficient is at most its mean,
+reached only where all its coefficients are equal; a component with a free
+column has a level, that mean, when c' (1, ..., 1) solves its own rows.  When
+each such component has one, the forced point puts it at its level and every
+other coefficient at its one value: it reaches the LP's optimum, and it is
+read off the components, not the basis.  One rule:
 
   no real solution                          -> NotWeaklyEutactic
-  every component at one positive level     -> StronglyEutactic
-  every free component has a level, so the smallest coefficient t is forced:
-    t <= 0                                  -> WeaklyEutactic
-    every free component sits at t          -> Eutactic (vacuous in dimension 0)
+  every component with a free column has a level, at the forced point c:
+    min c <= 0                              -> WeaklyEutactic
+    all entries of c equal                  -> StronglyEutactic
+    otherwise                               -> Eutactic
   otherwise the LP: optimum t > 0           -> Eutactic, else WeaklyEutactic
 
 The LP maximizes t over c = x + t (1, ..., 1) with x, t >= 0, subject to the
 reduced rows of the system (one per pivot of its elimination); the lattice
 is Eutactic iff the optimum t is positive, and then t is the largest
-possible smallest coefficient; where t is forced, the forced point is the
-one that reaches it.  The elimination and the LP run on integers only, and
-Fractions are built only for the coefficients reported, each divided by
-det A.  The LP starts from the basis the elimination found: the rows of
-`row_reduce` with their own d and no common factor divided out, and their
-row sums as the column of t, so every pivot divides exactly (`simplex`).
+possible smallest coefficient, reported at the vertex the LP ends on.  The
+elimination and the LP run on integers only, and Fractions are built only
+for the coefficients reported, each divided by det A.  The LP starts from
+the basis the elimination found: the rows of `row_reduce` with their own d
+and no common factor divided out, and their row sums as the column of t, so
+every pivot divides exactly (`simplex`).
 
 Perfection asks whether the rank-one forms u_i u_i^T span the whole space of
 symmetric matrices.  Conjugation by the basis matrix preserves that rank, so
@@ -113,23 +116,18 @@ def eutaxy_classify(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> EutaxyResul
         particular[c] = Fraction(row[-1], d * det)
 
     # each reduced row lies in its pivot's component, and each component has
-    # a row with a nonzero sum (the trace pins its mean)
+    # a row with a nonzero sum (the trace pins its mean); a component with no
+    # free column is fixed at particular and needs no level
     labels = _pair_pass(lat.int_gram, pairs)[-1]
-    levels = {x: _common_value([(r, s) for r, s, c in zip(rows, sums, pivots) if labels[c] == x]) for x in set(labels)}
-    common, *others = set(levels.values())
-    if not others and common is not None and common > 0:
-        return EutaxyResult(EutaxyClass.STRONGLY_EUTACTIC, (common / det,) * k, dim)
-
     free = {labels[c] for c in set(range(k)).difference(pivots)}
-    if all(levels[label] is not None for label in free):
-        forced = [levels[labels[c]] / det if labels[c] in free else x for c, x in enumerate(particular)]
-        t = min(forced)  # the LP's optimum
-        if t <= 0:
-            return EutaxyResult(EutaxyClass.WEAKLY_EUTACTIC, tuple(particular), dim)
-        if all(levels[label] == t * det for label in free):
-            # no free component above t (none at all in dimension 0): forced
-            # is the one point reaching it
-            return EutaxyResult(EutaxyClass.EUTACTIC, tuple(forced), dim)
+    levels = {x: _common_value([(r, s) for r, s, c in zip(rows, sums, pivots) if labels[c] == x]) for x in free}
+    if None not in levels.values():
+        # the forced point, whose smallest coefficient is the LP's optimum
+        forced = tuple(levels[labels[c]] / det if labels[c] in free else x for c, x in enumerate(particular))
+        klass = EutaxyClass.STRONGLY_EUTACTIC if len(set(forced)) == 1 else EutaxyClass.EUTACTIC
+        if min(forced) <= 0:
+            klass = EutaxyClass.WEAKLY_EUTACTIC
+        return EutaxyResult(klass, forced, dim)
 
     # maximize the smallest coefficient t: c = x + t (1, ..., 1) with x, t >= 0
     # on the reduced rows, whose row sums are the column of t, from the basis
@@ -137,8 +135,7 @@ def eutaxy_classify(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> EutaxyResul
     lp_rows = [row[:-1] + [s, row[-1]] for row, s in zip(rows, sums)]
     status, value, point = _simplex_from_basis([0] * k + [1], lp_rows, pivots, d)
     if status == OPTIMAL and value > 0:
-        coeffs = tuple((x + value) / det for x in point[:k])
-        return EutaxyResult(EutaxyClass.EUTACTIC, coeffs, dim)
+        return EutaxyResult(EutaxyClass.EUTACTIC, tuple((x + value) / det for x in point[:k]), dim)
     if status == UNBOUNDED:
         # cannot happen (the trace identity pins the coefficient sum): a bug, not a guard trip
         raise RuntimeError(f"positivity LP ended with status {status!r}")
@@ -195,16 +192,7 @@ def classification_report(
     avg = attempt("avg_coherence", lambda: format_rational(average_coherence(lat, max_dim)), found)
     mu, nu = attempt("mu_nu", lambda: [str(v) for v in mu_nu(lat)]) or (None, None)
     dens = attempt("packing_density", lambda: packing_density(lat, max_dim), found)
-    member = attempt(
-        "membership",
-        lambda: membership_report(
-            lat,
-            search_minimal_bases=search_minimal_bases,
-            cos_sq_threshold=cos_sq_threshold,
-            max_dim=max_dim,
-        ),
-        wr,
-    )
+    member = attempt("membership", lambda: membership_report(lat, search_minimal_bases, cos_sq_threshold, max_dim), wr)
     if wr is False:
         warnings.append("membership: lattice is not well-rounded")
     eut = attempt("eutaxy", lambda: eutaxy_classify(lat, max_dim), wr)

@@ -15,11 +15,13 @@ Verdicts are relative to the stored basis.  For the strict class the
 optional search over bases of minimal vectors is complete (a basis that is
 nearly orthogonal consists of minimal vectors), for the weak class it is a
 documented heuristic; membership_report also applies the kissing-number and
-coherence bounds that decide some cases outright.  The search works on one
-integer Gram of the minimal pairs: a subset's Gram is a principal submatrix
-of it, whose determinant decides whether the subset is a basis, and the
-verdict runs on that submatrix.  The subsets are walked depth first, one tail
-step per chosen pair, and the search stops once nothing is left undecided.
+coherence bounds that decide some cases outright.  These bounds and the
+search's completeness are pi/3 results, so they hold only at thresholds
+cos^2 <= 1/4, where the class lies inside the pi/3 one.  The search works on
+one integer Gram of the minimal pairs: a subset's Gram is a principal
+submatrix of it, whose determinant decides whether the subset is a basis,
+and the verdict runs on that submatrix.  The subsets are walked depth first,
+one tail step per chosen pair, and it stops once nothing is left undecided.
 """
 
 from __future__ import annotations
@@ -194,7 +196,8 @@ class MembershipReport:
     stored_basis is the verdict for the lattice's own basis ordering set.
     in_weak / in_strict are three-valued: True/False when decided by a basis
     certificate, the kissing-number bounds, or the coherence rule; None when
-    undecided.  The minimal-basis search decides in_strict completely.
+    undecided.  The minimal-basis search decides in_strict completely.  Above
+    the threshold 1/4 only a certificate decides: True, else None.
     """
 
     stored_basis: OrthoVerdict
@@ -269,7 +272,9 @@ def membership_report(
     n = lat.rank
     mvs = minimal_vectors(lat, max_dim)
     kiss = mvs.count
-    stored = is_theta_orthogonal(lat, cos_sq_threshold)
+    thr = Fraction(cos_sq_threshold)
+    stored = is_theta_orthogonal(lat, thr)
+    bounded = thr <= PI_THIRD_COS_SQ
     reasons: list[str] = []
     in_weak: bool | None = True if stored.weakly else None
     in_strict: bool | None = True if stored.strictly else None
@@ -278,7 +283,9 @@ def membership_report(
     if stored.strictly:
         reasons.append("stored basis is nearly orthogonal under every ordering")
 
-    if kiss > 4 * n - 2:
+    if not bounded:
+        reasons.append(f"threshold {thr} is above 1/4: the pi/3 bounds do not apply, only certificates decide")
+    elif kiss > 4 * n - 2:
         in_weak, in_strict = False, False
         reasons.append(f"kissing number {kiss} exceeds 4n-2 = {4 * n - 2}")
     elif kiss > 3 * n and in_strict is None:
@@ -286,17 +293,14 @@ def membership_report(
         reasons.append(f"kissing number {kiss} exceeds 3n = {3 * n}")
     # coherence below 1/2 with more than 2n minimal vectors excludes the
     # whole weak class; a weakly certified basis would force coherence 1/2
-    if in_weak is None and kiss > 2 * n and coherence(lat, max_dim).value < Fraction(1, 2):
+    if bounded and in_weak is None and kiss > 2 * n and coherence(lat, max_dim).value < Fraction(1, 2):
         in_weak, in_strict = False, False
-        reasons.append(
-            f"coherence below 1/2 with kissing number {kiss} > 2n rules the class out"
-        )
+        reasons.append(f"coherence below 1/2 with kissing number {kiss} > 2n rules the class out")
 
     searched = False
     weak_witness = strict_witness = None
     if search_minimal_bases and (in_strict is None or in_weak is None):
         searched = True
-        thr = Fraction(cos_sq_threshold)
         for subset, det in minimal_basis_subsets(lat):
             if det != 1:
                 continue
@@ -308,14 +312,12 @@ def membership_report(
                 break
             if weak_witness is not None and in_strict is not None:
                 break
-        if in_strict is None:
+        if in_strict is None and (bounded or strict_witness):
             # complete for the strict class: a nearly orthogonal basis
             # consists of minimal vectors, all of which were tried
             in_strict = strict_witness is not None
-            reasons.append(
-                "minimal-basis search "
-                + ("found a nearly orthogonal basis" if in_strict else "exhausted all minimal bases")
-            )
+            found = "found a nearly orthogonal basis" if in_strict else "exhausted all minimal bases"
+            reasons.append(f"minimal-basis search {found}")
         if in_weak is None and weak_witness is not None:
             in_weak = True
             reasons.append("minimal-basis search found a weakly nearly orthogonal basis")

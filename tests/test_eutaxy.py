@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -173,8 +174,8 @@ def w_plus_d4():
 
 def e6_plus_d4():
     """E6 + D4 at the minimal norm 2.  Both are strongly eutactic with free
-    columns, at the common values 1/12 (E6) and 1/6 (D4): D4 is not the
-    bottleneck, so its coefficients are not forced and the LP runs."""
+    columns, at the common values 1/12 (E6) and 1/6 (D4): the forced point
+    puts each at its level, and D4 sits above the bottleneck 1/12."""
     return direct_sum(root_lattice("E6", 6, E6_EDGES), root_lattice("D4", 4, D4_EDGES))
 
 
@@ -186,6 +187,15 @@ def weak_connected():
     return lattice_from_gram("v6", [
         [2, 0, 0, 0, 1, 0], [0, 2, -1, -1, -h, -h], [0, -1, 2, h, 1, 1],
         [0, -1, h, 2, 1, -h], [1, -h, 1, 1, 2, h], [0, -h, 1, -h, h, 2],
+    ])
+
+
+def r5():
+    """A well-rounded rank-5 lattice of norm 4 whose 16 minimal pairs form
+    one component with no level: its solution space has dimension 2, so the
+    LP decides, and its optimum 7/120 is reached at one point only."""
+    return lattice_from_gram("r5", [
+        [4, 0, 0, 0, 2], [0, 4, -1, 0, -2], [0, -1, 4, -1, 0], [0, 0, -1, 4, -2], [2, -2, 0, -2, 4],
     ])
 
 
@@ -216,7 +226,7 @@ def test_weakly_eutactic_sum_where_the_lp_optimum_is_zero(monkeypatch):
 
 
 def test_a_fixed_zero_coefficient_decides_weak_eutaxy_without_the_lp(monkeypatch):
-    # w has no free column and a zero coefficient, and D4 is all-equal at 1/6:
+    # w has no free column and a zero coefficient, and D4 is all-equal at 1/3:
     # every coefficient is fixed and the smallest is 0, so no LP runs
     lat = w_plus_d4()
     optima = recording_optima(monkeypatch)
@@ -236,8 +246,8 @@ V6_MOVES = [(4, 2, -1), (5, 4, 1), (3, 1, 1), (1, 0, -1), (3, 1, -1), (4, 0, 1)]
 
 @pytest.mark.parametrize(
     "lat,d_negative",
-    [(e6_plus_d4(), False), (disguise(weak_connected(), V6_MOVES)[0], True)],
-    ids=["E6+D4", "v6-disguised"],
+    [(r5(), False), (disguise(weak_connected(), V6_MOVES)[0], True)],
+    ids=["r5", "v6-disguised"],
 )
 def test_lp_gets_the_integer_form_of_the_rational_rows(lat, d_negative, monkeypatch):
     # The LP's rational rows are the reduced rows / d, with the row sums / d
@@ -270,13 +280,13 @@ def test_an_impossible_lp_status_is_a_bug_not_a_warning(monkeypatch):
     # bug: the report raises rather than null eutaxy_class and warn
     monkeypatch.setattr(wrlat.eutaxy, "_simplex_from_basis", lambda *args: (UNBOUNDED, None, None))
     with pytest.raises(RuntimeError, match="positivity LP ended with status 'unbounded'"):
-        classification_report(e6_plus_d4())
+        classification_report(r5())
 
 
 @pytest.mark.parametrize(
     "lat",
-    [e6_plus_d4(), weak_connected(), disguise(weak_connected(), V6_MOVES)[0]],
-    ids=["E6+D4", "v6", "v6-disguised"],
+    [r5(), weak_connected(), disguise(weak_connected(), V6_MOVES)[0]],
+    ids=["r5", "v6", "v6-disguised"],
 )
 def test_every_lp_step_divides_exactly(lat, monkeypatch):
     # The t column is the sum of the coefficient columns and the artificial
@@ -301,15 +311,23 @@ def test_every_lp_step_divides_exactly(lat, monkeypatch):
     assert widths == {len(minimal_vectors(lat).pairs) + 3}
 
 
-def reference_eutaxy(lat):
-    """Eutaxy from the congruent system: with A = s G and w_i = A u_i, sum_i
-    c_i w_i w_i^T = s A is sum_i c_i u_i u_i^T = G^-1 multiplied by A on both
-    sides.  It forms no adjugate, and its entries grow like A^2."""
-    n, pairs = lat.rank, minimal_vectors(lat).pairs
-    k, a = len(pairs), lat.int_gram
+def congruent_system(lat):
+    """The congruent system: with A = s G and w_i = A u_i, sum_i c_i w_i
+    w_i^T = s A is sum_i c_i u_i u_i^T = G^-1 multiplied by A on both sides,
+    as its rows and right side for the entries (p, q), p <= q.  It needs no
+    adjugate, and its entries grow like A^2."""
+    n, pairs, a = lat.rank, minimal_vectors(lat).pairs, lat.int_gram
     w = [[sum(x * y for x, y in zip(row, u)) for row in a] for u in pairs]
     system = [[v[p] * v[q] for v in w] for p in range(n) for q in range(p, n)]
-    reduced = row_reduce(system, [lat.scale * a[p][q] for p in range(n) for q in range(p, n)])
+    return system, [lat.scale * a[p][q] for p in range(n) for q in range(p, n)]
+
+
+def reference_eutaxy(lat):
+    """Eutaxy from the congruent system: the all-equal test, the particular
+    solution in dimension 0, and otherwise the LP, reported at its vertex
+    (Eutactic) or at the particular solution (WeaklyEutactic)."""
+    k = len(minimal_vectors(lat).pairs)
+    reduced = row_reduce(*congruent_system(lat))
     if reduced is None:
         return EutaxyResult(EutaxyClass.NOT_WEAKLY_EUTACTIC, None, -1)
     rows, pivots, d = reduced
@@ -353,11 +371,32 @@ def reference_corpus():
     return out
 
 
+def assert_matches_reference(lat):
+    """Both systems have the same reduced rows but the right column, which
+    the adjugate scales by det A > 0.  Where the LP decides, or the
+    reference runs none, the results are equal.  Where the components fix
+    the optimum, the forced point can be another optimum than the
+    reference's vertex: the class and dimension agree, the smallest
+    coefficient is the reference's LP optimum (Eutactic) or at most 0
+    (Weakly), and the coefficients solve the congruent system exactly."""
+    want = reference_eutaxy(lat)
+    with mock.patch.object(wrlat.eutaxy, "_simplex_from_basis", wraps=_simplex_from_basis) as lp:
+        res = eutaxy_classify(lat)
+    if lp.called or want.solution_space_dim <= 0 or want.klass is EutaxyClass.STRONGLY_EUTACTIC:
+        assert res == want
+        return
+    assert (res.klass, res.solution_space_dim) == (want.klass, want.solution_space_dim)
+    if res.klass is EutaxyClass.EUTACTIC:
+        assert min(res.coefficients) == min(want.coefficients)
+    else:
+        assert res.klass is EutaxyClass.WEAKLY_EUTACTIC and min(res.coefficients) <= 0
+    system, rhs = congruent_system(lat)
+    assert [sum(c * x for c, x in zip(res.coefficients, row)) for row in system] == rhs
+
+
 @pytest.mark.parametrize("lat", reference_corpus())
 def test_eutaxy_equals_the_congruent_reference(lat):
-    # both systems have the same reduced rows but the right column, which the
-    # adjugate scales by det A > 0: the same class, dimension and coefficients
-    assert eutaxy_classify(lat) == reference_eutaxy(lat)
+    assert_matches_reference(lat)
 
 
 def no_lp(*args):
@@ -374,21 +413,10 @@ def test_forced_coefficients_reach_no_lp(lat, monkeypatch):
     assert eutaxy_classify(lat) == want
 
 
-def test_a_free_component_above_the_bottleneck_still_reaches_the_lp(monkeypatch):
-    # D4 is all-equal at 1/6 with free columns, above E6's 1/12: the LP may
-    # lower D4's coefficients toward 1/12, so its answer is not forced
-    lat = e6_plus_d4()
-    optima = recording_optima(monkeypatch)
-    res = eutaxy_classify(lat)
-    assert optima == [(OPTIMAL, 1)]  # 1/12 times det A = 12, the optimum in c'
-    assert res.klass is EutaxyClass.EUTACTIC and min(res.coefficients) == F(1, 12)
-    assert res == reference_eutaxy(lat)
-
-
 @pytest.mark.parametrize("lat", [staircase(9), lnm(9, 4), hybrid(8, 2), k3_prime()], ids=lambda lat: lat.name)
 def test_a_system_of_dimension_zero_never_reaches_the_lp(lat, monkeypatch):
-    # no column is free, so the forced point is the particular solution, and
-    # "every free component sits at t" holds with no component to check
+    # no column is free, so no component needs a level, and the forced point
+    # is the particular solution
     rng = random.Random(lat.name)
     n = lat.rank
     cases = [lat, disguise(lat, [(*rng.sample(range(n), 2), rng.choice((1, -1))) for _ in range(n)])[0]]
@@ -399,28 +427,78 @@ def test_a_system_of_dimension_zero_never_reaches_the_lp(lat, monkeypatch):
         assert res == want and res.klass is EutaxyClass.EUTACTIC and res.solution_space_dim == 0
 
 
-@pytest.mark.parametrize("lat", CERTIFIED[-2:] + [root_plus_hexagonal("D4", 4, D4_EDGES)], ids=lambda lat: lat.name)
-def test_forced_coefficients_follow_the_pairs_through_a_change_of_basis(lat, monkeypatch):
-    # in a disguise with basis matrix T, the pair with coordinates v is the
-    # stored pair +-T v, and keeps its coefficient
-    monkeypatch.setattr(wrlat.eutaxy, "_simplex_from_basis", no_lp)
-    rng = random.Random(lat.name)
+def seeded_disguises(lat):
+    """The lattice under the n-move disguises of the seeds 0-7 and one 2n-move
+    disguise, each with its basis matrix."""
     n = lat.rank
+    for seed, count in [(seed, n) for seed in range(8)] + [(lat.name, 2 * n)]:
+        rng = random.Random(seed)
+        yield disguise(lat, [(*rng.sample(range(n), 2), rng.choice((1, -1))) for _ in range(count)])
 
-    def by_pair(case, t):
-        pairs = minimal_vectors(case).pairs
-        coeffs = eutaxy_classify(case).coefficients
-        out = {}
-        for v, c in zip(pairs, coeffs):
-            u = [sum(t[r][j] * v[j] for j in range(n)) for r in range(n)]
-            out[max(tuple(u), tuple(-x for x in u))] = c
-        return out
 
-    want = by_pair(lat, [[int(i == j) for j in range(n)] for i in range(n)])
-    assert len(set(want.values())) == 2
-    for count in (n, 2 * n):
-        case, t = disguise(lat, [(*rng.sample(range(n), 2), rng.choice((1, -1))) for _ in range(count)])
-        assert by_pair(case, t) == want
+def coefficients_by_pair(case, t):
+    """{stored pair: coefficient} for a disguise with basis matrix T: the pair
+    with coordinates v is the stored pair +-T v."""
+    n = case.rank
+    out = {}
+    for v, c in zip(minimal_vectors(case).pairs, eutaxy_classify(case).coefficients):
+        u = [sum(t[r][j] * v[j] for j in range(n)) for r in range(n)]
+        out[max(tuple(u), tuple(-x for x in u))] = c
+    return out
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "lat,klass,blocks",
+    [
+        (CERTIFIED[-2], EutaxyClass.EUTACTIC, {(0, 6): F(1, 12), (6, 8): F(1, 3)}),
+        (CERTIFIED[-1], EutaxyClass.EUTACTIC, {(0, 7): F(1, 18), (7, 9): F(1, 3)}),
+        (root_plus_hexagonal("D4", 4, D4_EDGES), EutaxyClass.EUTACTIC, {(0, 4): F(1, 6), (4, 6): F(1, 3)}),
+        # D4 sits at its level 1/6 above E6's 1/12, where an LP vertex could
+        # lower some of its coefficients toward 1/12
+        (e6_plus_d4(), EutaxyClass.EUTACTIC, {(0, 6): F(1, 12), (6, 10): F(1, 6)}),
+        # w is fixed with a zero coefficient; D4, at the norm 1 here, sits at
+        # its level 4/12, not at the particular solution, whose free columns
+        # are 0
+        (w_plus_d4(), EutaxyClass.WEAKLY_EUTACTIC, {(4, 8): F(1, 3)}),
+    ],
+    ids=["E6(+)hex", "E7(+)hex", "D4(+)hex", "E6(+)D4", "w(+)D4"],
+)
+def test_forced_coefficients_follow_the_pairs_through_a_change_of_basis(lat, klass, blocks, monkeypatch):
+    # every component with a free column has a level, so no LP runs, and the
+    # forced point puts each block's pairs at the values given (the trace
+    # fixes the block's sum: its rank over its norm); in a disguise each pair
+    # keeps its coefficient
+    monkeypatch.setattr(wrlat.eutaxy, "_simplex_from_basis", no_lp)
+    assert eutaxy_classify(lat).klass is klass
+    want = coefficients_by_pair(lat, identity(lat.rank))
+    for (lo, hi), c in blocks.items():
+        block = [x for u, x in want.items() if not any(u[:lo] + u[hi:])]
+        assert block and set(block) == {c}
+    for case, t in seeded_disguises(lat):
+        assert eutaxy_classify(case).klass is klass
+        assert coefficients_by_pair(case, t) == want
+
+
+def test_the_lp_decides_r5_at_its_one_optimal_point(monkeypatch):
+    # r5's one component has free columns and no level, so the LP runs once
+    # per basis; its optimum is reached at one point only, so the
+    # coefficients follow the pairs through a change of basis as well
+    lat = r5()
+    optima = recording_optima(monkeypatch)
+    res = eutaxy_classify(lat)
+    assert minimal_vectors(lat).norm_sq == 4 and len(minimal_vectors(lat).pairs) == 16 and is_well_rounded(lat)
+    assert set(_pair_pass(lat.int_gram, minimal_vectors(lat).pairs)[-1]) == {0}
+    assert optima == [(OPTIMAL, F(28, 3))]  # 7/120 times det A = 160, the optimum in c'
+    assert res.klass is EutaxyClass.EUTACTIC and res.solution_space_dim == 2 and min(res.coefficients) == F(7, 120)
+    replay_identity(lat, res.coefficients)
+    want = coefficients_by_pair(lat, identity(5))
+    for case, t in seeded_disguises(lat):
+        assert coefficients_by_pair(case, t) == want
+    assert optima == [(OPTIMAL, F(28, 3))] * 11  # once per classification
 
 
 # summands at minimal norm 1: D4 and E6 are all-equal with free columns, the
@@ -464,7 +542,7 @@ def test_eutaxy_equals_the_reference_on_direct_sums(lat):
         with pytest.raises(NotWellRounded):
             eutaxy_classify(lat)
         return
-    assert eutaxy_classify(lat) == reference_eutaxy(lat)
+    assert_matches_reference(lat)
 
 
 def venkov_strong(lat):

@@ -195,6 +195,12 @@ def test_direct_sum_coherence_is_the_larger(a, b):
     assert coherence(direct_sum(a, b)).value == max(coh(a), coh(b))
 
 
+@pytest.mark.parametrize("factor", [0, -1, F(-1, 2)])
+def test_scale_gram_rejects_a_factor_that_is_not_positive(factor):
+    with pytest.raises(ValueError, match="^scale factor must be positive$"):
+        scale_gram(hexagonal(), factor)
+
+
 def test_normalize_identity_noop():
     z = integer_lattice(4)
     assert normalize_min_norm(z).gram == z.gram

@@ -144,6 +144,18 @@ def test_profile_staircase3_rotated():
     assert angle_profile(staircase(3), (1, 2, 0)).cos_sq == (F(1, 16), F(2, 5))
 
 
+@pytest.mark.parametrize("ordering", [(0, 1), (0, 1, 1), (0, 1, 3), (2, 1, 0, 0)])
+def test_profile_rejects_an_ordering_that_is_not_a_permutation(ordering):
+    with pytest.raises(ValueError, match="is not a permutation of 0..2"):
+        angle_profile(staircase(3), ordering)
+
+
+@pytest.mark.parametrize("threshold", [F(-1, 4), F(5, 4), 2])
+def test_verdict_rejects_a_threshold_outside_0_1(threshold):
+    with pytest.raises(ValueError, match=r"^threshold must be a squared cosine in \[0, 1\]$"):
+        is_theta_orthogonal(staircase(3), threshold)
+
+
 def test_profile_first_entries_invariant_under_prefix_shuffle():
     lat = staircase(4)
     base = angle_profile(lat, (0, 1, 2, 3)).cos_sq
@@ -452,6 +464,39 @@ def test_membership_k3_prime_excluded_from_strict_class(k3):
 def test_membership_staircase3_excluded_from_strict_class():
     report = membership_report(staircase(3), search_minimal_bases=True)
     assert report.in_weak is True and report.in_strict is False
+
+
+@pytest.mark.parametrize("theta", [F(1, 2), F(1, 3)], ids=str)
+def test_membership_above_one_quarter_is_decided_by_certificates_only(theta):
+    # the 4n-2 and 3n bounds, the coherence rule and the completeness of the
+    # minimal-basis search are pi/3 results; A3's 12 minimal vectors exceed
+    # 4n-2 = 10, yet it has a basis in threshold under every ordering here
+    report = membership_report(an_root(3), search_minimal_bases=True, cos_sq_threshold=theta)
+    assert (report.in_weak, report.in_strict) == (True, True)
+    assert not any("kissing" in r or "coherence" in r for r in report.reasons)
+    assert f"threshold {theta} is above 1/4: the pi/3 bounds do not apply, only certificates decide" in report.reasons
+    # with no strict certificate, the exhausted search leaves in_strict null
+    report = membership_report(staircase(3), search_minimal_bases=True, cos_sq_threshold=F(1, 3))
+    assert (report.in_weak, report.in_strict) == (True, None)
+
+
+@pytest.mark.parametrize(
+    "lat,theta,want",
+    [
+        (an_root(3), QUARTER, (False, False, ("kissing number 12 exceeds 4n-2 = 10",))),
+        (an_root(3), F(1, 10), (False, False, ("kissing number 12 exceeds 4n-2 = 10",))),
+        (staircase(3), QUARTER, (True, False, ("stored basis is weakly nearly orthogonal", "kissing number 10 exceeds 3n = 9"))),
+        (
+            staircase(3),
+            F(1, 10),
+            (None, False, ("kissing number 10 exceeds 3n = 9", "weak class undecided: search over minimal bases is only a heuristic")),
+        ),
+    ],
+    ids=["A3-1/4", "A3-1/10", "staircase3-1/4", "staircase3-1/10"],
+)
+def test_membership_at_or_below_one_quarter_applies_the_bounds(lat, theta, want):
+    report = membership_report(lat, search_minimal_bases=True, cos_sq_threshold=theta)
+    assert (report.in_weak, report.in_strict, report.reasons) == want
 
 
 def test_membership_search_finds_hidden_orthogonal_basis():

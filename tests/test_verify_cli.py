@@ -371,6 +371,9 @@ def test_cli_analyze_strict_exits_1_on_any_warning(tmp_path, capsys):
         ({"rank": 2.9}, "rank 2.9 is not an integer"),
         ({"rank": 3.0}, "rank 3.0 is not an integer"),
         ({"rank": True}, "rank True is not an integer"),
+        ({"basis": []}, "malformed basis: empty basis"),
+        ({"basis": [[1, 0], [0.5]]}, "malformed basis: ragged basis columns"),
+        ({"basis": [[1], [0.5]]}, "malformed basis: more columns than ambient dimension"),
     ],
 )
 def test_cli_bad_lattice_file_exits_2(tmp_path, capsys, changes, message):
@@ -390,6 +393,15 @@ def test_cli_bad_lattice_file_exits_2(tmp_path, capsys, changes, message):
         (("perturb", "FILE", "--block", "0"), {}, "block mode needs both --block and --cos"),
         (("perturb", "FILE", "--mode", "nu"), {}, "general mode needs both --mode and --target"),
         (("analyze", "FILE"), {"basis": [[1.0, 0.0]]}, "basis column count does not match rank"),
+        (("verify", "--max-n", "1"), {}, "max_n must be at least 2"),
+        (("perturb", "FILE", "--block", "0", "--cos", "1/3"), {"gram": [["2", "1"], ["1", "2"]]}, "unit-diagonal"),
+        # block 0 is decoupled and unit, but b2 - b3 has norm 1/2
+        (
+            ("perturb", "FILE", "--block", "0", "--cos", "1/3"),
+            {"rank": 4, "gram": [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "3/4"], ["0", "0", "3/4", "1"]]},
+            "block perturbation expects minimal norm 1",
+        ),
+        (("perturb", "FILE", "--mode", "nu", "--target", "1/3"), {"rank": 1, "gram": [["1"]]}, "need rank >= 2"),
     ],
 )
 def test_cli_bad_arguments_exit_2(tmp_path, capsys, argv, changes, message):
@@ -426,6 +438,16 @@ def test_cli_theta_out_of_range_exits_2(tmp_path, capsys):
         assert run_cli("analyze", str(path), "--theta", "2") == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("theta", ["1/2", "1/3"])
+def test_cli_membership_above_one_quarter_rests_on_certificates(tmp_path, capsys, theta):
+    # A3's kissing number 12 exceeds 4n-2 = 10, a bound that holds only at
+    # thresholds up to 1/4; at these, A3 has a basis in threshold
+    assert run_cli("analyze", str(_lattice_file(tmp_path, "an", "--n", "3")), "--theta", theta) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["in_weak"] is True and report["in_strict"] is True
+    assert not any("kissing" in r for r in report["membership_reasons"])
 
 
 def test_cli_analyze_rank_1_warnings(tmp_path, capsys):
