@@ -125,14 +125,16 @@ def is_theta_orthogonal(
 
 def _tail(tails: dict[int, tuple[int, list[list[int]]]], mask: int) -> tuple[int, list[list[int]]]:
     """(d_P, tail of P) for the mask P, made from its prefix on first read and
-    kept in tails.  Row j of the tail stands for the index P.bit_length() + j."""
+    kept in tails.  The tail is kept as upper rows (`tail_step`): row j stands
+    for the index t = P.bit_length() + j and holds the columns from t on, so
+    d_{P+t} is its entry [j][0]."""
     got = tails.get(mask)
     if got is None:
         top = mask.bit_length() - 1
         rest = mask ^ 1 << top
         d, m = _tail(tails, rest)
         k = top - rest.bit_length()
-        got = tails[mask] = m[k][k], tail_step(m, d, k)
+        got = tails[mask] = m[k][0], tail_step(m, d, k)
     return got
 
 
@@ -141,7 +143,7 @@ def _verdict(a: Sequence[Sequence[int]], thr: Fraction) -> OrthoVerdict:
     n = len(a)
     p, q = thr.numerator, thr.denominator
     full = (1 << n) - 1
-    tails = {0: (1, a)}
+    tails = {0: (1, [row[i:] for i, row in enumerate(a)])}
 
     def minor(mask: int) -> int:
         if not mask:
@@ -149,7 +151,7 @@ def _verdict(a: Sequence[Sequence[int]], thr: Fraction) -> OrthoVerdict:
         top = mask.bit_length() - 1
         rest = mask ^ 1 << top
         k = top - rest.bit_length()
-        return _tail(tails, rest)[1][k][k]
+        return _tail(tails, rest)[1][k][0]
 
     def within(s: int, v: int) -> bool:
         return (q - p) * minor(s) * a[v][v] <= q * minor(s | 1 << v)
@@ -172,7 +174,7 @@ def _verdict(a: Sequence[Sequence[int]], thr: Fraction) -> OrthoVerdict:
                 top = bits[-1].bit_length() - 1
                 m = _tail(tails, mask)[1] if top < n - 1 else ()
                 for j, row in enumerate(m):
-                    minors[mask | 2 << top + j] = row[j]
+                    minors[mask | 2 << top + j] = row[0]
                 d = minors[mask]
                 for v in range(n):
                     if not mask >> v & 1 and (q - p) * d * a[v][v] > q * minors[mask | 1 << v]:
@@ -229,19 +231,21 @@ def minimal_basis_subsets(lat: Lattice):
     if total > DEFAULT_SUBSET_GUARD:
         raise SubsetGuardExceeded(f"{total} candidate subsets exceed guard {DEFAULT_SUBSET_GUARD}")
     det_sg = lat.leading_minors[-1]
-    for idx, minor in _spanning_subsets(k, n, (), 1, gram_of_vectors(lat.int_gram, pairs)):
+    upper = [row[i:] for i, row in enumerate(gram_of_vectors(lat.int_gram, pairs))]
+    for idx, minor in _spanning_subsets(k, n, (), 1, upper):
         yield tuple(pairs[i] for i in idx), math.isqrt(minor // det_sg)
 
 
 def _spanning_subsets(k: int, n: int, chosen: tuple[int, ...], d: int, m: list[list[int]]):
     """Yield (subset, det) for the n-subsets of range(k) that extend chosen and
     have a nonzero principal minor, in `combinations` order; d and m are the
-    minor and the tail of chosen on a positive-semidefinite Gram, so one
-    `tail_step` per chosen index and the diagonal of the last tail give every
-    minor, and a zero minor rules out every superset."""
+    minor and the tail of chosen on a positive-semidefinite Gram, kept as
+    upper rows, so one `tail_step` per chosen index and the diagonal [j][0]
+    of the last tail give every minor, and a zero minor rules out every
+    superset."""
     lo = chosen[-1] + 1 if chosen else 0
     for j in range(k - lo - (n - 1 - len(chosen))):  # leave room for the rest
-        minor = m[j][j]
+        minor = m[j][0]
         if not minor:
             continue
         if len(chosen) == n - 1:

@@ -7,20 +7,19 @@ of Fractions, and all eliminations are exact.  Matrices are small
 `integer_scaled` is the one place where Fractions become integers: it gives
 the integer matrix s A, with s the lcm of A's denominators, and is called
 once per lattice, by `Lattice`, which keeps s G for every layer to read.
-Every elimination runs fraction-free on integers, each row update one
-`sylvester_step`: forward (`schur_step`) in `diagonal_pivots`, the one
-elimination of a Gram down its diagonal (its leading minors decide positive
-definiteness, give the determinant, the levels of the shortest-vector
-enumerator on the pair-reduced Gram it walks and the angle profiles), and in
-`tail_step`, which gives the principal minors of sorted index sets one prefix
-at a time (the all-orderings verdict, and the minimal-basis search on the
-integer Gram of the minimal pairs from `gram_of_vectors`); Gauss-Jordan in
-`row_reduce` (the reduced rows and rank of the integer eutaxy system, and
-`adjugate`, the one place where G^-1 is formed: eutaxy's right side and
-`minvec.certified_box` read it) and in the simplex tableau, which starts
-from the eutaxy rows with their own d, so its divisions stay exact.  Only
-`int_rank` has its own reduction, as it stops once the rank reaches the
-column count; the enumerator falls back on it when its ties' tops miss a level.
+Every elimination runs fraction-free on integers (Bareiss, Math. Comp. 22,
+1968), in three kernels.  `tail_step`, the forward step, computes only the
+upper half of a symmetric residual: `diagonal_pivots` runs it down the
+diagonal of a Gram (its leading minors decide positive definiteness, give
+the determinant, the levels of the shortest-vector enumerator and the angle
+profiles), and the all-orderings verdict and the minimal-basis search (on
+the integer Gram of the minimal pairs from `gram_of_vectors`) on the tails
+of sorted index sets.  `row_reduce`, lazy Gauss-Jordan, rewrites a row only
+where its pivot-column entry is nonzero: the integer eutaxy system, whose
+rows the LP's `simplex.sylvester_step` pivots on, and `adjugate`, the one
+place where G^-1 is formed (eutaxy and `minvec.certified_box` read it).
+`int_rank` stops once the rank reaches the column count; the enumerator
+falls back on it when its ties' tops miss a level.
 """
 
 from __future__ import annotations
@@ -150,80 +149,51 @@ def gram_of_vectors(a: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]]
     A is a symmetric integer Gram, such as a lattice's `int_gram` s G, so
     only the k(k+1)/2 products u_i^T A u_j with j >= i are computed.
     """
-    gu = [[sum(x * y for x, y in zip(row, u)) for row in a] for u in vectors]
+    gu = [[sum(map(operator.mul, row, u)) for row in a] for u in vectors]
     out = [[0] * len(vectors) for _ in vectors]
     for i, gu_i in enumerate(gu):
         for j in range(i, len(vectors)):
-            out[i][j] = out[j][i] = sum(x * y for x, y in zip(gu_i, vectors[j]))
-    return out
-
-
-def sylvester_step(m: list[list[int]], d: int, r: int, c: int) -> list[list[int]]:
-    """One fraction-free elimination step on the pivot p = m[r][c] (Sylvester's
-    identity, as in Bareiss, Math. Comp. 22, 1968): the only row update here.
-
-    Returns new rows: row r as it is, and every other row i as
-    (p m[i] - m[i][c] m[r]) // d, which is zero in column c.  When d is the
-    pivot of the step before (1 for the first), every entry is a minor of the
-    first matrix and every division is exact.  m itself is left unchanged.
-    """
-    top = m[r]
-    p = top[c]
-    out = []
-    for i, row in enumerate(m):
-        f = row[c]
-        if i == r:
-            out.append(top)
-        elif f:
-            out.append([(p * x - f * y) // d for x, y in zip(row, top)])
-        else:
-            out.append([p * x // d for x in row])
-    return out
-
-
-def schur_step(m: list[list[int]], d: int, r: int, c: int) -> list[list[int]]:
-    """A forward step: the rows of `sylvester_step` other than r, without column c.
-
-    For a symmetric integer A and an index set S, with d = det A_SS (1 for S
-    empty) and m[i][j] = det A_{S+i,S+j} over the indices outside S, the step
-    on (p, p) gives the same for S + p.
-    """
-    out = sylvester_step(m, d, r, c)
-    del out[r]
-    for row in out:
-        del row[c]
+            out[i][j] = out[j][i] = sum(map(operator.mul, gu_i, vectors[j]))
     return out
 
 
 def tail_step(m: list[list[int]], d: int, k: int) -> list[list[int]]:
-    """The forward step on (k, k) after dropping the rows and columns before k.
+    """The forward step on the diagonal entry k of a symmetric tail kept as upper rows.
 
     For a symmetric integer A and an index set P, the *tail* of P is its
-    residual over the indices above max P only: m[i][j] = det A_{P+i,P+j},
-    with d = det A_PP (1 and A itself for P empty).  For the index t at
-    position k of the tail, m[k][k] = det A_{P+t,P+t} and the step gives the
-    tail of P + t.
+    residual over the indices t_0 < t_1 < ... above max P, with d = det A_PP
+    (1 and A for P empty), kept as upper rows: m[i][j] = det A_{P+t_i,P+t_{i+j}}.
+    The step on p = m[k][0] gives the tail of P + t_k: with top = m[k], each
+    row i > k, whose entry in column k is f = top[i - k], becomes
+    (p row - f top[i - k:]) // d, exactly (Sylvester's identity).
     """
-    return schur_step([row[k:] for row in m[k:]], d, 0, 0)
+    top = m[k]
+    p = top[0]
+    return [
+        [(p * x - f * y) // d for x, y in zip(row, top[j:])] if (f := top[j]) else [p * x // d for x in row]
+        for j, row in enumerate(m[k + 1 :], 1)
+    ]
 
 
-def diagonal_pivots(m: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """Forward Schur steps down the diagonal of a symmetric integer matrix A, in order.
+def diagonal_pivots(a: Sequence[Sequence[int]]) -> tuple[list[int], list[Sequence[int]]]:
+    """`tail_step` down the diagonal of a symmetric integer matrix A, in order,
+    from the upper rows of A.
 
     Returns the leading principal minors P_0 = 1, P_1, ... of A and, for each
-    step k, the first column of the residual before it: entry j - k is the
-    minor M_jk = det A_{[0, k) + j, [0, k]}, and entry 0 is P_{k+1}.  Stops
-    after the first pivot <= 0, so A is positive definite iff the last
-    pivot returned is > 0 (Sylvester's criterion).
+    step k, the top row of the residual before it, which is also its first
+    column: entry j - k is the minor M_jk = det A_{[0, k) + j, [0, k]}, and
+    entry 0 is P_{k+1}.  Stops after the first pivot <= 0, so A is positive
+    definite iff the last pivot returned is > 0 (Sylvester's criterion).
     """
+    m = [row[i:] for i, row in enumerate(a)]
     pivots, cols = [1], []
     while m:
-        p = m[0][0]
-        pivots.append(p)
-        cols.append([row[0] for row in m])
-        if p <= 0:
+        top = m[0]
+        pivots.append(top[0])
+        cols.append(top)
+        if top[0] <= 0:
             break
-        m = schur_step(m, pivots[-2], 0, 0)
+        m = tail_step(m, pivots[-2], 0)
     return pivots, cols
 
 
@@ -264,27 +234,39 @@ def row_reduce(a_rows: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[list[
     the other pivot columns, so that the reduced form is rows / d.  d may be
     negative.  The zero rows are dropped.  Rational systems are scaled to
     integers first (`integer_scaled`).
-    """
+
+    Lazy Bareiss: the result is that of the eager form, which rewrites every
+    row at every step, but a row is rewritten only where its entry f in the
+    pivot column is nonzero, to (p row - f top) // level[i], with level[i] the
+    pivot that last wrote it and the pivot row top brought to the current d.
+    Each result is an eager row, so every division is exact."""
     nr = len(a_rows)
     nc = len(a_rows[0]) if nr else 0
     if len(b) != nr:
         raise ValueError("right-hand side length mismatch")
     # integer data only: operator.index raises TypeError on a Fraction
     m = [[*map(operator.index, row), operator.index(b_i)] for row, b_i in zip(a_rows, b)]
+    level = [1] * nr
     pivots: list[int] = []
     d = 1
     for c in range(nc):
         r = len(pivots)
-        p = next((i for i in range(r, nr) if m[i][c]), None)
-        if p is None:
+        s = next((i for i in range(r, nr) if m[i][c]), None)
+        if s is None:
             continue
-        m[r], m[p] = m[p], m[r]
-        m = sylvester_step(m, d, r, c)
-        d = m[r][c]
+        m[r], m[s], level[r], level[s] = m[s], m[r], level[s], level[r]
+        top = m[r] if level[r] == d else [x * d // level[r] for x in m[r]]
+        p = top[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                m[i] = [(p * x - f * y) // level[i] for x, y in zip(row, top)]
+                level[i] = p
+        m[r], level[r], d = top, p, p
         pivots.append(c)
     if any(m[i][nc] for i in range(len(pivots), nr)):
         return None
-    return m[: len(pivots)], pivots, d
+    return [row if lv == d else [x * d // lv for x in row] for row, lv in zip(m[: len(pivots)], level)], pivots, d
 
 
 def adjugate(a: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:

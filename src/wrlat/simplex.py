@@ -6,7 +6,7 @@ holding d in their own basis column and 0 in the other basis columns, so
 that the rational rows are rows / d.  Eutaxy uses it to find the largest
 smallest coefficient.  The tableau is integer (Edmonds' integer-preserving
 pivoting): d times the rational tableau, with d the last pivot, each pivot
-one `ratlinalg.sylvester_step`, and the reduced costs, times d, one more row
+one `sylvester_step`, and the reduced costs, times d, one more row
 set once per phase.  Ratios are compared by cross-multiplying, and Bland's
 rule prevents cycling.
 
@@ -26,11 +26,20 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
-from .ratlinalg import sylvester_step
-
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
+
+
+def sylvester_step(m: list[list[int]], d: int, r: int, c: int) -> list[list[int]]:
+    """One fraction-free Gauss-Jordan step on the pivot p = m[r][c] (Sylvester's
+    identity, as in Bareiss, Math. Comp. 22, 1968): new rows, row r as it is
+    and every other row i as (p m[i] - m[i][c] m[r]) // d, zero in column c.
+    When d is the pivot of the step before (1 for the first), every entry is
+    a minor of the first matrix and every division is exact."""
+    top = m[r]
+    p = top[c]
+    return [row if i == r else [(p * x - row[c] * y) // d for x, y in zip(row, top)] for i, row in enumerate(m)]
 
 
 def _pivot(tab: list[list[int]], d: int, basis: list[int], row: int, col: int):

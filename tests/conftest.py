@@ -87,6 +87,21 @@ def reduced_form(a, b):
     return pivots, [[F(x, d) for x in row] for row in rows]
 
 
+def schur_step(m, d, r, c):
+    """Reference forward step on the square residual m: every row i other than
+    r becomes (p m[i] - m[i][c] m[r]) // d on the pivot p = m[r][c], without
+    column c.  For a symmetric integer A and an index set S, with d = det A_SS
+    (1 for S empty) and m[i][j] = det A_{S+i,S+j} over the indices outside S,
+    the step on (p, p) gives the same for S + p."""
+    top = m[r]
+    p = top[c]
+    return [
+        [(p * x - row[c] * y) // d for j, (x, y) in enumerate(zip(row, top)) if j != c]
+        for i, row in enumerate(m)
+        if i != r
+    ]
+
+
 def cofactor_det2(m):
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 

@@ -29,9 +29,9 @@ from wrlat import (
     staircase,
 )
 from wrlat import minimal_vectors, ortho
-from wrlat.ratlinalg import diagonal_pivots, gram_of_vectors, integer_scaled, schur_step
+from wrlat.ratlinalg import diagonal_pivots, gram_of_vectors, integer_scaled
 
-from conftest import disguise, from_sympy, to_sympy
+from conftest import disguise, from_sympy, schur_step, to_sympy
 
 sympy = pytest.importorskip("sympy")
 

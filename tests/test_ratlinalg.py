@@ -1,8 +1,9 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wrlat import (
@@ -14,9 +15,17 @@ from wrlat import (
     lattice_from_gram,
     parse_rational,
 )
-from wrlat.ratlinalg import adjugate, diagonal_pivots, int_rank, integer_scaled, row_reduce
+from wrlat.ratlinalg import (
+    adjugate,
+    diagonal_pivots,
+    gram_of_vectors,
+    int_rank,
+    integer_scaled,
+    row_reduce,
+    tail_step,
+)
 
-from conftest import cofactor_det3, positive_definite_integer, reduced_form
+from conftest import cofactor_det3, positive_definite_integer, reduced_form, schur_step
 
 F = Fraction
 
@@ -135,6 +144,75 @@ def test_row_reduce_rejects_fractions():
         row_reduce([[1, F(-1, 4)], [F(-1, 4), 1]], [F(1, 2), F(1, 4)])
 
 
+def eager_row_reduce(a_rows, b):
+    """Reference Bareiss Gauss-Jordan on the integer system [A | b] that
+    rewrites every row at every step: on the pivot p = m[r][c], each row i
+    other than r becomes (p m[i] - m[i][c] m[r]) // d, with d the pivot of
+    the step before (1 for the first).  Returns what `row_reduce` returns."""
+    nr, nc = len(a_rows), len(a_rows[0]) if a_rows else 0
+    m = [[*row, b_i] for row, b_i in zip(a_rows, b)]
+    pivots, d = [], 1
+    for c in range(nc):
+        r = len(pivots)
+        s = next((i for i in range(r, nr) if m[i][c]), None)
+        if s is None:
+            continue
+        m[r], m[s] = m[s], m[r]
+        top = m[r]
+        p = top[c]
+        m = [row if i == r else [(p * x - row[c] * y) // d for x, y in zip(row, top)] for i, row in enumerate(m)]
+        d = p
+        pivots.append(c)
+    if any(m[i][nc] for i in range(len(pivots), nr)):
+        return None
+    return m[: len(pivots)], pivots, d
+
+
+sparse_entries = st.sampled_from([0, 0, 0, -3, -2, -1, 1, 2, 3])
+
+
+@st.composite
+def integer_systems(draw):
+    """(A, b) on integers, half of A's entries zero: each column drawn, zero,
+    or a multiple of an earlier one; each row after the first possibly a
+    combination of two earlier ones; b either A x, so consistent, or drawn,
+    so mostly inconsistent where A is rank-deficient.  Negative pivots come
+    from the negative entries."""
+    nr, nc = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cols = []
+    for _ in range(nc):
+        kind = draw(st.sampled_from(["drawn", "drawn", "zero", "repeated"]))
+        if kind == "zero":
+            cols.append([0] * nr)
+        elif kind == "repeated" and cols:
+            f = draw(st.sampled_from([-2, -1, 1, 2]))
+            cols.append([f * x for x in draw(st.sampled_from(cols))])
+        else:
+            cols.append([draw(sparse_entries) for _ in range(nr)])
+    a = [list(row) for row in zip(*cols)]
+    for i in range(1, nr):
+        if draw(st.integers(0, 2)) == 0:
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            f, g = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            a[i] = [f * x + g * y for x, y in zip(a[j], a[k])]
+    if draw(st.booleans()):
+        x = [draw(st.integers(-2, 2)) for _ in range(nc)]
+        return a, [sum(map(operator.mul, row, x)) for row in a]
+    return a, [draw(sparse_entries) for _ in range(nr)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_systems())
+@example(([[0, 2, 1], [3, 0, 0], [0, 0, 5], [3, 2, 6]], [1, 2, 3, 6]))  # rank-deficient, consistent
+@example(([[1, 1, 0], [2, 2, 0], [0, 1, 0]], [1, 3, 4]))  # zero column, inconsistent
+@example(([[-2, 0, -4, 1], [0, -3, 0, 2], [1, 1, 2, 0]], [1, -1, 2]))  # negative pivots, repeated column
+def test_row_reduce_equals_the_eager_reference(system):
+    # the lazy elimination rewrites only the rows it must, yet returns the
+    # eager rows, pivots and d exactly, which the LP's exact divisions need
+    a, b = system
+    assert row_reduce(a, b) == eager_row_reduce(a, b)
+
+
 @settings(max_examples=60)
 @given(st.integers(1, 4), st.data())
 def test_solve_solution_satisfies_system(n, data):
@@ -208,6 +286,67 @@ def ldl_factors(g):
     diag = tuple(F(p, scale * prev) for prev, p in zip(pivots, pivots[1:]))
     low = [[F(cols[j][i - j], pivots[j + 1]) if j < i else F(int(i == j)) for j in range(n)] for i in range(n)]
     return RatMatrix.from_rows(low), diag
+
+
+def upper(m):
+    return [row[i:] for i, row in enumerate(m)]
+
+
+def reference_diagonal_pivots(m):
+    """`diagonal_pivots` by the square reference step: P_0 = 1, P_1, ... and the
+    first column of each residual, up to and with the first pivot <= 0."""
+    pivots, cols = [1], []
+    while m:
+        pivots.append(m[0][0])
+        cols.append([row[0] for row in m])
+        if m[0][0] <= 0:
+            break
+        m = schur_step(m, pivots[-2], 0, 0)
+    return pivots, cols
+
+
+@st.composite
+def symmetric_integer(draw):
+    """A symmetric integer matrix: positive definite, a positive-semidefinite
+    Gram of more small vectors than the rank (zero minors), or indefinite."""
+    kind = draw(st.sampled_from(["definite", "pair Gram", "indefinite"]))
+    if kind == "definite":
+        return draw(positive_definite_integer(max_n=7))
+    if kind == "pair Gram":
+        a = draw(positive_definite_integer(max_n=4))
+        n = len(a)
+        return gram_of_vectors(a, [[draw(st.integers(-1, 1)) for _ in range(n)] for _ in range(draw(st.integers(n, n + 3)))])
+    n = draw(st.integers(1, 6))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(st.integers(-3, 3))
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_integer())
+@example([[2, 1], [1, 2]])
+@example([[2, 2, 1], [2, 2, 1], [1, 1, 2]])  # a repeated vector: P_2 = 0 stops it
+@example([[1, 2, 0], [2, 1, 0], [0, 0, 1]])  # P_2 = -3 stops it
+def test_diagonal_pivots_equal_the_square_reference(m):
+    assert diagonal_pivots(m) == reference_diagonal_pivots(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_integer(), st.data())
+def test_tail_steps_equal_the_square_reference(m, data):
+    # steps at drawn positions on the upper rows equal the square step on the
+    # same tail; a step on a zero minor ends the chain, as its pivot would be
+    # the next d
+    d, square, tail = 1, m, upper(m)
+    while square:
+        k = data.draw(st.integers(0, len(square) - 1))
+        after, got = schur_step([row[k:] for row in square[k:]], d, 0, 0), tail_step(tail, d, k)
+        assert got == upper(after)
+        if not square[k][k]:
+            break
+        d, square, tail = square[k][k], after, got
 
 
 def test_ldl_identity():
