@@ -28,7 +28,6 @@ from .constructions import (
 from .errors import InputError, LatticeError, NotNearlyOrthogonal, VerificationFailed
 from .eutaxy import classification_report
 from .lattice import lattice_to_json_dict, load_lattice
-from .minvec import DEFAULT_MAX_DIM
 from .ortho import PI_THIRD_COS_SQ
 from .perturb import perturb_block, perturb_general
 from .ratlinalg import parse_rational
@@ -88,13 +87,10 @@ def cmd_construct(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if args.max_dim < 1:
-        raise InputError(f"--max-dim {args.max_dim} must be at least 1")
     lat = load_lattice(args.file)
     report = classification_report(
         lat,
         search_minimal_bases=not args.no_basis_search,
-        max_dim=args.max_dim,
         cos_sq_threshold=parse_cos_sq_threshold(args.theta),
     )
     _emit(report.to_json_dict(), args.out)
@@ -154,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--out")
     p.add_argument("--strict", action="store_true", help="exit 1 when the report has any warning")
-    p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
     p.add_argument("--theta", default="pi/3", help='cos^2 threshold as "p/q", or "pi/3"')
     p.add_argument("--no-basis-search", action="store_true")
     p.set_defaults(fn=cmd_analyze)
@@ -173,12 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_perturb)
-
-    p = sub.add_parser("planar", help="planar well-rounded family (alias of construct planar)")
-    p.add_argument("--epsilon", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_construct, family="planar")
 
     return parser
 

@@ -57,7 +57,7 @@ from .invariants import (
     packing_density,
 )
 from .lattice import Lattice
-from .minvec import DEFAULT_MAX_DIM, is_well_rounded, minimal_vectors
+from .minvec import is_well_rounded, minimal_vectors
 from .ortho import PI_THIRD_COS_SQ, membership_report
 from .ratlinalg import adjugate, format_rational, int_rank, row_reduce
 from .simplex import OPTIMAL, UNBOUNDED, _simplex_from_basis
@@ -88,12 +88,12 @@ def _common_value(rows_sums):
     return common if common is not None and all(row[-1] == common * s for row, s in rows_sums) else None
 
 
-def eutaxy_classify(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> EutaxyResult:
+def eutaxy_classify(lat: Lattice) -> EutaxyResult:
     """Classify eutaxy of a well-rounded lattice, with exact certificates."""
-    if not is_well_rounded(lat, max_dim):
+    if not is_well_rounded(lat):
         raise NotWellRounded(f"{lat.name!r} is not well-rounded")
     n = lat.rank
-    pairs = minimal_vectors(lat, max_dim).pairs
+    pairs = minimal_vectors(lat).pairs
     k = len(pairs)
     det, adj = adjugate(lat.int_gram)
 
@@ -170,7 +170,6 @@ class ClassificationReport:
 def classification_report(
     lat: Lattice,
     search_minimal_bases: bool = True,
-    max_dim: int = DEFAULT_MAX_DIM,
     cos_sq_threshold: Fraction = PI_THIRD_COS_SQ,
 ) -> ClassificationReport:
     """Bundle all invariants; individual guard trips null the field and warn."""
@@ -185,17 +184,17 @@ def classification_report(
             warnings.append(f"{label}: {exc}")
             return None
 
-    mvs = attempt("minimal_vectors", lambda: minimal_vectors(lat, max_dim=max_dim))
+    mvs = attempt("minimal_vectors", lambda: minimal_vectors(lat))
     found = mvs is not None
-    wr = attempt("well_rounded", lambda: is_well_rounded(lat, max_dim), found)
-    coh = attempt("coherence", lambda: format_rational(coherence(lat, max_dim).value), found)
-    avg = attempt("avg_coherence", lambda: format_rational(average_coherence(lat, max_dim)), found)
+    wr = attempt("well_rounded", lambda: is_well_rounded(lat), found)
+    coh = attempt("coherence", lambda: format_rational(coherence(lat).value), found)
+    avg = attempt("avg_coherence", lambda: format_rational(average_coherence(lat)), found)
     mu, nu = attempt("mu_nu", lambda: [str(v) for v in mu_nu(lat)]) or (None, None)
-    dens = attempt("packing_density", lambda: packing_density(lat, max_dim), found)
-    member = attempt("membership", lambda: membership_report(lat, search_minimal_bases, cos_sq_threshold, max_dim), wr)
+    dens = attempt("packing_density", lambda: packing_density(lat), found)
+    member = attempt("membership", lambda: membership_report(lat, search_minimal_bases, cos_sq_threshold), wr)
     if wr is False:
         warnings.append("membership: lattice is not well-rounded")
-    eut = attempt("eutaxy", lambda: eutaxy_classify(lat, max_dim), wr)
+    eut = attempt("eutaxy", lambda: eutaxy_classify(lat), wr)
     n = lat.rank
     fields = {
         "name": lat.name,

@@ -24,7 +24,7 @@ from operator import itemgetter
 
 from .errors import FewerThanTwoPairs, LatticeError
 from .lattice import Lattice
-from .minvec import DEFAULT_MAX_DIM, minimal_norm_sq, minimal_vectors
+from .minvec import minimal_norm_sq, minimal_vectors
 from .ratlinalg import format_rational, gram_of_vectors, rational_sqrt_exact
 
 
@@ -56,8 +56,8 @@ def _pair_pass(
     return d[0][0], top, i, j, worst, tuple(labels)
 
 
-def _pairs_of_two_or_more(lat: Lattice, max_dim: int) -> tuple[tuple[int, ...], ...]:
-    pairs = minimal_vectors(lat, max_dim).pairs
+def _pairs_of_two_or_more(lat: Lattice) -> tuple[tuple[int, ...], ...]:
+    pairs = minimal_vectors(lat).pairs
     if len(pairs) < 2:
         raise FewerThanTwoPairs(f"{lat.name!r} has fewer than two minimal pairs")
     return pairs
@@ -69,20 +69,20 @@ class CoherenceValue:
     attaining_pair: tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def coherence(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> CoherenceValue:
+def coherence(lat: Lattice) -> CoherenceValue:
     """Largest |cos| over distinct non-opposite pairs of minimal vectors.
 
     Always lands in [0, 1/2].  Reports the lexicographically smallest
     attaining pair for determinism.
     """
-    pairs = _pairs_of_two_or_more(lat, max_dim)
+    pairs = _pairs_of_two_or_more(lat)
     norm, top, i, j, *_ = _pair_pass(lat.int_gram, pairs)
     return CoherenceValue(value=Fraction(top, norm), attaining_pair=(pairs[i], pairs[j]))
 
 
-def average_coherence(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> Fraction:
+def average_coherence(lat: Lattice) -> Fraction:
     """Worst row-average of |cos| over one representative per minimal pair."""
-    pairs = _pairs_of_two_or_more(lat, max_dim)
+    pairs = _pairs_of_two_or_more(lat)
     norm, *_, worst, _ = _pair_pass(lat.int_gram, pairs)
     return Fraction(worst, norm * (len(pairs) - 1))
 
@@ -139,14 +139,14 @@ class DensityValue:
     delta_sq_over_omega_sq: Fraction
 
 
-def packing_density(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> DensityValue:
+def packing_density(lat: Lattice) -> DensityValue:
     """Sphere-packing density: exact squared part and a floating value.
 
     delta = omega_n * minnorm^n / (2^n * sqrt(det G)), so
     delta^2 / omega_n^2 = minnorm_sq^n / (4^n det G) stays rational.
     """
     n = lat.rank
-    m = minimal_norm_sq(lat, max_dim)
+    m = minimal_norm_sq(lat)
     exact = m**n / (Fraction(4) ** n * lat.det_gram())
     return DensityValue(
         delta_float=unit_ball_volume(n) * math.sqrt(float(exact)),

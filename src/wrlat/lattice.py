@@ -201,11 +201,19 @@ def lattice_to_json_dict(lat: Lattice) -> dict:
     }
 
 
+def _list_of_lists(value, key: str) -> list:
+    """value, when it is a JSON list of JSON lists; a string would be read
+    character by character."""
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise InputError(f"{key} must be a JSON list of lists")
+    return value
+
+
 def lattice_from_json_dict(d: dict) -> Lattice:
     try:
         name = str(d["name"])
         rank = d["rank"]
-        gram_rows = [[parse_rational(e) for e in row] for row in d["gram"]]
+        gram_rows = [[parse_rational(e) for e in row] for row in _list_of_lists(d["gram"], "gram")]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed lattice JSON: {exc}") from exc
     if type(rank) is not int:  # int() would round 2.9 down and read true as 1
@@ -215,7 +223,7 @@ def lattice_from_json_dict(d: dict) -> Lattice:
     lat = lattice_from_gram(name, gram_rows, provenance=str(d.get("provenance", "")))
     if d.get("basis") is not None:
         try:
-            fb = FloatBasis(tuple(tuple(float(x) for x in col) for col in d["basis"]))
+            fb = FloatBasis(tuple(tuple(float(x) for x in col) for col in _list_of_lists(d["basis"], "basis")))
         except (TypeError, ValueError) as exc:
             raise InputError(f"malformed basis: {exc}") from exc
         if fb.rank != rank:

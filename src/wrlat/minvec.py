@@ -15,18 +15,14 @@ one diagonal elimination (`ratlinalg.diagonal_pivots`) and scaled to
 integers, and each level's center and the input-basis vector are running
 sums, so the walk uses no floating point and no Fraction.  Results
 are cached on the integer Gram s G (`Lattice.int_gram`) and s alone: lattices
-that differ only in scale can share s G.  Every report-level helper that
-needs the minimal vectors, here and in invariants, ortho and eutaxy, takes
-the rank guard `max_dim` and passes it on, so one setting holds for a whole
-report.  Three take none and keep the fixed guard of 12: the all-orderings
-verdict; `ortho.minimal_basis_subsets`, which the membership report reaches
-only after the verdict has passed that guard; and `eutaxy.is_perfect`, which
-the report does not call, as it reads perfection from the eutaxy system's
-rank.  A box-scan brute-force oracle cross-validates the enumerator on the
-Gram as given, with no reduction: an integer odometer over every coordinate
-but the last, which is swept row by row.  The suite derives each box from a
-certificate, `certified_box`: q(u) <= m gives u_i^2 <= m (G^-1)_ii, so m at
-least the minimum makes the scan complete.
+that differ only in scale can share s G.  One constant, `RANK_GUARD` (12),
+bounds the rank of the enumeration and of the all-orderings verdict, so one
+guard holds for a whole report.  A box-scan brute-force oracle
+cross-validates the enumerator on the Gram as given, with no reduction: an
+integer odometer over every coordinate but the last, which is swept row by
+row.  The suite derives each box from a certificate, `certified_box`:
+q(u) <= m gives u_i^2 <= m (G^-1)_ii, so m at least the minimum makes the
+scan complete.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ from .errors import DimensionGuardExceeded, PairCountGuardExceeded
 from .lattice import Lattice
 from .ratlinalg import adjugate, diagonal_pivots, int_rank
 
-DEFAULT_MAX_DIM = 12
+RANK_GUARD = 12
 DEFAULT_PAIR_GUARD_FACTOR = 10
 BRUTE_FORCE_POINT_GUARD = 10**8
 
@@ -182,38 +178,36 @@ def _walk(k: int, partial: int, bound: int, top: int, state) -> int:
     return bound
 
 
-def _check_dim(lat: Lattice, max_dim: int) -> None:
-    if lat.rank > max_dim:
-        raise DimensionGuardExceeded(
-            f"rank {lat.rank} exceeds the enumeration guard {max_dim}"
-        )
+def _enumeration(lat: Lattice) -> tuple[Fraction, tuple[tuple[int, ...], ...], bool, bool]:
+    """The cached `_shortest` of lat, under the rank guard and the pair limit."""
+    if lat.rank > RANK_GUARD:
+        raise DimensionGuardExceeded(f"rank {lat.rank} exceeds the enumeration guard {RANK_GUARD}")
+    return _shortest(lat.scale, lat.int_gram, DEFAULT_PAIR_GUARD_FACTOR * lat.rank * lat.rank)
 
 
-def minimal_norm_sq(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> Fraction:
+def minimal_norm_sq(lat: Lattice) -> Fraction:
     """Exact squared minimal norm, min over nonzero integer u of u^T G u."""
-    _check_dim(lat, max_dim)
-    return _shortest(lat.scale, lat.int_gram, DEFAULT_PAIR_GUARD_FACTOR * lat.rank * lat.rank)[0]
+    return _enumeration(lat)[0]
 
 
-def minimal_vectors(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> MinimalVectorSet:
+def minimal_vectors(lat: Lattice) -> MinimalVectorSet:
     """Complete canonical set of minimal vectors, one per +/- pair.
 
     Completeness: every integer u with u^T G u equal to the minimal norm is
     listed up to sign.  Guards fail loudly instead of truncating: more than
     DEFAULT_PAIR_GUARD_FACTOR * n^2 pairs at the minimal norm raises.
     """
-    _check_dim(lat, max_dim)
-    limit = DEFAULT_PAIR_GUARD_FACTOR * lat.rank * lat.rank
-    norm, pairs, overflowed, _ = _shortest(lat.scale, lat.int_gram, limit)
+    norm, pairs, overflowed, _ = _enumeration(lat)
     if overflowed:
+        limit = DEFAULT_PAIR_GUARD_FACTOR * lat.rank * lat.rank
         raise PairCountGuardExceeded(f"more than {limit} minimal pairs for {lat.name!r}")
     return MinimalVectorSet(norm_sq=norm, pairs=pairs)
 
 
-def is_well_rounded(lat: Lattice, max_dim: int = DEFAULT_MAX_DIM) -> bool:
+def is_well_rounded(lat: Lattice) -> bool:
     """True iff the minimal vectors span: rank of their coefficient matrix is n."""
-    minimal_vectors(lat, max_dim)  # its guards; the rank comes with its cached enumeration
-    return _shortest(lat.scale, lat.int_gram, DEFAULT_PAIR_GUARD_FACTOR * lat.rank * lat.rank)[3]
+    minimal_vectors(lat)  # its guards; the rank comes with its cached enumeration
+    return _enumeration(lat)[3]
 
 
 def certified_box(lat: Lattice, m=None) -> int:

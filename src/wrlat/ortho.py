@@ -35,7 +35,7 @@ from typing import Sequence
 from .errors import DimensionGuardExceeded, NotWellRounded, SubsetGuardExceeded
 from .invariants import coherence
 from .lattice import Lattice
-from .minvec import DEFAULT_MAX_DIM, is_well_rounded, minimal_vectors
+from .minvec import RANK_GUARD, is_well_rounded, minimal_vectors
 from .ratlinalg import diagonal_pivots, format_rational, gram_of_vectors, tail_step
 
 PI_THIRD_COS_SQ = Fraction(1, 4)
@@ -113,13 +113,13 @@ def is_theta_orthogonal(
     all orderings are in threshold.  It orders the prefix set, the vector,
     then the rest.  Both replay under angle_profile.  d_{S+w} is read from the
     tail of S + w less its largest index (`_tail`): at most 2^(n-1) - 1 steps,
-    so ranks above `DEFAULT_MAX_DIM` (12) are refused.
+    so ranks above `minvec.RANK_GUARD` (12) are refused.
     """
     thr = Fraction(cos_sq_threshold)
     if not 0 <= thr <= 1:
         raise ValueError("threshold must be a squared cosine in [0, 1]")
-    if lat.rank > DEFAULT_MAX_DIM:
-        raise DimensionGuardExceeded(f"rank {lat.rank} exceeds the orderings guard {DEFAULT_MAX_DIM}")
+    if lat.rank > RANK_GUARD:
+        raise DimensionGuardExceeded(f"rank {lat.rank} exceeds the orderings guard {RANK_GUARD}")
     return _verdict(lat.int_gram, thr)
 
 
@@ -258,7 +258,6 @@ def membership_report(
     lat: Lattice,
     search_minimal_bases: bool = False,
     cos_sq_threshold: Fraction = PI_THIRD_COS_SQ,
-    max_dim: int = DEFAULT_MAX_DIM,
 ) -> MembershipReport:
     """Decide in_weak and in_strict as far as the stored basis, the bounds and,
     on request, the minimal-basis search can.
@@ -271,10 +270,10 @@ def membership_report(
     kissing number exceeds 3n, where no strict basis exists, so each witness
     reported is the first basis of its class.
     """
-    if not is_well_rounded(lat, max_dim):
+    if not is_well_rounded(lat):
         raise NotWellRounded(f"{lat.name!r} is not well-rounded")
     n = lat.rank
-    mvs = minimal_vectors(lat, max_dim)
+    mvs = minimal_vectors(lat)
     kiss = mvs.count
     thr = Fraction(cos_sq_threshold)
     stored = is_theta_orthogonal(lat, thr)
@@ -297,7 +296,7 @@ def membership_report(
         reasons.append(f"kissing number {kiss} exceeds 3n = {3 * n}")
     # coherence below 1/2 with more than 2n minimal vectors excludes the
     # whole weak class; a weakly certified basis would force coherence 1/2
-    if bounded and in_weak is None and kiss > 2 * n and coherence(lat, max_dim).value < Fraction(1, 2):
+    if bounded and in_weak is None and kiss > 2 * n and coherence(lat).value < Fraction(1, 2):
         in_weak, in_strict = False, False
         reasons.append(f"coherence below 1/2 with kissing number {kiss} > 2n rules the class out")
 

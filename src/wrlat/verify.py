@@ -34,7 +34,7 @@ from .errors import InputError
 from .eutaxy import EutaxyClass, eutaxy_classify, is_perfect
 from .invariants import cn_test, cn_value, coherence, packing_density
 from .lattice import Lattice, lattice_from_gram
-from .minvec import DEFAULT_MAX_DIM, brute_force_min_vectors, certified_box, is_well_rounded, minimal_vectors
+from .minvec import RANK_GUARD, brute_force_min_vectors, certified_box, is_well_rounded, minimal_vectors
 from .ortho import angle_profile, is_theta_orthogonal, minimal_basis_subsets
 from .perturb import perturb_2d, perturb_block
 
@@ -401,8 +401,8 @@ def run_suite(suite: str = "all", max_n: int = 8) -> SuiteReport:
         raise InputError(f"unknown suite {suite!r}")
     if max_n < 2:
         raise InputError("max_n must be at least 2")
-    if max_n > DEFAULT_MAX_DIM:
-        raise InputError(f"max_n must be at most {DEFAULT_MAX_DIM}, the enumeration guard")
+    if max_n > RANK_GUARD:
+        raise InputError(f"max_n must be at most {RANK_GUARD}, the enumeration guard")
 
     def run_one(check_id: str) -> CheckResult:
         claim, fn = _REGISTRY[check_id]

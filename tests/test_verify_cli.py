@@ -113,8 +113,8 @@ def test_cli_construct_planar(tmp_path):
     assert data["coherence"] == "1/17"
 
 
-def test_cli_planar_alias(tmp_path, capsys):
-    assert run_cli("planar", "--epsilon", "1/20", "--d", "3") == 0
+def test_cli_construct_planar_to_stdout(capsys):
+    assert run_cli("construct", "planar", "--epsilon", "1/20", "--d", "3") == 0
     data = json.loads(capsys.readouterr().out)
     assert (data["m"], data["n"], data["q"]) == (7, 4, 97)
 
@@ -316,12 +316,13 @@ def test_cli_rejects_float_rationals(tmp_path):
 
 
 def test_cli_analyze_strict_flags_guard_trips(tmp_path, capsys):
-    f = _lattice_file(tmp_path, "z", "--n", "10")
-    # rank 10 exceeds a lowered enumeration guard: fields null, warnings set
-    assert run_cli("analyze", str(f), "--max-dim", "6") == 0
+    f = _lattice_file(tmp_path, "z", "--n", "13")
+    # rank 13 exceeds the enumeration guard: fields null, warnings set
+    assert run_cli("analyze", str(f)) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["kissing_number"] is None and report["warnings"]
-    assert run_cli("analyze", str(f), "--max-dim", "6", "--strict") == 1
+    assert report["kissing_number"] is None
+    assert report["warnings"] == ["minimal_vectors: rank 13 exceeds the enumeration guard 12"]
+    assert run_cli("analyze", str(f), "--strict") == 1
 
 
 def test_the_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):
@@ -374,6 +375,10 @@ def test_cli_analyze_strict_exits_1_on_any_warning(tmp_path, capsys):
         ({"basis": []}, "malformed basis: empty basis"),
         ({"basis": [[1, 0], [0.5]]}, "malformed basis: ragged basis columns"),
         ({"basis": [[1], [0.5]]}, "malformed basis: more columns than ambient dimension"),
+        # strings are not rows: iterating them would read "21" as [2, 1]
+        ({"gram": ["21", "12"]}, "gram must be a JSON list of lists"),
+        ({"rank": 1, "gram": "5"}, "gram must be a JSON list of lists"),
+        ({"gram": [["1", "0"], ["0", "1"]], "basis": ["10", "01"]}, "basis must be a JSON list of lists"),
     ],
 )
 def test_cli_bad_lattice_file_exits_2(tmp_path, capsys, changes, message):
@@ -418,10 +423,6 @@ def test_cli_exits_2_on_input_errors_only(tmp_path, capsys, monkeypatch):
     latin1.write_bytes(b'{"name": "\xe9"}')
     assert run_cli("analyze", str(latin1)) == 2 and "not UTF-8" in capsys.readouterr().err
     hex_file = str(_lattice_file(tmp_path, "hex"))
-    for max_dim in ("0", "-3"):  # verify --max-n 1 exits 2 the same way
-        assert run_cli("analyze", hex_file, "--max-dim", max_dim) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err == f"error: --max-dim {max_dim} must be at least 1\n"
 
     def bug(*args):
         raise ValueError("a bug, not bad input")
@@ -470,19 +471,23 @@ def test_cli_analyze_decides_membership_at_rank_12(tmp_path, capsys):
     assert report["warnings"] == []
 
 
-def test_cli_analyze_honours_max_dim_above_default(tmp_path, capsys):
+def test_cli_analyze_trips_the_rank_guard_at_the_enumeration(tmp_path, capsys):
     f = _lattice_file(tmp_path, "staircase", "--n", "14")
-    assert run_cli("analyze", str(f), "--max-dim", "14") == 0
+    assert run_cli("analyze", str(f)) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["warnings"] == ["membership: rank 14 exceeds the orderings guard 12"]
-    assert report["kissing_number"] == 54
-    assert report["well_rounded"] is True
-    assert report["coherence"] == "1/2"
-    assert report["avg_coherence"] is not None
-    norm, det = F(report["norm_sq"]), F(report["det_gram"])
-    assert F(report["delta_sq_exact"]) == norm**14 / (4**14 * det)
-    assert report["eutaxy_class"] is not None
-    assert report["perfect"] is False  # 27 pairs cannot span the 105 rank-one forms
+    assert report["warnings"] == ["minimal_vectors: rank 14 exceeds the enumeration guard 12"]
+    enumerated = (
+        "norm_sq", "kissing_number", "minimal_pairs", "well_rounded", "coherence", "avg_coherence",
+        "delta", "delta_sq_exact", "basis_verdict", "in_weak", "in_strict",
+        "eutaxy_class", "eutaxy_coefficients", "eutaxy_solution_dim", "perfect",
+    )
+    assert all(report[key] is None for key in enumerated)
+    assert report["mu"] == "1/8192" and report["nu"] == "1/2"  # read off the Gram, no enumeration
+    # the guard is one constant: no option moves it
+    with pytest.raises(SystemExit) as exc:
+        run_cli("analyze", str(f), "--max-dim", "14")
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_threshold_sugar():
