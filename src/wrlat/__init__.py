@@ -55,7 +55,6 @@ from .invariants import (
     unit_ball_volume,
 )
 from .lattice import (
-    FloatBasis,
     Lattice,
     direct_sum,
     lattice_from_float_basis,

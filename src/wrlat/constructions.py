@@ -10,9 +10,9 @@ Lattice, built and validated once per process.  A bad call raises every time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InputError, PlanarSearchFailed
 from .lattice import Lattice, lattice_from_gram, lattice_to_json_dict
@@ -153,8 +153,7 @@ def is_squarefree(d: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PlanarWRResult:
+class PlanarWRResult(NamedTuple):
     """Integral planar well-rounded lattice with coherence p/q below epsilon.
 
     Generated from a rational gamma = m/(n sqrt(D)) slightly above 1:

@@ -45,8 +45,8 @@ early-stopping rank count, an independent check.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import LatticeError, NotWellRounded
 from .invariants import (
@@ -70,8 +70,7 @@ class EutaxyClass(enum.Enum):
     STRONGLY_EUTACTIC = "StronglyEutactic"
 
 
-@dataclass(frozen=True)
-class EutaxyResult:
+class EutaxyResult(NamedTuple):
     klass: EutaxyClass
     coefficients: tuple[Fraction, ...] | None
     solution_space_dim: int  # -1 when the system is inconsistent
@@ -154,8 +153,7 @@ def is_perfect(lat: Lattice) -> bool:
     return int_rank(_rank_one_rows(pairs, n)) == target
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Everything this package can say about one lattice, guard trips flagged."""
 
     fields: dict

@@ -16,11 +16,11 @@ display (omega_n, the unit-ball volume, is irrational).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import FewerThanTwoPairs, LatticeError
 from .lattice import Lattice
@@ -63,8 +63,7 @@ def _pairs_of_two_or_more(lat: Lattice) -> tuple[tuple[int, ...], ...]:
     return pairs
 
 
-@dataclass(frozen=True)
-class CoherenceValue:
+class CoherenceValue(NamedTuple):
     value: Fraction
     attaining_pair: tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -87,8 +86,7 @@ def average_coherence(lat: Lattice) -> Fraction:
     return Fraction(worst, norm * (len(pairs) - 1))
 
 
-@dataclass(frozen=True)
-class BasisCos:
+class BasisCos(NamedTuple):
     """|cos| between two basis vectors, kept as an exact squared value.
 
     exact_cos is the rational |cos| itself when the squared value is the
@@ -133,8 +131,7 @@ def unit_ball_volume(n: int) -> float:
     return 2.0 * math.pi / n * unit_ball_volume(n - 2)
 
 
-@dataclass(frozen=True)
-class DensityValue:
+class DensityValue(NamedTuple):
     delta_float: float
     delta_sq_over_omega_sq: Fraction
 

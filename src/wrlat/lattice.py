@@ -3,8 +3,9 @@
 A lattice is stored as its rational Gram matrix, never as a basis matrix.
 Families whose printed bases contain square roots still have exact rational
 Grams, so this representation keeps every invariant computation exact.
-Each Lattice also keeps the integer Gram s G that its validation computes,
-and every layer and cache reads that form, so G becomes integers once.
+The Gram is a `RatMatrix`, which keeps one form: the canonical scale s and
+the integer Gram s G.  Every layer and cache reads that form, and Fractions
+are made only where an entry is read (the JSON writer, `perturb`).
 Float input is only ever checked, within 1e-9 (BASIS_GRAM_TOLERANCE): a file's
 optional "basis" against its authoritative Gram, and lattice_from_float_basis'
 rationalization.  That is the one float comparison; it feeds no invariant or verdict.
@@ -15,8 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Sequence
 
 from .errors import InputError, NotPositiveDefinite, NotSymmetric, RationalizationFailed
@@ -25,53 +26,56 @@ from .ratlinalg import (
     block_diag,
     diagonal_pivots,
     format_rational,
-    integer_scaled,
     parse_rational,
 )
 
 BASIS_GRAM_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
 class Lattice:
     """Rank-n lattice given by a symmetric positive-definite rational Gram matrix.
 
     Construction checks the shape, then the symmetry (A equals its transpose)
     and the positive definiteness (one elimination, `diagonal_pivots`) of the
-    integer Gram A = s G, s the lcm of G's denominators (`integer_scaled`), so
-    every Lattice has a positive-definite Gram.  It keeps, read-only and outside
-    equality and hashing, the Gram's size `rank` n and what that elimination
-    computed: `scale` s, `int_gram` A as a tuple of tuples, and
-    `leading_minors` P_0 = 1, ..., P_n of A."""
+    integer Gram A = s G that the `RatMatrix` keeps, so every Lattice has a
+    positive-definite Gram.  It keeps the `leading_minors` P_0 = 1, ..., P_n
+    of A that the elimination computed; `rank` n, `scale` s and `int_gram` A
+    are read off the Gram.  The attributes are read-only properties over
+    private slots.  Equality and hashing run on (name, gram, provenance)."""
 
-    name: str
-    gram: RatMatrix
-    provenance: str = ""
-    rank: int = field(init=False, repr=False, compare=False)
-    scale: int = field(init=False, repr=False, compare=False)
-    int_gram: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    leading_minors: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("_name", "_gram", "_provenance", "_leading_minors")
+    name = property(attrgetter("_name"))
+    gram = property(attrgetter("_gram"))
+    provenance = property(attrgetter("_provenance"))
+    leading_minors = property(attrgetter("_leading_minors"))
+    rank = property(attrgetter("_gram.rows"))
+    scale = property(attrgetter("_gram.scale"))
+    int_gram = property(attrgetter("_gram.int_rows"))
 
-    def __post_init__(self):
-        g = self.gram
-        if g.rows != g.cols or g.rows < 1:
+    def __init__(self, name: str, gram: RatMatrix, provenance: str = ""):
+        if gram.rows != gram.cols or gram.rows < 1:
             raise ValueError("Gram matrix must be square and nonempty")
-        scale, a = integer_scaled(g)
-        int_gram = tuple(map(tuple, a))
-        if tuple(zip(*a)) != int_gram:  # s > 0, so s G is symmetric iff G is
-            raise NotSymmetric(f"Gram of {self.name!r} is not symmetric")
+        a = gram.int_rows
+        if tuple(zip(*a)) != a:  # s > 0, so s G is symmetric iff G is
+            raise NotSymmetric(f"Gram of {name!r} is not symmetric")
         pivots, _ = diagonal_pivots(a)
         if pivots[-1] <= 0:  # D_k = P_{k+1} / (s P_k) at the first P_{k+1} <= 0
             k = len(pivots) - 2
-            raise NotPositiveDefinite(f"pivot {k} is {Fraction(pivots[-1], scale * pivots[-2])}")
-        object.__setattr__(self, "rank", g.rows)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "int_gram", int_gram)
-        object.__setattr__(self, "leading_minors", tuple(pivots))
+            raise NotPositiveDefinite(f"pivot {k} is {Fraction(pivots[-1], gram.scale * pivots[-2])}")
+        self._name, self._gram, self._provenance = name, gram, provenance
+        self._leading_minors = tuple(pivots)
 
     def det_gram(self) -> Fraction:
         """det G = P_n / s^n, the last leading minor of s G."""
         return Fraction(self.leading_minors[-1], self.scale**self.rank)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Lattice:
+            return NotImplemented
+        return (self.name, self.gram, self.provenance) == (other.name, other.gram, other.provenance)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.gram, self.provenance))
 
     def __repr__(self) -> str:
         return f"Lattice({self.name!r}, rank={self.rank})"
@@ -84,38 +88,26 @@ def lattice_from_gram(name: str, gram, provenance: str = "") -> Lattice:
     return Lattice(name, gram, provenance)
 
 
-@dataclass(frozen=True)
-class FloatBasis:
-    """Columns of a floating basis in some ambient dimension >= rank."""
-
-    columns: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        if not self.columns:
-            raise ValueError("empty basis")
-        dim = len(self.columns[0])
-        if any(len(c) != dim for c in self.columns):
-            raise ValueError("ragged basis columns")
-        if len(self.columns) > dim:
-            raise ValueError("more columns than ambient dimension")
-        if not all(math.isfinite(x) for c in self.columns for x in c):
-            raise ValueError("basis entries must be finite")
-
-    @property
-    def rank(self) -> int:
-        return len(self.columns)
-
-    def float_gram(self) -> list[list[float]]:
-        return [
-            [sum(a * b for a, b in zip(ci, cj)) for cj in self.columns]
-            for ci in self.columns
-        ]
+def _float_gram(columns: Sequence[Sequence[float]]) -> list[list[float]]:
+    """The float Gram of a basis given by its columns, in some ambient
+    dimension >= their count.  Each entry must be an int or a float: a bool
+    or a string is not read as a number."""
+    if not columns:
+        raise ValueError("empty basis")
+    dim = len(columns[0])
+    if any(len(c) != dim for c in columns):
+        raise ValueError("ragged basis columns")
+    if len(columns) > dim:
+        raise ValueError("more columns than ambient dimension")
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for c in columns for x in c):
+        raise TypeError("basis entries must be ints or floats")
+    if not all(math.isfinite(x) for c in columns for x in c):
+        raise ValueError("basis entries must be finite")
+    return [[sum(a * b for a, b in zip(ci, cj)) for cj in columns] for ci in columns]
 
 
-def lattice_from_float_basis(
-    name: str, basis: FloatBasis | Sequence[Sequence[float]], max_denominator: int = 10**6
-) -> Lattice:
-    """Build an exact lattice from a floating basis.
+def lattice_from_float_basis(name: str, columns: Sequence[Sequence[float]], max_denominator: int = 10**6) -> Lattice:
+    """Build an exact lattice from the columns of a floating basis.
 
     Each Gram entry is replaced by its best rational approximation with
     denominator at most max_denominator.  If that approximation is farther
@@ -123,10 +115,8 @@ def lattice_from_float_basis(
     silently rounded.  The columns count as independent iff the rationalized
     Gram is positive definite.
     """
-    if not isinstance(basis, FloatBasis):
-        basis = FloatBasis(tuple(tuple(float(x) for x in col) for col in basis))
-    g = basis.float_gram()
-    n = basis.rank
+    g = _float_gram(columns)
+    n = len(g)
     out = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -170,8 +160,9 @@ def principal_sublattice(lat: Lattice, indices: Sequence[int]) -> Lattice:
         raise ValueError("index set must be nonempty")
     if len(set(idx)) != len(idx) or any(not (0 <= i < lat.rank) for i in idx):
         raise ValueError(f"bad index set {indices!r} for rank {lat.rank}")
-    rows = [[lat.gram[i, j] for j in idx] for i in idx]
-    return Lattice(f"{lat.name}|{tuple(idx)}", RatMatrix.from_rows(rows), "principal sublattice")
+    a = lat.int_gram
+    gram = RatMatrix.from_scaled(lat.scale, [[a[i][j] for j in idx] for i in idx])
+    return Lattice(f"{lat.name}|{tuple(idx)}", gram, "principal sublattice")
 
 
 def reorder_basis(lat: Lattice, perm: Sequence[int]) -> Lattice:
@@ -179,8 +170,8 @@ def reorder_basis(lat: Lattice, perm: Sequence[int]) -> Lattice:
     p = list(perm)
     if sorted(p) != list(range(lat.rank)):
         raise ValueError(f"{perm!r} is not a permutation of 0..{lat.rank - 1}")
-    rows = [[lat.gram[p[i], p[j]] for j in range(lat.rank)] for i in range(lat.rank)]
-    return Lattice(lat.name, RatMatrix.from_rows(rows), lat.provenance)
+    a = lat.int_gram
+    return Lattice(lat.name, RatMatrix.from_scaled(lat.scale, [[a[i][j] for j in p] for i in p]), lat.provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +214,15 @@ def lattice_from_json_dict(d: dict) -> Lattice:
     lat = lattice_from_gram(name, gram_rows, provenance=str(d.get("provenance", "")))
     if d.get("basis") is not None:
         try:
-            fb = FloatBasis(tuple(tuple(float(x) for x in col) for col in _list_of_lists(d["basis"], "basis")))
+            g = _float_gram(_list_of_lists(d["basis"], "basis"))
         except (TypeError, ValueError) as exc:
             raise InputError(f"malformed basis: {exc}") from exc
-        if fb.rank != rank:
+        if len(g) != rank:
             raise InputError("basis column count does not match rank")
-        g = fb.float_gram()
+        a, s = lat.int_gram, lat.scale
         for i in range(rank):
             for j in range(rank):
-                if abs(g[i][j] - float(lat.gram[i, j])) > BASIS_GRAM_TOLERANCE:
+                if abs(g[i][j] - a[i][j] / s) > BASIS_GRAM_TOLERANCE:
                     raise InputError(
                         f"basis does not reproduce gram at ({i},{j}): "
                         f"{g[i][j]!r} vs {lat.gram[i, j]}"
@@ -251,4 +242,6 @@ def load_lattice(path: str) -> Lattice:
             data = json.load(fh)
         except UnicodeDecodeError as exc:
             raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+        except RecursionError as exc:
+            raise InputError(f"{path} nests JSON too deeply") from exc
     return lattice_from_json_dict(data)

@@ -28,9 +28,9 @@ scan complete.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DimensionGuardExceeded, PairCountGuardExceeded
 from .lattice import Lattice
@@ -41,8 +41,7 @@ DEFAULT_PAIR_GUARD_FACTOR = 10
 BRUTE_FORCE_POINT_GUARD = 10**8
 
 
-@dataclass(frozen=True)
-class MinimalVectorSet:
+class MinimalVectorSet(NamedTuple):
     """One canonical representative per +/- pair of minimal vectors.
 
     Representatives have their first nonzero coefficient positive and are

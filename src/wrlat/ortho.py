@@ -27,10 +27,9 @@ one tail step per chosen pair, and it stops once nothing is left undecided.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionGuardExceeded, NotWellRounded, SubsetGuardExceeded
 from .invariants import coherence
@@ -42,8 +41,7 @@ PI_THIRD_COS_SQ = Fraction(1, 4)
 DEFAULT_SUBSET_GUARD = 50_000
 
 
-@dataclass(frozen=True)
-class AngleProfile:
+class AngleProfile(NamedTuple):
     ordering: tuple[int, ...]
     cos_sq: tuple[Fraction, ...]
 
@@ -65,15 +63,13 @@ def angle_profile(lat: Lattice, ordering: Sequence[int]) -> AngleProfile:
     return AngleProfile(perm, tuple(cos_sq))
 
 
-@dataclass(frozen=True)
-class OrthoViolation:
+class OrthoViolation(NamedTuple):
     ordering: tuple[int, ...]
     level: int  # position of the offending vector within the ordering
     cos_sq: Fraction
 
 
-@dataclass(frozen=True)
-class OrthoVerdict:
+class OrthoVerdict(NamedTuple):
     weakly: bool
     strictly: bool
     witness_ordering: tuple[int, ...] | None
@@ -191,8 +187,7 @@ def _verdict(a: Sequence[Sequence[int]], thr: Fraction) -> OrthoVerdict:
     return OrthoVerdict(witness is not None, False, witness, next(violations()))
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(NamedTuple):
     """Class-membership verdicts for a well-rounded lattice.
 
     stored_basis is the verdict for the lattice's own basis ordering set.

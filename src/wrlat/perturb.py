@@ -17,8 +17,8 @@ guard of rank 12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InputError, NotNearlyOrthogonal, NotPositiveDefinite, VerificationFailed
 from .invariants import mu_nu, packing_density
@@ -32,8 +32,7 @@ NU = "nu"
 TOL = Fraction(1, 10**9)  # how far perturb_general's result may miss the target and the law
 
 
-@dataclass(frozen=True)
-class PerturbationOutcome:
+class PerturbationOutcome(NamedTuple):
     before: Lattice
     after: Lattice
     mode: str
@@ -57,7 +56,7 @@ class PerturbationOutcome:
 
 
 def _require_unit_diagonal(lat: Lattice) -> None:
-    if any(lat.gram[i, i] != 1 for i in range(lat.rank)):
+    if any(row[i] != lat.scale for i, row in enumerate(lat.int_gram)):
         raise InputError("perturbation requires a unit-diagonal Gram matrix")
 
 
@@ -69,7 +68,8 @@ def _density_ratio_sq(before: Lattice, after: Lattice) -> Fraction:
 
 
 def _gram_distance(a: RatMatrix, b: RatMatrix) -> Fraction:
-    return max(abs(x - y) for x, y in zip(a.entries, b.entries))
+    sa, sb = a.scale, b.scale
+    return Fraction(max(abs(x * sb - y * sa) for ra, rb in zip(a.int_rows, b.int_rows) for x, y in zip(ra, rb)), sa * sb)
 
 
 def _replace_pair(
@@ -80,9 +80,10 @@ def _replace_pair(
         raise InputError("|new cosine| must be at most 1/2")
     old = lat.gram[i, j]
     entry = -new_cos if old < 0 else new_cos
-    rows = lat.gram.to_rows()
-    rows[i][j] = rows[j][i] = entry
-    after = lattice_from_gram(name, rows, provenance=f"{what} cosine moved from {old} to {entry}")
+    q = entry.denominator
+    rows = [[x * q for x in row] for row in lat.int_gram]
+    rows[i][j] = rows[j][i] = entry.numerator * lat.scale
+    after = Lattice(name, RatMatrix.from_scaled(lat.scale * q, rows), f"{what} cosine moved from {old} to {entry}")
     return PerturbationOutcome(
         before=lat,
         after=after,
@@ -117,8 +118,9 @@ def perturb_block(lat: Lattice, block_index: int, new_cos: Fraction) -> Perturba
     j = i + 1
     if block_index < 0 or j >= lat.rank:
         raise InputError(f"no block {block_index} in rank {lat.rank}")
+    a = lat.int_gram
     for k in range(lat.rank):
-        if k not in (i, j) and (lat.gram[i, k] != 0 or lat.gram[j, k] != 0):
+        if k not in (i, j) and (a[i][k] or a[j][k]):
             raise InputError("target block is coupled to the rest of the basis")
     if minimal_norm_sq(lat) != 1:
         raise InputError("block perturbation expects minimal norm 1")

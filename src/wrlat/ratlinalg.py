@@ -1,12 +1,12 @@
 """Exact rational scalars and dense rational linear algebra.
 
 Every quantity in this package that can be rational is kept rational: the
-scalar type is ``fractions.Fraction``, matrices are dense row-major tuples
-of Fractions, and all eliminations are exact.  Matrices are small
-(desk-scale ranks, at most ~12), so dense algorithms are the right tool.
-`integer_scaled` is the one place where Fractions become integers: it gives
-the integer matrix s A, with s the lcm of A's denominators, and is called
-once per lattice, by `Lattice`, which keeps s G for every layer to read.
+scalar type is ``fractions.Fraction``, and all eliminations are exact.
+Matrices are small (desk-scale ranks, at most ~12), so dense algorithms are
+the right tool.  A `RatMatrix` M keeps one form, its canonical scale s, the
+lcm of its denominators, and the integer rows of s M; Fractions are made
+only where its entries are read.  A `Lattice` reads s and s G off its Gram,
+and every layer works on that integer form.
 Every elimination runs fraction-free on integers (Bareiss, Math. Comp. 22,
 1968), in three kernels.  `tail_step`, the forward step, computes only the
 upper half of a symmetric residual: `diagonal_pivots` runs it down the
@@ -64,20 +64,42 @@ def int_sqrt_floor(q: Fraction | int) -> int:
 
 
 class RatMatrix:
-    """Immutable dense matrix of Fractions, stored row-major."""
+    """Immutable dense rational matrix M, kept as its integer form: the
+    canonical scale s, the lcm of M's denominators, and the integer rows
+    `int_rows` of s M.  Fractions are made only where entries are read.
+    The public attributes are read-only properties over private slots."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("_rows", "_cols", "_scale", "_int_rows")
+    rows = property(operator.attrgetter("_rows"))
+    cols = property(operator.attrgetter("_cols"))
+    scale = property(operator.attrgetter("_scale"))
+    int_rows = property(operator.attrgetter("_int_rows"))
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        ent = tuple(e if type(e) is Fraction else Fraction(e) for e in entries)  # Fraction is immutable
-        if rows < 0 or cols < 0 or len(ent) != rows * cols:
-            raise ValueError(f"need {rows * cols} entries, got {len(ent)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", ent)
+        ratios = [(e if type(e) is Fraction else Fraction(e)).as_integer_ratio() for e in entries]
+        if rows < 0 or cols < 0 or len(ratios) != rows * cols:
+            raise ValueError(f"need {rows * cols} entries, got {len(ratios)}")
+        s = math.lcm(*(q for _, q in ratios))
+        self._keep(rows, cols, s, [p * (s // q) for p, q in ratios])
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RatMatrix is immutable")
+    def _keep(self, rows: int, cols: int, scale: int, flat: list[int]) -> None:
+        """Keep flat / scale, row-major, with the common factor of scale and
+        the entries divided out, so that the scale is canonical."""
+        g = math.gcd(scale, *flat)
+        if g > 1:
+            scale, flat = scale // g, [x // g for x in flat]
+        self._rows, self._cols, self._scale = rows, cols, scale
+        self._int_rows = tuple(tuple(flat[i * cols : (i + 1) * cols]) for i in range(rows))
+
+    @classmethod
+    def from_scaled(cls, scale: int, int_rows: Sequence[Sequence[int]]) -> "RatMatrix":
+        """The matrix int_rows / scale, for a positive integer scale."""
+        nc = len(int_rows[0]) if int_rows else 0
+        if scale < 1 or any(len(r) != nc for r in int_rows):
+            raise ValueError("need a positive scale and rows of one length")
+        m = cls.__new__(cls)
+        m._keep(len(int_rows), nc, scale, [x for r in int_rows for x in r])
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
@@ -89,34 +111,36 @@ class RatMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
+        return cls(n, n, [int(i == j) for i in range(n) for j in range(n)])
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(ij)
-        return self.entries[i * self.cols + j]
+        return Fraction(self._int_rows[i][j], self._scale)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        s = self._scale
+        return tuple(Fraction(x, s) for x in self._int_rows[i])
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        """All entries, row-major."""
+        return tuple(e for i in range(self.rows) for e in self.row(i))
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def scaled(self, factor) -> "RatMatrix":
         f = Fraction(factor)
-        return RatMatrix(self.rows, self.cols, [f * e for e in self.entries])
+        return RatMatrix.from_scaled(self.scale * f.denominator, [[f.numerator * x for x in r] for r in self.int_rows])
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RatMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        return isinstance(other, RatMatrix) and (self.cols, self.scale, self.int_rows) == (
+            other.cols, other.scale, other.int_rows)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.cols, self.scale, self.int_rows))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
@@ -124,23 +148,13 @@ class RatMatrix:
 
 
 def block_diag(*mats: RatMatrix) -> RatMatrix:
+    s = math.lcm(*(m.scale for m in mats))
     c, co, out = sum(m.cols for m in mats), 0, []
     for m in mats:
-        out += [[0] * co + list(m.row(i)) + [0] * (c - co - m.cols) for i in range(m.rows)]
+        f = s // m.scale
+        out += [[0] * co + [f * x for x in row] + [0] * (c - co - m.cols) for row in m.int_rows]
         co += m.cols
-    return RatMatrix.from_rows(out)
-
-
-def integer_scaled(a: RatMatrix) -> tuple[int, list[list[int]]]:
-    """(s, s A) as integer rows, with s the lcm of the denominators of A.
-
-    Each entry's (numerator, denominator) is read once.
-    """
-    ratios = list(map(Fraction.as_integer_ratio, a.entries))
-    scale = math.lcm(*(q for _, q in ratios))
-    flat = [p * (scale // q) for p, q in ratios]
-    c = a.cols
-    return scale, [flat[i * c : (i + 1) * c] for i in range(a.rows)]
+    return RatMatrix.from_scaled(s, out)
 
 
 def gram_of_vectors(a: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -232,8 +246,8 @@ def row_reduce(a_rows: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[list[
     Returns (rows, pivot columns, d), or None when A x = b is inconsistent:
     one integer row per pivot, holding d in column pivots[i] and zeros in
     the other pivot columns, so that the reduced form is rows / d.  d may be
-    negative.  The zero rows are dropped.  Rational systems are scaled to
-    integers first (`integer_scaled`).
+    negative.  The zero rows are dropped.  A rational system is passed as the
+    integer rows of its `RatMatrix`.
 
     Lazy Bareiss: the result is that of the eager form, which rewrites every
     row at every step, but a row is rewritten only where its entry f in the

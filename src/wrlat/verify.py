@@ -10,10 +10,9 @@ first dot, and a suite runs its checks in the order of their ids.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .constructions import (
     an_dual_frame,
@@ -42,8 +41,7 @@ HALF = Fraction(1, 2)
 GRID = (Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), HALF)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     claim: str
     status: str  # pass | fail | error
@@ -58,8 +56,7 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     checks: tuple[CheckResult, ...]
 
     @property
@@ -166,7 +163,7 @@ def _check_planar_family(max_n: int) -> str:
     for eps, d in _PLANAR_CASES:
         res = planar_wr(eps, d)
         assert res.p**2 + res.r**2 * d == res.q**2
-        assert all(e.denominator == 1 for e in res.lattice.gram.entries), "non-integral Gram"
+        assert res.lattice.scale == 1, "non-integral Gram"
         assert is_well_rounded(res.lattice)
         assert minimal_vectors(res.lattice).norm_sq == res.q
         c = coherence(res.lattice).value

@@ -13,7 +13,7 @@ from wrlat import (
     scale_gram,
     staircase,
 )
-from wrlat.ratlinalg import RatMatrix, integer_scaled, row_reduce
+from wrlat.ratlinalg import RatMatrix, row_reduce
 
 F = Fraction
 
@@ -79,7 +79,7 @@ def reduced_form(a, b):
     """(pivots, rows / d) of `row_reduce` on the rational system [A | b],
     scaled to integers by one factor (which keeps its solutions), or None
     when it is inconsistent."""
-    _, m = integer_scaled(RatMatrix.from_rows([[*row, v] for row, v in zip(a, b)]))
+    m = RatMatrix.from_rows([[*row, v] for row, v in zip(a, b)]).int_rows
     reduced = row_reduce([row[:-1] for row in m], [row[-1] for row in m])
     if reduced is None:
         return None

@@ -182,7 +182,7 @@ def test_criterion_09_planar_family():
         for eps, d in cases:
             res = planar_wr(eps, d)
             assert res.p**2 + res.r**2 * d == res.q**2
-            assert all(e.denominator == 1 for e in res.lattice.gram.entries)
+            assert res.lattice.scale == 1  # integral Gram
             assert is_well_rounded(res.lattice)
             assert minimal_norm_sq(res.lattice) == res.q
             assert coherence(res.lattice).value == F(res.p, res.q) < eps

@@ -35,7 +35,7 @@ import wrlat.eutaxy
 from wrlat.constructions import strict_family_lattices, weak_family_lattices
 from wrlat.eutaxy import _rank_one_rows
 from wrlat.invariants import _pair_pass
-from wrlat.ratlinalg import RatMatrix, adjugate, integer_scaled, row_reduce
+from wrlat.ratlinalg import RatMatrix, adjugate, row_reduce
 import wrlat.simplex
 from wrlat.simplex import OPTIMAL, UNBOUNDED, INFEASIBLE, _simplex_from_basis
 
@@ -791,8 +791,9 @@ def simplex_ineq(c, a, b, free=False):
     rows = [list(r) + [int(i == j) for j in range(m)] + [v] for i, (r, v) in enumerate(zip(a, b))]
     # the rational data reaches the integer simplex as [A | I | b] times one
     # positive factor and c times another, which scales the optimum
-    _, rows = integer_scaled(RatMatrix.from_rows(rows))
-    c_scale, (cost,) = integer_scaled(RatMatrix.from_rows([list(c) + [0] * m]))
+    rows = RatMatrix.from_rows(rows).int_rows
+    cost = RatMatrix.from_rows([list(c) + [0] * m])
+    c_scale, (cost,) = cost.scale, cost.int_rows
     status, value, x = simplex_eq(cost, [r[:-1] for r in rows], [r[-1] for r in rows])
     if value is not None:
         value /= c_scale

@@ -1,4 +1,5 @@
-"""Every import in the package and its tests is used.
+"""Every import in the package and its tests is used, and the command line
+loads no module that it does not need.
 
 A name bound by an import counts as used when the module reads it anywhere
 (a bare name, or the head of a dotted one).  Package `__init__.py` files are
@@ -6,6 +7,9 @@ exempt: their imports are the public re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +45,12 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_command_line_does_not_load_dataclasses():
+    # the records are NamedTuples and slotted classes; creating dataclasses
+    # cost most of the package's import time
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, wrlat.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

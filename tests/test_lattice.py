@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wrlat import (
-    FloatBasis,
     Lattice,
     NotPositiveDefinite,
     NotSymmetric,
@@ -20,6 +19,7 @@ from wrlat import (
     k3_prime,
     an_dual_frame,
     an_root,
+    hybrid,
     lattice_from_float_basis,
     lattice_from_gram,
     lattice_from_json_dict,
@@ -35,6 +35,7 @@ from wrlat import (
     save_lattice,
     staircase,
 )
+from wrlat.constructions import hybrid_max_m
 
 F = Fraction
 
@@ -133,7 +134,7 @@ def test_float_basis_accepts_short_independent_columns(n):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_float_basis_rejects_non_finite_entries(bad):
     with pytest.raises(ValueError, match="finite"):
-        FloatBasis(((1.0, bad), (0.0, 1.0)))
+        lattice_from_float_basis("bad", ((1.0, bad), (0.0, 1.0)), 10)
     with pytest.raises(ValueError, match="finite"):
         lattice_from_float_basis("bad", [(1.0, 0.0), (bad, 1.0)], 10)
 
@@ -193,6 +194,56 @@ def test_direct_sum_coherence_is_the_larger(a, b):
 
     a, b = normalize_min_norm(a), normalize_min_norm(b)
     assert coherence(direct_sum(a, b)).value == max(coh(a), coh(b))
+
+
+@st.composite
+def derived_lattices(draw):
+    """A lattice that one of the Gram-building operations made."""
+    a = draw(summands)
+    op = draw(st.sampled_from(["scale", "sum", "sub", "reorder", "lnm", "hybrid"]))
+    if op == "scale":
+        return scale_gram(a, draw(st.fractions(min_value=F(1, 12), max_value=12, max_denominator=12)))
+    if op == "sum":
+        return direct_sum(a, draw(summands))
+    perm = draw(st.permutations(range(a.rank)))
+    if op == "sub":
+        return principal_sublattice(a, perm[: draw(st.integers(1, a.rank))])
+    if op == "reorder":
+        return reorder_basis(a, perm)
+    n = draw(st.integers(3, 8))
+    if op == "lnm":
+        return lnm(n, draw(st.integers(0, n // 2)))
+    return hybrid(n, draw(st.integers(1, hybrid_max_m(n))))
+
+
+@settings(max_examples=120, deadline=None)
+@given(derived_lattices())
+@example(scale_gram(hexagonal(), 2))  # the factor cancels every denominator: s = 1
+@example(principal_sublattice(lnm(3, 1), [2]))  # the block left has no denominator
+def test_scale_stays_canonical(lat):
+    # s is the lcm of the Gram's denominators and int_gram is s G, in ints only
+    g = lat.gram
+    assert lat.scale == math.lcm(*(e.denominator for e in g.entries))
+    assert lat.int_gram == tuple(tuple(lat.scale * e for e in g.row(i)) for i in range(lat.rank))
+    assert all(type(x) is int for x in (g.rows, g.cols, g.scale, *(x for row in g.int_rows for x in row)))
+    # equal rational Grams give equal lattices, from Fraction, str or int entries
+    rows = g.to_rows()
+    twins = [
+        lattice_from_gram(lat.name, rows, lat.provenance),
+        lattice_from_gram(lat.name, [[str(e) for e in row] for row in rows], lat.provenance),
+        scale_gram(lattice_from_gram(lat.name, lat.int_gram, lat.provenance), F(1, lat.scale)),
+    ]
+    assert all(t == lat and hash(t) == hash(lat) for t in twins)
+
+
+def test_lattice_is_immutable():
+    lat = staircase(3)
+    for name in ("name", "gram", "provenance", "leading_minors", "rank", "scale", "int_gram", "other"):
+        with pytest.raises(AttributeError):
+            setattr(lat, name, None)
+    with pytest.raises(AttributeError):
+        del lat.name
+    assert lat.name == "staircase(3)" and lat == staircase(3)
 
 
 @pytest.mark.parametrize("factor", [0, -1, F(-1, 2)])

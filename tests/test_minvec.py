@@ -38,7 +38,7 @@ from wrlat import (
 )
 from wrlat import minvec, verify
 from wrlat.minvec import _canonical_pair, _pair_reduce, _shortest
-from wrlat.ratlinalg import diagonal_pivots, int_rank, integer_scaled
+from wrlat.ratlinalg import diagonal_pivots, int_rank
 
 from conftest import Z4_TOPS_MISS_A_LEVEL, disguise, hex_plus_2, positive_definite_integer, quad_form
 
@@ -281,7 +281,7 @@ def test_enumeration_is_basis_invariant(case):
 @given(deep_disguises)
 def test_pair_reduce_is_a_unimodular_congruence(case):
     lat, moves = case
-    _, a = integer_scaled(disguise(lat, moves)[0].gram)
+    a = disguise(lat, moves)[0].int_gram
     red, t = _pair_reduce(a)
     n = len(a)
     assert diagonal_pivots([[sum(map(math.prod, zip(r, q))) for q in t] for r in t])[0][-1] == 1  # det(T)^2
@@ -321,7 +321,7 @@ def e8_plus_z_disguised():
 def test_pair_reduce_undoes_the_disguise():
     lat = e8_plus_z_disguised()
     assert min(lat.gram[i, i] for i in range(9)) == 2
-    red, t = _pair_reduce(integer_scaled(lat.gram)[1])
+    red, t = _pair_reduce(lat.int_gram)
     assert t != identity(9) and [red[i][i] for i in range(9)] == [1] + [2] * 8
     assert minimal_vectors(lat).pairs == ((1, 0, 0, 0, 0, 0, 0, 0, -1),)
 
@@ -344,7 +344,7 @@ def e8_a2_plus_short_diagonal():
 
 def test_pair_guard_counts_only_ties_at_the_final_norm(monkeypatch):
     lat = e8_a2_plus_short_diagonal()
-    a = integer_scaled(lat.gram)[1]
+    a = [list(row) for row in lat.int_gram]
     assert _pair_reduce(a) == (a, identity(11))
     assert min(lat.gram[i, i] for i in range(11)) == 2
     assert len(minimal_vectors(principal_sublattice(lat, range(10))).pairs) == 123
@@ -501,7 +501,7 @@ def test_enumerator_matches_certified_oracle_on_rational_grams(lat):
 
 def product_scan(lat, box):
     """The plain box scan: every nonzero point, with q = u^T (s G) u in full, in integers."""
-    s, a = integer_scaled(lat.gram)
+    s, a = lat.scale, lat.int_gram
     best, pairs = None, set()
     for u in product(range(-box, box + 1), repeat=lat.rank):
         if any(u):

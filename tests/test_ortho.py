@@ -29,7 +29,7 @@ from wrlat import (
     staircase,
 )
 from wrlat import minimal_vectors, ortho
-from wrlat.ratlinalg import diagonal_pivots, gram_of_vectors, integer_scaled
+from wrlat.ratlinalg import diagonal_pivots, gram_of_vectors
 
 from conftest import disguise, from_sympy, schur_step, to_sympy
 
@@ -355,7 +355,7 @@ RANK_12_LATTICES = {
 @pytest.mark.parametrize("name", list(RANK_12_LATTICES))
 def test_rank_12_verdict_matches_the_reference_level_pass(name, thr):
     lat = RANK_12_LATTICES[name]
-    assert is_theta_orthogonal(lat, thr) == reference_verdict(integer_scaled(lat.gram)[1], thr)
+    assert is_theta_orthogonal(lat, thr) == reference_verdict(lat.int_gram, thr)
 
 
 RANK_6_TO_8_FAMILY = (
@@ -390,7 +390,7 @@ def rank_6_to_8_lattices(draw):
 @example(an_dual_frame(8), QUARTER)  # the violation lies at level 7 of 8
 @example(reorder_basis(staircase(8), (3, 0, 5, 1, 6, 2, 4, 7)), QUARTER)  # witness (1, 3, 5, 0, 6, 2, 4, 7)
 def test_verdict_equals_the_reference_level_pass_at_ranks_6_to_8(lat, thr):
-    want = reference_verdict(integer_scaled(lat.gram)[1], thr)
+    want = reference_verdict(lat.int_gram, thr)
     assert is_theta_orthogonal(lat, thr).to_json_dict() == want.to_json_dict()
 
 
@@ -570,7 +570,7 @@ def reference_subsets(lat):
     """Reference search: every n-subset of pairs in `combinations` order,
     |det| from `diagonal_pivots` on its principal submatrix of the pair Gram."""
     pairs = minimal_vectors(lat).pairs
-    sg = integer_scaled(lat.gram)[1]
+    sg = lat.int_gram
     det_sg = diagonal_pivots(sg)[0][-1]
     a = gram_of_vectors(sg, pairs)
     for idx in combinations(range(len(pairs)), lat.rank):

@@ -20,7 +20,6 @@ from wrlat.ratlinalg import (
     diagonal_pivots,
     gram_of_vectors,
     int_rank,
-    integer_scaled,
     row_reduce,
     tail_step,
 )
@@ -47,9 +46,11 @@ def product(a, b):
 def test_hash_agrees_with_equality_and_matrix_stays_immutable():
     g = RatMatrix.from_rows([[1, F(1, 2)], [F(1, 2), 1]])
     assert hash(g) == hash(RatMatrix.from_rows(g.to_rows()))
-    for name in ("rows", "entries"):
+    for name in ("rows", "cols", "scale", "int_rows", "entries"):
         with pytest.raises(AttributeError):
             setattr(g, name, None)
+    with pytest.raises(AttributeError):
+        del g.int_rows
 
 
 def test_entries_of_any_rational_type_give_equal_matrices():
@@ -256,12 +257,12 @@ def test_adjugate_times_matrix_is_det_times_identity(a):
 
 
 def test_rank_zero_matrix():
-    assert int_rank(integer_scaled(RatMatrix(3, 3, [0] * 9))[1]) == 0
+    assert int_rank(RatMatrix(3, 3, [0] * 9).int_rows) == 0
 
 
 def test_rank_identity():
     for n in (1, 2, 5):
-        assert int_rank(integer_scaled(RatMatrix.identity(n))[1]) == n
+        assert int_rank(RatMatrix.identity(n).int_rows) == n
 
 
 def test_rank_of_rank_one_forms():
@@ -280,7 +281,7 @@ def test_rank_of_rank_one_forms():
 def ldl_factors(g):
     """L and D of G = L D L^T, read from the pivots and columns of s G:
     D_k = P_{k+1} / (s P_k) and L_jk = M_jk / P_{k+1}."""
-    scale, m = integer_scaled(g)
+    scale, m = g.scale, g.int_rows
     pivots, cols = diagonal_pivots(m)
     n = g.rows
     diag = tuple(F(p, scale * prev) for prev, p in zip(pivots, pivots[1:]))
@@ -350,7 +351,7 @@ def test_tail_steps_equal_the_square_reference(m, data):
 
 
 def test_ldl_identity():
-    assert diagonal_pivots(integer_scaled(RatMatrix.identity(3))[1]) == ([1] * 4, [[1, 0, 0], [1, 0], [1]])
+    assert diagonal_pivots([list(r) for r in RatMatrix.identity(3).int_rows]) == ([1] * 4, [[1, 0, 0], [1, 0], [1]])
     assert ldl_factors(RatMatrix.identity(4)) == (RatMatrix.identity(4), (F(1),) * 4)
 
 

@@ -18,7 +18,7 @@ from wrlat import (
     minimal_vectors,
     staircase,
 )
-from wrlat.ratlinalg import adjugate, diagonal_pivots, int_rank, integer_scaled
+from wrlat.ratlinalg import adjugate, diagonal_pivots, int_rank
 
 from conftest import (
     Z4_TOPS_MISS_A_LEVEL,
@@ -50,7 +50,7 @@ def matrices(draw, square=False):
 @settings(max_examples=80, deadline=None)
 @given(matrices())
 def test_rank_matches_sympy(rows):
-    assert int_rank(integer_scaled(RatMatrix.from_rows(rows))[1]) == to_sympy(rows).rank()
+    assert int_rank(RatMatrix.from_rows(rows).int_rows) == to_sympy(rows).rank()
 
 
 @st.composite
@@ -101,11 +101,12 @@ def test_lattice_keeps_its_integer_gram_and_leading_minors(rows):
     # P_k = s^k times the leading k x k determinant of G, with P_0 = 1
     g = to_sympy(rows)
     assert lat.leading_minors == (1, *(from_sympy(g[:k, :k].det()) * s**k for k in range(1, lat.rank + 1)))
-    # the kept fields take no part in equality or hashing
+    # one Gram form: rank, scale and int_gram are read off the RatMatrix, and
+    # equality and hashing run on (name, gram, provenance) alone
+    assert (lat.rank, lat.scale) == (lat.gram.rows, lat.gram.scale) and lat.int_gram is lat.gram.int_rows
     twin = lattice_from_gram("spd", rows)
-    for name in ("rank", "scale", "int_gram", "leading_minors"):
-        object.__setattr__(twin, name, None)
     assert lat == twin and hash(lat) == hash(twin) == hash((lat.name, lat.gram, lat.provenance))
+    assert lat != lattice_from_gram("spd", rows, provenance="other") != lattice_from_gram("other", rows)
     assert repr(lat) == f"Lattice('spd', rank={lat.rank})"
 
 
@@ -149,7 +150,8 @@ def test_ldl_matches_sympy(rows, shift):
         for i in range(n)
     ]
     s = to_sympy(g)
-    scale, m = integer_scaled(RatMatrix.from_rows(g))
+    gram = RatMatrix.from_rows(g)
+    scale, m = gram.scale, gram.int_rows
     pivots, cols = diagonal_pivots(m)
     # the leading principal minors of s G, up to and with the first one <= 0
     minors = [1] + [int(s[:k, :k].det() * scale**k) for k in range(1, n + 1)]

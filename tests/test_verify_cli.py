@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -365,8 +366,8 @@ def test_cli_analyze_strict_exits_1_on_any_warning(tmp_path, capsys):
         ({"gram": [[1, "1/2"], ["1/2", 1]]}, "not a rational literal: 1"),
         # a NaN column makes every Gram entry it touches NaN, and NaN compares
         # within any tolerance, so only an explicit check rejects it
-        ({"basis": [["NaN", 0.5], [0, 1]]}, "finite"),
-        ({"basis": [["inf", 0], [0, 1]]}, "finite"),
+        ({"basis": [[math.nan, 0.5], [0, 1]]}, "finite"),
+        ({"basis": [[math.inf, 0], [0, 1]]}, "finite"),
         ({"basis": [[1, None], [0, 1]]}, "malformed basis"),
         # int() would load these as ranks 2, 3 and 1
         ({"rank": 2.9}, "rank 2.9 is not an integer"),
@@ -379,10 +380,20 @@ def test_cli_analyze_strict_exits_1_on_any_warning(tmp_path, capsys):
         ({"gram": ["21", "12"]}, "gram must be a JSON list of lists"),
         ({"rank": 1, "gram": "5"}, "gram must be a JSON list of lists"),
         ({"gram": [["1", "0"], ["0", "1"]], "basis": ["10", "01"]}, "basis must be a JSON list of lists"),
+        # float() would load both as 1.0
+        ({"rank": 1, "gram": [["1"]], "basis": [["1"]]}, "malformed basis: basis entries must be ints or floats"),
+        ({"rank": 1, "gram": [["1"]], "basis": [[True]]}, "malformed basis: basis entries must be ints or floats"),
+        # a whole file: its nesting is deeper than the JSON decoder recurses
+        pytest.param("[" * 100_000 + "]" * 100_000, "nests JSON too deeply", id="deeply-nested-json"),
     ],
 )
 def test_cli_bad_lattice_file_exits_2(tmp_path, capsys, changes, message):
-    assert run_cli("analyze", str(_lattice_file(tmp_path, "hex", **changes))) == 2
+    if isinstance(changes, str):
+        path = tmp_path / "raw.json"
+        path.write_text(changes)
+    else:
+        path = _lattice_file(tmp_path, "hex", **changes)
+    assert run_cli("analyze", str(path)) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:") and message in err and err.count("\n") == 1
