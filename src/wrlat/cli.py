@@ -88,11 +88,7 @@ def cmd_construct(args) -> int:
 
 def cmd_analyze(args) -> int:
     lat = load_lattice(args.file)
-    report = classification_report(
-        lat,
-        search_minimal_bases=not args.no_basis_search,
-        cos_sq_threshold=parse_cos_sq_threshold(args.theta),
-    )
+    report = classification_report(lat, parse_cos_sq_threshold(args.theta))
     _emit(report.to_json_dict(), args.out)
     if report.warnings and args.strict:
         return 1
@@ -151,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--strict", action="store_true", help="exit 1 when the report has any warning")
     p.add_argument("--theta", default="pi/3", help='cos^2 threshold as "p/q", or "pi/3"')
-    p.add_argument("--no-basis-search", action="store_true")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("verify", help="run the claim-verification suite")

@@ -18,6 +18,7 @@ from .errors import InputError, PlanarSearchFailed
 from .lattice import Lattice, lattice_from_gram, lattice_to_json_dict
 from .ratlinalg import RatMatrix, block_diag, format_rational, int_sqrt_floor
 
+PLANAR_SEARCH_CEILING = 10**6  # the largest denominator n' the planar scan tries
 HEX_GRAM = RatMatrix.from_rows([[1, Fraction(1, 2)], [Fraction(1, 2), 1]])
 
 
@@ -209,12 +210,12 @@ def _q_bound_holds(q: int, eps: Fraction, d: int) -> bool:
     return lhs <= 0 or lhs * lhs <= b * b * c
 
 
-def planar_wr(epsilon: Fraction, d: int, search_ceiling: int = 10**6) -> PlanarWRResult:
+def planar_wr(epsilon: Fraction, d: int) -> PlanarWRResult:
     """Construct an integral planar WR lattice with 0 < coherence < epsilon.
 
     Tries the closed-form choice m = floor(sqrt(D(1/e + 1))),
     n = floor(sqrt(1/e - 1)) + 1 first; when its validity conditions fail
-    (they usually do once the floors bite), scans denominators n' = 1, 2, ...
+    (they usually do once the floors bite), scans n' = 1, ..., PLANAR_SEARCH_CEILING
     for the first coprime m'/n' with D n'^2 < m'^2 <= D n'^2 (1+e)/(1-e) and
     coherence strictly below epsilon.  The q bound is only guaranteed on the
     closed-form path and is recorded rather than asserted elsewhere.
@@ -231,7 +232,7 @@ def planar_wr(epsilon: Fraction, d: int, search_ceiling: int = 10**6) -> PlanarW
     if not recipe_used:
         hit = None
         ratio = (1 + eps) / (1 - eps)
-        for nn in range(1, search_ceiling + 1):
+        for nn in range(1, PLANAR_SEARCH_CEILING + 1):
             lo = d * nn * nn
             hi = lo * ratio
             mm = math.isqrt(lo) + 1
@@ -244,7 +245,7 @@ def planar_wr(epsilon: Fraction, d: int, search_ceiling: int = 10**6) -> PlanarW
                 break
         if hit is None:
             raise PlanarSearchFailed(
-                f"no admissible (m, n) with n <= {search_ceiling} for epsilon={eps}, D={d}"
+                f"no admissible (m, n) with n <= {PLANAR_SEARCH_CEILING} for epsilon={eps}, D={d}"
             )
         m, n = hit
 

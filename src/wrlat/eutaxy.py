@@ -165,11 +165,7 @@ class ClassificationReport(NamedTuple):
         return d
 
 
-def classification_report(
-    lat: Lattice,
-    search_minimal_bases: bool = True,
-    cos_sq_threshold: Fraction = PI_THIRD_COS_SQ,
-) -> ClassificationReport:
+def classification_report(lat: Lattice, cos_sq_threshold: Fraction = PI_THIRD_COS_SQ) -> ClassificationReport:
     """Bundle all invariants; individual guard trips null the field and warn."""
     warnings: list[str] = []
 
@@ -189,7 +185,7 @@ def classification_report(
     avg = attempt("avg_coherence", lambda: format_rational(average_coherence(lat)), found)
     mu, nu = attempt("mu_nu", lambda: [str(v) for v in mu_nu(lat)]) or (None, None)
     dens = attempt("packing_density", lambda: packing_density(lat), found)
-    member = attempt("membership", lambda: membership_report(lat, search_minimal_bases, cos_sq_threshold), wr)
+    member = attempt("membership", lambda: membership_report(lat, cos_sq_threshold), wr)
     if wr is False:
         warnings.append("membership: lattice is not well-rounded")
     eut = attempt("eutaxy", lambda: eutaxy_classify(lat), wr)

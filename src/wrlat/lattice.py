@@ -30,6 +30,7 @@ from .ratlinalg import (
 )
 
 BASIS_GRAM_TOLERANCE = 1e-9
+FLOAT_MAX_DENOMINATOR = 10**6  # the largest denominator a rationalized float Gram entry may take
 
 
 class Lattice:
@@ -53,6 +54,8 @@ class Lattice:
     int_gram = property(attrgetter("_gram.int_rows"))
 
     def __init__(self, name: str, gram: RatMatrix, provenance: str = ""):
+        if not isinstance(gram, RatMatrix):
+            raise TypeError(f"Lattice needs a RatMatrix, not {type(gram).__name__}: use lattice_from_gram for rows")
         if gram.rows != gram.cols or gram.rows < 1:
             raise ValueError("Gram matrix must be square and nonempty")
         a = gram.int_rows
@@ -106,11 +109,11 @@ def _float_gram(columns: Sequence[Sequence[float]]) -> list[list[float]]:
     return [[sum(a * b for a, b in zip(ci, cj)) for cj in columns] for ci in columns]
 
 
-def lattice_from_float_basis(name: str, columns: Sequence[Sequence[float]], max_denominator: int = 10**6) -> Lattice:
+def lattice_from_float_basis(name: str, columns: Sequence[Sequence[float]]) -> Lattice:
     """Build an exact lattice from the columns of a floating basis.
 
     Each Gram entry is replaced by its best rational approximation with
-    denominator at most max_denominator.  If that approximation is farther
+    denominator at most FLOAT_MAX_DENOMINATOR.  If that approximation is farther
     than 1e-9 from the floating value, the input is rejected rather than
     silently rounded.  The columns count as independent iff the rationalized
     Gram is positive definite.
@@ -120,10 +123,10 @@ def lattice_from_float_basis(name: str, columns: Sequence[Sequence[float]], max_
     out = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            approx = Fraction(g[i][j]).limit_denominator(max_denominator)
+            approx = Fraction(g[i][j]).limit_denominator(FLOAT_MAX_DENOMINATOR)
             if abs(float(approx) - g[i][j]) > BASIS_GRAM_TOLERANCE:
                 raise RationalizationFailed(
-                    f"Gram entry ({i},{j})={g[i][j]!r} has no denominator-{max_denominator} "
+                    f"Gram entry ({i},{j})={g[i][j]!r} has no denominator-{FLOAT_MAX_DENOMINATOR} "
                     "approximation within 1e-9"
                 )
             out[i][j] = out[j][i] = approx
@@ -202,16 +205,18 @@ def _list_of_lists(value, key: str) -> list:
 
 def lattice_from_json_dict(d: dict) -> Lattice:
     try:
-        name = str(d["name"])
-        rank = d["rank"]
+        name, rank, provenance = d["name"], d["rank"], d.get("provenance", "")
         gram_rows = [[parse_rational(e) for e in row] for row in _list_of_lists(d["gram"], "gram")]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed lattice JSON: {exc}") from exc
+    for key, value in (("name", name), ("provenance", provenance)):
+        if type(value) is not str:  # str() would load 5 as "5" and ["x"] as "['x']"
+            raise InputError(f"{key} {value!r} is not a JSON string")
     if type(rank) is not int:  # int() would round 2.9 down and read true as 1
         raise InputError(f"rank {rank!r} is not an integer")
     if rank < 1 or len(gram_rows) != rank or any(len(r) != rank for r in gram_rows):
         raise InputError("gram shape does not match rank")
-    lat = lattice_from_gram(name, gram_rows, provenance=str(d.get("provenance", "")))
+    lat = lattice_from_gram(name, gram_rows, provenance)
     if d.get("basis") is not None:
         try:
             g = _float_gram(_list_of_lists(d["basis"], "basis"))

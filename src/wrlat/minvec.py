@@ -37,7 +37,7 @@ from .lattice import Lattice
 from .ratlinalg import adjugate, diagonal_pivots, int_rank
 
 RANK_GUARD = 12
-DEFAULT_PAIR_GUARD_FACTOR = 10
+PAIR_GUARD_FACTOR = 10
 BRUTE_FORCE_POINT_GUARD = 10**8
 
 
@@ -181,7 +181,7 @@ def _enumeration(lat: Lattice) -> tuple[Fraction, tuple[tuple[int, ...], ...], b
     """The cached `_shortest` of lat, under the rank guard and the pair limit."""
     if lat.rank > RANK_GUARD:
         raise DimensionGuardExceeded(f"rank {lat.rank} exceeds the enumeration guard {RANK_GUARD}")
-    return _shortest(lat.scale, lat.int_gram, DEFAULT_PAIR_GUARD_FACTOR * lat.rank * lat.rank)
+    return _shortest(lat.scale, lat.int_gram, PAIR_GUARD_FACTOR * lat.rank * lat.rank)
 
 
 def minimal_norm_sq(lat: Lattice) -> Fraction:
@@ -194,11 +194,11 @@ def minimal_vectors(lat: Lattice) -> MinimalVectorSet:
 
     Completeness: every integer u with u^T G u equal to the minimal norm is
     listed up to sign.  Guards fail loudly instead of truncating: more than
-    DEFAULT_PAIR_GUARD_FACTOR * n^2 pairs at the minimal norm raises.
+    PAIR_GUARD_FACTOR * n^2 pairs at the minimal norm raises.
     """
     norm, pairs, overflowed, _ = _enumeration(lat)
     if overflowed:
-        limit = DEFAULT_PAIR_GUARD_FACTOR * lat.rank * lat.rank
+        limit = PAIR_GUARD_FACTOR * lat.rank * lat.rank
         raise PairCountGuardExceeded(f"more than {limit} minimal pairs for {lat.name!r}")
     return MinimalVectorSet(norm_sq=norm, pairs=pairs)
 

@@ -11,17 +11,18 @@ with d_P = det A_PP: along one ordering, consecutive leading minors from one
 diagonal elimination (`ratlinalg.diagonal_pivots`).  The all-orderings verdict
 decides from four facts about the angle to a span (`is_theta_orthogonal`).
 
-Verdicts are relative to the stored basis.  For the strict class the
-optional search over bases of minimal vectors is complete (a basis that is
-nearly orthogonal consists of minimal vectors), for the weak class it is a
-documented heuristic; membership_report also applies the kissing-number and
-coherence bounds that decide some cases outright.  These bounds and the
-search's completeness are pi/3 results, so they hold only at thresholds
-cos^2 <= 1/4, where the class lies inside the pi/3 one.  The search works on
-one integer Gram of the minimal pairs: a subset's Gram is a principal
-submatrix of it, whose determinant decides whether the subset is a basis,
-and the verdict runs on that submatrix.  The subsets are walked depth first,
-one tail step per chosen pair, and it stops once nothing is left undecided.
+Verdicts are relative to the stored basis.  membership_report applies the
+kissing-number and coherence bounds that decide some cases outright, and
+searches the bases of minimal vectors wherever a class is left open: for the
+strict class the search is complete (a basis that is nearly orthogonal
+consists of minimal vectors), for the weak class it is a documented
+heuristic.  These bounds and the search's completeness are pi/3 results, so
+they hold only at thresholds cos^2 <= 1/4, where the class lies inside the
+pi/3 one.  The search works on one integer Gram of the minimal pairs: a
+subset's Gram is a principal submatrix of it, whose determinant decides
+whether the subset is a basis; the verdict runs on the subset's Gram,
+rebuilt by `gram_of_vectors`.  The subsets are walked depth first, one tail
+step per chosen pair, and it stops once nothing is left undecided.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .minvec import RANK_GUARD, is_well_rounded, minimal_vectors
 from .ratlinalg import diagonal_pivots, format_rational, gram_of_vectors, tail_step
 
 PI_THIRD_COS_SQ = Fraction(1, 4)
-DEFAULT_SUBSET_GUARD = 50_000
+SUBSET_GUARD = 50_000
 
 
 class AngleProfile(NamedTuple):
@@ -193,8 +194,10 @@ class MembershipReport(NamedTuple):
     stored_basis is the verdict for the lattice's own basis ordering set.
     in_weak / in_strict are three-valued: True/False when decided by a basis
     certificate, the kissing-number bounds, or the coherence rule; None when
-    undecided.  The minimal-basis search decides in_strict completely.  Above
-    the threshold 1/4 only a certificate decides: True, else None.
+    undecided.  searched is False when the stored basis and the bounds decided
+    both; else the minimal-basis search ran, which decides in_strict
+    completely.  Above the threshold 1/4 only a certificate decides: True,
+    else None.
     """
 
     stored_basis: OrthoVerdict
@@ -223,8 +226,8 @@ def minimal_basis_subsets(lat: Lattice):
     pairs = minimal_vectors(lat).pairs
     n, k = lat.rank, len(pairs)
     total = math.comb(k, n)
-    if total > DEFAULT_SUBSET_GUARD:
-        raise SubsetGuardExceeded(f"{total} candidate subsets exceed guard {DEFAULT_SUBSET_GUARD}")
+    if total > SUBSET_GUARD:
+        raise SubsetGuardExceeded(f"{total} candidate subsets exceed guard {SUBSET_GUARD}")
     det_sg = lat.leading_minors[-1]
     upper = [row[i:] for i, row in enumerate(gram_of_vectors(lat.int_gram, pairs))]
     for idx, minor in _spanning_subsets(k, n, (), 1, upper):
@@ -249,16 +252,13 @@ def _spanning_subsets(k: int, n: int, chosen: tuple[int, ...], d: int, m: list[l
             yield from _spanning_subsets(k, n, chosen + (lo + j,), minor, tail_step(m, d, j))
 
 
-def membership_report(
-    lat: Lattice,
-    search_minimal_bases: bool = False,
-    cos_sq_threshold: Fraction = PI_THIRD_COS_SQ,
-) -> MembershipReport:
-    """Decide in_weak and in_strict as far as the stored basis, the bounds and,
-    on request, the minimal-basis search can.
+def membership_report(lat: Lattice, cos_sq_threshold: Fraction = PI_THIRD_COS_SQ) -> MembershipReport:
+    """Decide in_weak and in_strict as far as the stored basis, the bounds and
+    the minimal-basis search can; the search runs only when a class is open.
 
-    The search runs the verdict on the integer Gram of each basis of minimal
-    vectors (`minimal_basis_subsets` with |det| = 1, in subset order) and
+    The search runs the verdict on the integer Gram U_S^T (s G) U_S of each
+    basis S of minimal vectors (`gram_of_vectors`; `minimal_basis_subsets`
+    with |det| = 1, in subset order), rebuilt from the subset, and
     stops once nothing is left undecided: at the first strict witness, which
     is also weak, or at the first weak witness when in_strict was decided
     before the search.  The search runs with in_strict decided only when the
@@ -297,7 +297,7 @@ def membership_report(
 
     searched = False
     weak_witness = strict_witness = None
-    if search_minimal_bases and (in_strict is None or in_weak is None):
+    if in_strict is None or in_weak is None:
         searched = True
         for subset, det in minimal_basis_subsets(lat):
             if det != 1:

@@ -28,6 +28,7 @@ from wrlat import (
     reorder_basis,
     staircase,
 )
+from wrlat import constructions
 from wrlat.constructions import is_squarefree, weak_family_lattices
 
 from conftest import quad_form
@@ -281,13 +282,14 @@ def test_planar_output_properties():
         assert coherence(lat).value == F(res.p, res.q) < eps
 
 
-def test_planar_rejects_bad_inputs():
+def test_planar_rejects_bad_inputs(monkeypatch):
     with pytest.raises(ValueError):
         planar_wr(F(3, 4), 2)  # epsilon above 1/2
     with pytest.raises(ValueError):
         planar_wr(F(1, 10), 12)  # not squarefree
-    with pytest.raises(PlanarSearchFailed):
-        planar_wr(F(1, 10), 2, search_ceiling=1)
+    monkeypatch.setattr(constructions, "PLANAR_SEARCH_CEILING", 1)
+    with pytest.raises(PlanarSearchFailed, match="n <= 1 "):
+        planar_wr(F(1, 10), 2)
 
 
 def test_every_generator_validates():

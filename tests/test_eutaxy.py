@@ -707,7 +707,7 @@ def test_report_perfection_matches_is_perfect_in_any_basis(lat):
     moves = [(*rng.sample(range(n), 2), rng.choice((1, -1))) for _ in range(n)] if n > 1 else []
     want = is_perfect(lat)
     for case in (lat, disguise(lat, moves)[0]):
-        assert classification_report(case, search_minimal_bases=False).fields["perfect"] is want
+        assert classification_report(case).fields["perfect"] is want
         assert is_perfect(case) is want
 
 

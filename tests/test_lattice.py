@@ -35,6 +35,7 @@ from wrlat import (
     save_lattice,
     staircase,
 )
+from wrlat import lattice
 from wrlat.constructions import hybrid_max_m
 
 F = Fraction
@@ -84,14 +85,19 @@ def test_lattice_rejects_a_gram_that_is_not_positive_definite():
         Lattice("x", RatMatrix.from_rows([[1, 2], [2, 1]]))
 
 
+def test_lattice_rejects_rows_for_a_gram():
+    with pytest.raises(TypeError, match=r"^Lattice needs a RatMatrix, not list: use lattice_from_gram for rows$"):
+        Lattice("x", [[1, 0], [0, 1]])
+
+
 def test_float_basis_hexagonal():
     cols = [(1.0, 0.0), (0.5, math.sqrt(3) / 2)]
-    lat = lattice_from_float_basis("hex", cols, max_denominator=64)
+    lat = lattice_from_float_basis("hex", cols)
     assert lat.gram == hexagonal().gram
 
 
 def test_float_basis_orthonormal():
-    lat = lattice_from_float_basis("z3", [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 10)
+    lat = lattice_from_float_basis("z3", [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert lat.gram == RatMatrix.identity(3)
 
 
@@ -105,14 +111,15 @@ def test_float_basis_staircase4_columns():
         (0.25, -s3 / 4, s3 / 2, 0.0),
         (0.125, -s3 / 8, -s3 / 4, s3 / 2),
     ]
-    lat = lattice_from_float_basis("L4", cols, max_denominator=64)
+    lat = lattice_from_float_basis("L4", cols)
     assert lat.gram == staircase(4).gram
 
 
-def test_float_basis_rejects_unrationalizable():
+def test_float_basis_rejects_unrationalizable(monkeypatch):
     cols = [(1.0, 0.0), (math.pi / 5, 1.0)]
-    with pytest.raises(RationalizationFailed):
-        lattice_from_float_basis("bad", cols, max_denominator=3)
+    monkeypatch.setattr(lattice, "FLOAT_MAX_DENOMINATOR", 3)
+    with pytest.raises(RationalizationFailed, match="no denominator-3 approximation"):
+        lattice_from_float_basis("bad", cols)
 
 
 def test_float_basis_rejects_dependent_columns():
@@ -120,7 +127,7 @@ def test_float_basis_rejects_dependent_columns():
     # rationalizes to the singular [[1, 1], [1, 1]]
     for cols in ([(1.0, 0.0), (2.0, 0.0)], [(1.0, 0.0), (1.0, 1e-7)]):
         with pytest.raises(ValueError, match=r"^basis columns are not numerically independent$"):
-            lattice_from_float_basis("dep", cols, 10)
+            lattice_from_float_basis("dep", cols)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -134,9 +141,9 @@ def test_float_basis_accepts_short_independent_columns(n):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_float_basis_rejects_non_finite_entries(bad):
     with pytest.raises(ValueError, match="finite"):
-        lattice_from_float_basis("bad", ((1.0, bad), (0.0, 1.0)), 10)
+        lattice_from_float_basis("bad", ((1.0, bad), (0.0, 1.0)))
     with pytest.raises(ValueError, match="finite"):
-        lattice_from_float_basis("bad", [(1.0, 0.0), (bad, 1.0)], 10)
+        lattice_from_float_basis("bad", [(1.0, 0.0), (bad, 1.0)])
 
 
 def test_direct_sum_of_lines_is_plane():

@@ -219,7 +219,7 @@ def test_dimension_guard():
 
 
 def test_pair_count_guard(monkeypatch):
-    monkeypatch.setattr(minvec, "DEFAULT_PAIR_GUARD_FACTOR", 0)
+    monkeypatch.setattr(minvec, "PAIR_GUARD_FACTOR", 0)
     with pytest.raises(PairCountGuardExceeded):
         minimal_vectors(an_root(4))
 
@@ -350,11 +350,11 @@ def test_pair_guard_counts_only_ties_at_the_final_norm(monkeypatch):
     assert len(minimal_vectors(principal_sublattice(lat, range(10))).pairs) == 123
     # 123 ties pass the limit 1 * 11^2 before the bound drops, so the
     # overflow must be cleared when it does
-    monkeypatch.setattr(minvec, "DEFAULT_PAIR_GUARD_FACTOR", 1)
+    monkeypatch.setattr(minvec, "PAIR_GUARD_FACTOR", 1)
     mvs = minimal_vectors(lat)
     assert mvs.norm_sq == F(2, 5)
     assert mvs.pairs == ((0,) * 8 + (1, 1, 1),)
-    monkeypatch.setattr(minvec, "DEFAULT_PAIR_GUARD_FACTOR", 0)
+    monkeypatch.setattr(minvec, "PAIR_GUARD_FACTOR", 0)
     with pytest.raises(PairCountGuardExceeded, match="e8"):
         minimal_vectors(lat)
 

@@ -437,14 +437,14 @@ def test_membership_requires_well_rounded():
 
 
 def test_membership_a3_root_excluded_by_kissing_count():
-    report = membership_report(an_root(3), search_minimal_bases=True)
+    report = membership_report(an_root(3))
     assert report.kissing_number == 12
     assert report.in_weak is False and report.in_strict is False
     assert not report.searched  # the bound already decides, no search needed
 
 
 def test_membership_frame3_excluded_by_coherence_rule():
-    report = membership_report(an_dual_frame(3), search_minimal_bases=True)
+    report = membership_report(an_dual_frame(3))
     # C = 1/3 < 1/2 with 8 > 6 minimal vectors rules the whole class out
     assert report.in_weak is False and report.in_strict is False
 
@@ -455,14 +455,14 @@ def test_membership_hexagonal_strict():
 
 
 def test_membership_k3_prime_excluded_from_strict_class(k3):
-    report = membership_report(k3, search_minimal_bases=True)
+    report = membership_report(k3)
     assert report.in_weak is True
     assert report.in_strict is False  # 10 minimal vectors exceed 3n = 9
     assert any("3n" in r for r in report.reasons)
 
 
 def test_membership_staircase3_excluded_from_strict_class():
-    report = membership_report(staircase(3), search_minimal_bases=True)
+    report = membership_report(staircase(3))
     assert report.in_weak is True and report.in_strict is False
 
 
@@ -471,12 +471,12 @@ def test_membership_above_one_quarter_is_decided_by_certificates_only(theta):
     # the 4n-2 and 3n bounds, the coherence rule and the completeness of the
     # minimal-basis search are pi/3 results; A3's 12 minimal vectors exceed
     # 4n-2 = 10, yet it has a basis in threshold under every ordering here
-    report = membership_report(an_root(3), search_minimal_bases=True, cos_sq_threshold=theta)
+    report = membership_report(an_root(3), cos_sq_threshold=theta)
     assert (report.in_weak, report.in_strict) == (True, True)
     assert not any("kissing" in r or "coherence" in r for r in report.reasons)
     assert f"threshold {theta} is above 1/4: the pi/3 bounds do not apply, only certificates decide" in report.reasons
     # with no strict certificate, the exhausted search leaves in_strict null
-    report = membership_report(staircase(3), search_minimal_bases=True, cos_sq_threshold=F(1, 3))
+    report = membership_report(staircase(3), cos_sq_threshold=F(1, 3))
     assert (report.in_weak, report.in_strict) == (True, None)
 
 
@@ -495,8 +495,17 @@ def test_membership_above_one_quarter_is_decided_by_certificates_only(theta):
     ids=["A3-1/4", "A3-1/10", "staircase3-1/4", "staircase3-1/10"],
 )
 def test_membership_at_or_below_one_quarter_applies_the_bounds(lat, theta, want):
-    report = membership_report(lat, search_minimal_bases=True, cos_sq_threshold=theta)
+    report = membership_report(lat, cos_sq_threshold=theta)
     assert (report.in_weak, report.in_strict, report.reasons) == want
+
+
+def test_membership_searches_by_default_where_a_class_is_open():
+    # L(3,1) after three moves: the stored basis is not weakly orthogonal and
+    # no bound decides, so the search runs with no keyword and certifies both
+    lat, _ = disguise(lnm(3, 1), [(0, 1, 1), (1, 2, 1), (2, 0, -1)])
+    report = membership_report(lat)
+    assert not report.stored_basis.weakly
+    assert (report.in_weak, report.in_strict, report.searched) == (True, True, True)
 
 
 def test_membership_search_finds_hidden_orthogonal_basis():
@@ -504,7 +513,7 @@ def test_membership_search_finds_hidden_orthogonal_basis():
     # stored basis is not even weakly orthogonal, but the search over bases
     # of minimal vectors certifies both classes
     skew = lattice_from_gram("hex-skew", [[1, F(3, 2)], [F(3, 2), 3]])
-    report = membership_report(skew, search_minimal_bases=True)
+    report = membership_report(skew)
     assert not report.stored_basis.weakly
     assert report.searched
     assert report.in_strict is True and report.in_weak is True
@@ -520,7 +529,7 @@ def test_membership_when_no_minimal_basis_is_unimodular():
     pairs = minimal_vectors(lat).pairs
     assert len(pairs) == 5
     assert list(minimal_basis_subsets(lat)) == [(pairs, 2)]
-    report = membership_report(lat, search_minimal_bases=True)
+    report = membership_report(lat)
     assert (report.in_weak, report.in_strict) == (None, False)
     assert (report.search_weak_witness, report.search_strict_witness) == (None, None)
     assert report.reasons == (
@@ -643,7 +652,7 @@ def test_search_stops_at_the_first_weak_witness_when_strict_is_decided(monkeypat
             yield item
 
     monkeypatch.setattr(ortho, "minimal_basis_subsets", counting)
-    report = membership_report(lat, search_minimal_bases=True)
+    report = membership_report(lat)
     assert report.kissing_number == 18 and not report.stored_basis.weakly
     assert (report.in_weak, report.in_strict) == (True, False)
     assert report.search_weak_witness == everything[first][0]

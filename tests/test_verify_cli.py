@@ -326,6 +326,17 @@ def test_cli_analyze_strict_flags_guard_trips(tmp_path, capsys):
     assert run_cli("analyze", str(f), "--strict") == 1
 
 
+def test_cli_analyze_has_no_basis_search_switch(tmp_path, capsys):
+    # the search runs wherever the bounds leave a class open; no flag turns it off
+    with pytest.raises(SystemExit) as exc:
+        run_cli("analyze", str(_lattice_file(tmp_path, "hex")), "--no-basis-search")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-basis-search" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_cli("analyze", "--help")
+    assert exc.value.code == 0 and "basis-search" not in capsys.readouterr().out
+
+
 def test_the_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):
     assert build_parser() is build_parser()
     z1 = str(_lattice_file(tmp_path, "z", "--n", "1"))
@@ -383,6 +394,9 @@ def test_cli_analyze_strict_exits_1_on_any_warning(tmp_path, capsys):
         # float() would load both as 1.0
         ({"rank": 1, "gram": [["1"]], "basis": [["1"]]}, "malformed basis: basis entries must be ints or floats"),
         ({"rank": 1, "gram": [["1"]], "basis": [[True]]}, "malformed basis: basis entries must be ints or floats"),
+        # str() would load these as the name "5" and the provenance "['x']"
+        ({"name": 5}, "name 5 is not a JSON string"),
+        ({"provenance": ["x"]}, "provenance ['x'] is not a JSON string"),
         # a whole file: its nesting is deeper than the JSON decoder recurses
         pytest.param("[" * 100_000 + "]" * 100_000, "nests JSON too deeply", id="deeply-nested-json"),
     ],
