@@ -204,6 +204,8 @@ def _list_of_lists(value, key: str) -> list:
 
 
 def lattice_from_json_dict(d: dict) -> Lattice:
+    if type(d) is not dict:
+        raise InputError("a lattice file holds one JSON object")
     try:
         name, rank, provenance = d["name"], d["rank"], d.get("provenance", "")
         gram_rows = [[parse_rational(e) for e in row] for row in _list_of_lists(d["gram"], "gram")]
@@ -211,7 +213,7 @@ def lattice_from_json_dict(d: dict) -> Lattice:
         raise InputError(f"malformed lattice JSON: {exc}") from exc
     for key, value in (("name", name), ("provenance", provenance)):
         if type(value) is not str:  # str() would load 5 as "5" and ["x"] as "['x']"
-            raise InputError(f"{key} {value!r} is not a JSON string")
+            raise InputError(f"{key} {'null' if value is None else repr(value)} is not a JSON string")
     if type(rank) is not int:  # int() would round 2.9 down and read true as 1
         raise InputError(f"rank {rank!r} is not an integer")
     if rank < 1 or len(gram_rows) != rank or any(len(r) != rank for r in gram_rows):

@@ -233,14 +233,14 @@ def brute_force_min_vectors(lat: Lattice, box: int) -> MinimalVectorSet:
     prefix u_0..u_{n-2} carries g = s G (prefix, 0) and q0 = s prefix^T G
     prefix, and each row sweeps the last coordinate x at q0 + x (2 g_{n-1} +
     x a), a = s G_{n-1,n-1}, with x < 0 only on the all-zero prefix, the last
-    row.  Exact but exponential: a guard.
+    row: (P - 1) / 2 of the P = (2 box + 1)^n points of the box, and P is guarded.
     """
     n = lat.rank
     if box < 1:
         raise ValueError("box must be >= 1")
     points = (2 * box + 1) ** n
     if points > BRUTE_FORCE_POINT_GUARD:
-        raise DimensionGuardExceeded(f"box {box} at rank {n} scans {points} points > {BRUTE_FORCE_POINT_GUARD}")
+        raise DimensionGuardExceeded(f"box {box} at rank {n} holds {points} points > {BRUTE_FORCE_POINT_GUARD}")
     scale, gi = lat.scale, lat.int_gram
     m = n - 1
     a = gi[m][m]

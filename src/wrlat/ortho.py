@@ -220,17 +220,16 @@ def minimal_basis_subsets(lat: Lattice):
     determinant det(U_S)^2 det(s G), so the subset spans iff that is > 0, and
     then |det U_S| = isqrt(det A_SS / det(s G)), with det(s G) the last of
     the lattice's `leading_minors`.  The subsets are walked lazily, depth
-    first in `combinations` order (`_spanning_subsets`).  Raises
-    SubsetGuardExceeded before the first subset once C(k, n) exceeds the
-    guard."""
+    first in `combinations` order (`_spanning_subsets`), so the search pays
+    only for the subsets it takes.  Raises SubsetGuardExceeded when the walk
+    meets a spanning subset beyond the first SUBSET_GUARD it yielded."""
     pairs = minimal_vectors(lat).pairs
     n, k = lat.rank, len(pairs)
-    total = math.comb(k, n)
-    if total > SUBSET_GUARD:
-        raise SubsetGuardExceeded(f"{total} candidate subsets exceed guard {SUBSET_GUARD}")
     det_sg = lat.leading_minors[-1]
     upper = [row[i:] for i, row in enumerate(gram_of_vectors(lat.int_gram, pairs))]
-    for idx, minor in _spanning_subsets(k, n, (), 1, upper):
+    for taken, (idx, minor) in enumerate(_spanning_subsets(k, n, (), 1, upper)):
+        if taken == SUBSET_GUARD:
+            raise SubsetGuardExceeded(f"more than {SUBSET_GUARD} spanning subsets of {k} minimal pairs")
         yield tuple(pairs[i] for i in idx), math.isqrt(minor // det_sg)
 
 

@@ -36,6 +36,7 @@ from .lattice import Lattice, lattice_from_gram
 from .minvec import RANK_GUARD, brute_force_min_vectors, certified_box, is_well_rounded, minimal_vectors
 from .ortho import angle_profile, is_theta_orthogonal, minimal_basis_subsets
 from .perturb import perturb_2d, perturb_block
+from .ratlinalg import RatMatrix
 
 HALF = Fraction(1, 2)
 GRID = (Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), HALF)
@@ -130,8 +131,6 @@ def _check_generator_validity(max_n: int) -> str:
     lats = weak_family_lattices(min(max_n, 7)) + [
         an_root(n) for n in range(2, min(max_n, 6) + 1)
     ] + [an_dual_frame(n) for n in range(2, min(max_n, 7) + 1)]
-    for lat in lats:
-        lattice_from_gram(lat.name, lat.gram)  # SPD revalidation
     for lat in weak_family_lattices(min(max_n, 7)):
         assert minimal_vectors(lat).norm_sq == 1, f"{lat.name}: minimal norm != 1"
     return f"{len(lats)} lattices"
@@ -361,11 +360,11 @@ def random_subthreshold_lattice(rng: random.Random, n: int) -> Lattice:
     entry is one draw from [-k, k] / 64, k the largest that passes.
     """
     k = _subthreshold_bound(n, 64)
-    g = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    a = [[64 * (i == j) for j in range(n)] for i in range(n)]  # 64 G
     for i in range(n):
         for j in range(i + 1, n):
-            g[i][j] = g[j][i] = Fraction(rng.randint(-k, k), 64)
-    return lattice_from_gram(f"random{n}", g)
+            a[i][j] = a[j][i] = rng.randint(-k, k)
+    return Lattice(f"random{n}", RatMatrix.from_scaled(64, a))
 
 
 @check("coherence.threshold_certifies", "random sub-threshold unit bases are always nearly orthogonal")

@@ -612,6 +612,8 @@ def test_the_system_rows_are_the_rank_one_forms(lat, monkeypatch):
 def test_eutaxy_requires_well_rounded():
     with pytest.raises(NotWellRounded):
         eutaxy_classify(lattice_from_gram("diag", [[1, 0], [0, 9]]))
+    with pytest.raises(NotWellRounded, match="'diag' is not well-rounded"):
+        is_perfect(lattice_from_gram("diag", [[1, 0], [0, 9]]))
 
 
 def test_mixed_block_sum_is_eutactic_not_strongly():

@@ -221,6 +221,8 @@ def test_unit_ball_volumes():
     assert abs(unit_ball_volume(3) - 4 * math.pi / 3) < 1e-14
     for n in range(2, 10):  # agrees with the gamma-function formula
         assert abs(unit_ball_volume(n) - math.pi ** (n / 2) / math.gamma(n / 2 + 1)) < 1e-12
+    with pytest.raises(ValueError, match="dimension must be nonnegative"):
+        unit_ball_volume(-1)
 
 
 # --- scale invariance ------------------------------------------------------------
@@ -277,6 +279,8 @@ def test_cn_rejects_bad_input():
         cn_value(1)
     with pytest.raises(ValueError):
         cn_test(F(-1, 2), 3)
+    with pytest.raises(ValueError, match="dimension must be at least 2"):
+        cn_test(F(1, 4), 1)
 
 
 @pytest.mark.parametrize("n", range(2, 13))

@@ -227,6 +227,8 @@ def test_pair_count_guard(monkeypatch):
 def test_brute_force_box_guard():
     with pytest.raises(DimensionGuardExceeded):
         brute_force_min_vectors(integer_lattice(12), box=10**3)
+    with pytest.raises(ValueError, match="box must be >= 1"):
+        brute_force_min_vectors(integer_lattice(2), box=0)
 
 
 def test_brute_force_guard_counts_every_point():

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -16,6 +17,7 @@ from wrlat import (
     an_dual_frame,
     an_root,
     angle_profile,
+    classification_report,
     hexagonal,
     hybrid,
     integer_lattice,
@@ -660,10 +662,37 @@ def test_search_stops_at_the_first_weak_witness_when_strict_is_decided(monkeypat
     assert consumed == everything[: first + 1] and first + 1 < len(everything)
 
 
-def test_minimal_basis_subsets_guard_fails_loudly():
-    # A8 has 36 minimal pairs, so C(36, 8) subsets
-    with pytest.raises(SubsetGuardExceeded, match=r"^30260340 candidate subsets exceed guard 50000$"):
-        next(minimal_basis_subsets(an_root(8)))
+def test_minimal_basis_subsets_guard_counts_subsets_taken(monkeypatch):
+    # A8 has 36 minimal pairs, so C(36, 8) = 30260340 candidate subsets; the
+    # walk is lazy, so the guard counts the spanning subsets it yields
+    subset, det = next(minimal_basis_subsets(an_root(8)))
+    assert len(subset) == 8 and det >= 1
+    monkeypatch.setattr(ortho, "SUBSET_GUARD", 10)
+    walk = minimal_basis_subsets(an_root(8))
+    assert len([next(walk) for _ in range(10)]) == 10
+    with pytest.raises(SubsetGuardExceeded, match=r"^more than 10 spanning subsets of 36 minimal pairs$"):
+        next(walk)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize(
+    "lat", [staircase(10), staircase(11), staircase(12), hybrid(11, 4), hybrid(12, 5)], ids=lambda lat: lat.name
+)
+def test_disguised_rank_10_12_membership_is_decided(lat, seed):
+    # C(k, n) is 92378 to 1352078 here, above the subset guard, but the
+    # search finds a weakly nearly orthogonal basis within its first subsets
+    n = lat.rank
+    rng = random.Random(seed)
+    case = disguise(lat, [(*rng.sample(range(n), 2), rng.choice((1, -1))) for _ in range(n)])[0]
+    got = classification_report(case)
+    assert got.warnings == ()
+    assert (got.fields["in_weak"], got.fields["in_strict"]) == (True, False)
+    assert got.fields["basis_verdict"] is not None
+    want = classification_report(lat).fields
+    # the invariants of the lattice, as its stored basis reports them
+    for key in ("norm_sq", "kissing_number", "coherence", "avg_coherence", "det_gram", "delta_sq_exact"):
+        assert got.fields[key] == want[key], key
+    assert (got.fields["eutaxy_class"], got.fields["perfect"]) == (want["eutaxy_class"], want["perfect"])
 
 
 def test_frame3_exclusion_confirmed_by_exhaustive_search():

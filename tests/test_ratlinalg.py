@@ -20,6 +20,7 @@ from wrlat.ratlinalg import (
     diagonal_pivots,
     gram_of_vectors,
     int_rank,
+    rational_sqrt_exact,
     row_reduce,
     tail_step,
 )
@@ -62,6 +63,24 @@ def test_entries_of_any_rational_type_give_equal_matrices():
     assert mixed == from_fractions == from_strings == parsed
     assert hash(mixed) == hash(from_fractions) == hash(from_strings) == hash(parsed)
     assert all(type(e) is Fraction for e in mixed.entries + from_strings.entries)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: RatMatrix(2, 2, [1, 2, 3]), ValueError, r"^need 4 entries, got 3$"),
+        (lambda: RatMatrix.from_scaled(0, [[1]]), ValueError, r"^need a positive scale and rows of one length$"),
+        (lambda: RatMatrix.from_scaled(2, [[1, 2], [3]]), ValueError, r"^need a positive scale and rows of one"),
+        (lambda: RatMatrix.from_rows([[1, 2], [3]]), ValueError, r"^ragged rows$"),
+        (lambda: RatMatrix.identity(2)[2, 0], IndexError, r"^\(2, 0\)$"),
+        (lambda: RatMatrix.identity(2)[0, -1], IndexError, r"^\(0, -1\)$"),
+        (lambda: rational_sqrt_exact(F(-1, 4)), ValueError, r"^negative input$"),
+    ],
+    ids=["entry-count", "zero-scale", "ragged-scaled", "ragged-rows", "row-index", "negative-index", "negative-root"],
+)
+def test_bad_input_raises(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 # --- determinant ------------------------------------------------------------

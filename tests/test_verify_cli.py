@@ -292,6 +292,51 @@ def test_cli_perturb_rejected_precondition(tmp_path, capsys):
     assert "error" in data
 
 
+def _not_strict_after_perturbation(lat):
+    """is_theta_orthogonal, except that a perturbed lattice (named with "~") is never strict."""
+    verdict = wrlat.is_theta_orthogonal(lat)
+    return verdict._replace(strictly=False) if "~" in lat.name else verdict
+
+
+@pytest.mark.parametrize(
+    "name, fake, message, diagnostics",
+    [
+        # a wrong exact root makes the rotated row too long for a Gram
+        (
+            "rational_sqrt_exact",
+            lambda q: F(9),
+            "perturbed Gram not positive definite: pivot 2 is -603/3200",
+            {},
+        ),
+        (
+            "_density_ratio_sq",
+            lambda before, after: F(2),
+            "density ratio law violated beyond tolerance",
+            {"achieved": "1/5", "density_ratio_sq": "2"},
+        ),
+        (
+            "is_theta_orthogonal",
+            _not_strict_after_perturbation,
+            "perturbed lattice left the nearly orthogonal class",
+            {"achieved": "1/5"},
+        ),
+    ],
+    ids=["not-positive-definite", "density-law", "left-the-class"],
+)
+def test_cli_perturb_reports_each_failed_verification(tmp_path, capsys, monkeypatch, name, fake, message, diagnostics):
+    # nu 1/4 -> 1/5 verifies on this Gram (an irrational rotation); each
+    # patched step breaks one of the three post-hoc checks
+    from wrlat import lattice_from_gram, perturb
+
+    f = tmp_path / "g.json"
+    save_lattice(lattice_from_gram("g", [[1, F(1, 4), F(1, 5)], [F(1, 4), 1, F(1, 6)], [F(1, 5), F(1, 6), 1]]), str(f))
+    monkeypatch.setattr(perturb, name, fake)
+    assert run_cli("perturb", str(f), "--mode", "nu", "--target", "1/5") == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["error"] == message
+    assert data["diagnostics"].items() >= {"pair": "(0, 1)", "mode": "nu", "target": "1/5", **diagnostics}.items()
+
+
 def test_cli_perturb_has_no_tolerance_option(tmp_path, capsys):
     # the post-hoc checks are exact against a fixed 10^-9; a tolerance of
     # nan or inf once made them accept any lattice
@@ -399,6 +444,9 @@ def test_cli_analyze_strict_exits_1_on_any_warning(tmp_path, capsys):
         ({"provenance": ["x"]}, "provenance ['x'] is not a JSON string"),
         # a whole file: its nesting is deeper than the JSON decoder recurses
         pytest.param("[" * 100_000 + "]" * 100_000, "nests JSON too deeply", id="deeply-nested-json"),
+        # indexing an array by key would fail with a message about Python lists
+        pytest.param("[1, 2]", "a lattice file holds one JSON object", id="top-level-array"),
+        ({"provenance": None}, "provenance null is not a JSON string"),
     ],
 )
 def test_cli_bad_lattice_file_exits_2(tmp_path, capsys, changes, message):
